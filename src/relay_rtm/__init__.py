@@ -18,11 +18,10 @@ from .evaluate import (
     capacity_forms,
     direct_link_capacity,
     naf_rtm,
-    oracle_solve,
     ostbc_capacity,
     verify_kkt_capacity,
 )
-from .matalg import HermEig, ThinUd, check_kk_identity, herm_eig, inv_sqrt_diag, thin_ud
+from .matalg import HermEig, ThinUd, herm_eig, inv_sqrt_diag, thin_ud
 from .montecarlo import CurvePoint, SweepSpec, run_sweep, sample_channels
 from .network import (
     ChannelSet,
@@ -41,12 +40,7 @@ from .opt_capacity import (
     optimize_capacity_rtm,
     waterfill_capacity,
 )
-from .opt_ostbc import (
-    build_ostbc_spectra,
-    optimize_ostbc_rtm,
-    rearrangement_bounds,
-    waterfill_ostbc,
-)
+from .opt_ostbc import build_ostbc_spectra, optimize_ostbc_rtm, waterfill_ostbc
 
 __version__ = "0.1.0"
 
@@ -62,7 +56,6 @@ __all__ = [
     "herm_eig",
     "thin_ud",
     "inv_sqrt_diag",
-    "check_kk_identity",
     "Dims",
     "ChannelSet",
     "PowerBudget",
@@ -79,7 +72,6 @@ __all__ = [
     "build_ostbc_spectra",
     "waterfill_ostbc",
     "optimize_ostbc_rtm",
-    "rearrangement_bounds",
     "CapacityReport",
     "KktReport",
     "capacity",
@@ -88,7 +80,6 @@ __all__ = [
     "direct_link_capacity",
     "naf_rtm",
     "verify_kkt_capacity",
-    "oracle_solve",
     "SweepSpec",
     "CurvePoint",
     "sample_channels",

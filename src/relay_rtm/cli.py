@@ -256,7 +256,8 @@ def _vector(v: np.ndarray) -> str:
     return "[" + ", ".join(f"{float(x):.6g}" for x in np.atleast_1d(v)) + "]"
 
 
-def _explain_solution(lines, spectra, wf, thresholds, p2):
+def _explain_solution(lines, sol, thresholds):
+    spectra, wf = sol.spectra, sol.wf
     lines.append(f"  mode gains alpha:        {_vector(spectra.alpha)}")
     lines.append(f"  mode power costs beta:   {_vector(spectra.beta)}")
     lines.append(f"  mode counts: rho={spectra.rho} rho_a={spectra.rho_a} rho_b={spectra.rho_b}")
@@ -268,7 +269,6 @@ def _explain_solution(lines, spectra, wf, thresholds, p2):
     lines.append(f"  mode powers x:           {_vector(wf.x)}")
     active = [str(i) for i in np.flatnonzero(wf.active)]
     lines.append(f"  active modes:            {{{', '.join(active)}}} ({len(active)} of {spectra.rho})")
-    lines.append(f"  relay power used:        {wf.achieved_budget:.12g} of budget {p2:.12g}")
 
 
 def explain(
@@ -277,7 +277,8 @@ def explain(
     channels: Optional[ChannelSet] = None,
     power: Optional[PowerBudget] = None,
 ) -> str:
-    """Single-realization diagnostic report.
+    """Single-realization diagnostic report of the solutions the solvers
+    return.
 
     Normally samples the (seed, trial) realization from the config and
     translates the scenario; tests may inject exact ``channels`` and
@@ -306,12 +307,11 @@ def explain(
     for kind in cfg.spec.rtm_kinds:
         lines.append("")
         if kind == "opt1":
+            sol = opt_capacity.optimize_capacity_rtm(ch, pb, dims)
             lines.append("[opt1] capacity-optimal relay transform")
-            spectra = opt_capacity.build_capacity_spectra(ch, pb, dims)
-            wf = opt_capacity.waterfill_capacity(spectra.alpha, spectra.beta, pb.p2)
-            thresholds = opt_capacity.activation_thresholds(spectra.alpha, spectra.beta)
-            _explain_solution(lines, spectra, wf, thresholds, pb.p2)
-            kkt = verify_kkt_capacity(spectra.alpha, spectra.beta, pb.p2, wf)
+            alpha, beta = sol.spectra.alpha, sol.spectra.beta
+            _explain_solution(lines, sol, opt_capacity.activation_thresholds(alpha, beta))
+            kkt = verify_kkt_capacity(alpha, beta, pb.p2, sol.wf)
             lines.append(
                 "  kkt residuals:           "
                 f"stationarity={kkt.stationarity_residual:.3e} "
@@ -319,26 +319,23 @@ def explain(
                 f"primal={kkt.primal_feasibility:.3e} "
                 f"dual={kkt.dual_feasibility:.3e}"
             )
-            sol = opt_capacity.assemble_rtm(spectra, wf)
         elif kind == "opt2":
+            sol = opt_ostbc.optimize_ostbc_rtm(ch, pb, dims)
             lines.append("[opt2] OSTBC-capacity-optimal relay transform")
-            spectra = opt_ostbc.build_ostbc_spectra(ch, pb, dims)
-            wf = opt_ostbc.waterfill_ostbc(spectra.alpha, spectra.beta, pb.p2)
-            thresholds = opt_ostbc.activation_thresholds(spectra.alpha, spectra.beta)
-            _explain_solution(lines, spectra, wf, thresholds, pb.p2)
-            if wf.xi is not None:
-                segment = int(np.sum(thresholds[np.isfinite(thresholds)] < wf.xi))
+            thresholds = opt_ostbc.activation_thresholds(sol.spectra.alpha, sol.spectra.beta)
+            _explain_solution(lines, sol, thresholds)
+            if sol.wf.xi is not None:
+                segment = int(np.sum(thresholds[np.isfinite(thresholds)] < sol.wf.xi))
                 lines.append(
                     f"  linear segment:          {segment} threshold(s) below the water level"
                 )
-            sol = opt_capacity.assemble_rtm(spectra, wf)
         else:
             sol = naf_rtm(ch, pb, dims)
             lines.append(f"[{sol.kind}] scaled-identity relay transform")
             gain = float(np.sqrt(sol.wf.x[0])) if sol.wf.x.size else 0.0
             lines.append(f"  diagonal gain:           {gain:.12g}")
-            lines.append(f"  relay power used:        {sol.relay_power_used:.12g} of budget {pb.p2:.12g}")
 
+        lines.append(f"  relay power used:        {sol.relay_power_used:.12g} of budget {pb.p2:.12g}")
         direct, ident = capacity_forms(ch, pb, dims, sol.x_matrix)
         ost = ostbc_capacity(ch, pb, dims, sol.x_matrix, cfg.spec.symbol_rate)
         lines.append(f"  capacity:                {direct:.9f} bit/s/Hz")

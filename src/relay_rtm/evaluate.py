@@ -5,9 +5,8 @@ log-det forms (the direct whitened-channel form and the matrix-inversion
 identity form); both are evaluated on every call and a disagreement above
 1e-9 bits raises, turning the underlying identity into a permanent
 regression guard.  Also here: the OSTBC (trace) capacity, the bare
-direct-link capacity, the naive scaled-identity relay baseline, KKT
-residual reporting for the capacity water-filler, and a brute-force grid
-oracle used to verify both water-filling solvers.
+direct-link capacity, the naive scaled-identity relay baseline, and KKT
+residual reporting for the capacity water-filler.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .matalg import hermitian_part
 from .network import ChannelSet, Dims, PowerBudget
-from .opt_capacity import RtmSolution, WaterfillSolution
+from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix
 
 __all__ = [
     "CapacityReport",
@@ -31,7 +30,6 @@ __all__ = [
     "direct_link_capacity",
     "naf_rtm",
     "verify_kkt_capacity",
-    "oracle_solve",
 ]
 
 _FORM_AGREEMENT_BITS = 1e-9
@@ -44,7 +42,6 @@ class CapacityReport:
     bits: float
     variant: str          # "capacity" | "ostbc"
     symbol_rate: float    # meaningful for the ostbc variant, 1.0 otherwise
-    relay_power_used: float
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,6 @@ def _whitened_inner(ch: ChannelSet, x_matrix: np.ndarray) -> np.ndarray:
     return hermitian_part(kh1.conj().T @ np.linalg.solve(gram, kh1))
 
 
-def _relay_power(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) -> float:
-    c = np.eye(dims.s) + (pb.p1 / dims.t) * hermitian_part(ch.h1 @ ch.h1.conj().T)
-    return float(np.real(np.trace(x_matrix @ c @ x_matrix.conj().T)))
-
-
 def capacity_forms(
     ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray
 ) -> tuple[float, float]:
@@ -135,13 +127,7 @@ def capacity(
         raise NumericalError(
             f"capacity forms disagree: {direct!r} vs {ident!r} bits"
         )
-    x_matrix = np.asarray(x_matrix, dtype=complex)
-    return CapacityReport(
-        bits=direct,
-        variant="capacity",
-        symbol_rate=1.0,
-        relay_power_used=_relay_power(ch, pb, dims, x_matrix),
-    )
+    return CapacityReport(bits=direct, variant="capacity", symbol_rate=1.0)
 
 
 def ostbc_capacity(
@@ -167,12 +153,7 @@ def ostbc_capacity(
     bits = symbol_rate * math.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
     if not math.isfinite(bits):
         raise NumericalError(f"OSTBC capacity is not finite (trace {trace_arg})")
-    return CapacityReport(
-        bits=bits,
-        variant="ostbc",
-        symbol_rate=float(symbol_rate),
-        relay_power_used=_relay_power(ch, pb, dims, x_matrix),
-    )
+    return CapacityReport(bits=bits, variant="ostbc", symbol_rate=float(symbol_rate))
 
 
 def direct_link_capacity(h0: np.ndarray, pb: PowerBudget, dims: Dims) -> CapacityReport:
@@ -183,9 +164,7 @@ def direct_link_capacity(h0: np.ndarray, pb: PowerBudget, dims: Dims) -> Capacit
             f"h0 must have shape {(dims.r, dims.t)}, got {h0.shape}"
         )
     bits = _logdet_bits(np.eye(dims.t) + (pb.p1 / dims.t) * (h0.conj().T @ h0))
-    return CapacityReport(
-        bits=bits, variant="capacity", symbol_rate=1.0, relay_power_used=0.0
-    )
+    return CapacityReport(bits=bits, variant="capacity", symbol_rate=1.0)
 
 
 def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
@@ -196,7 +175,7 @@ def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
     diagonal) and the solution is flagged "naf-rect".
     """
     s, u = dims.s, dims.u
-    c = np.eye(s) + (pb.p1 / dims.t) * hermitian_part(ch.h1 @ ch.h1.conj().T)
+    c = _shaping_matrix(ch, pb, dims)
     k = min(s, u)
     denom = float(np.real(np.trace(c[:k, :k])))
     gain = math.sqrt(pb.p2 / denom)
@@ -256,143 +235,3 @@ def verify_kkt_capacity(
         dual_feasibility=dual,
     )
 
-
-def _objective(kind: str, alpha: np.ndarray):
-    if kind == "capacity":
-        def f(x):
-            return -np.sum(np.log(1.0 - alpha / (1.0 + x)), axis=-1)
-    else:
-        def f(x):
-            return np.sum(alpha / (1.0 + x), axis=-1)
-    return f
-
-
-def _simplex_lattice(k: int, rho: int) -> np.ndarray:
-    """All length-rho nonnegative integer vectors summing to k."""
-    if rho == 1:
-        return np.array([[k]])
-    ranges = np.stack(
-        np.meshgrid(*([np.arange(k + 1)] * (rho - 1)), indexing="ij"), axis=-1
-    ).reshape(-1, rho - 1)
-    tail = k - ranges.sum(axis=1)
-    keep = tail >= 0
-    return np.concatenate([ranges[keep], tail[keep, None]], axis=1)
-
-
-def _pairwise_polish(f, x: np.ndarray, beta: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    """Local pairwise coordinate descent on the budget-equality set.
-
-    Transfers budget between mode pairs with an exact 1-d convex line
-    search; a point stationary against every pairwise transfer is the
-    constrained optimum for these convex objectives.
-    """
-    rho = x.size
-    x = x.copy()
-    for _ in range(sweeps):
-        best = f(x)
-        improved = False
-        for i in range(rho):
-            for j in range(rho):
-                if i == j:
-                    continue
-                lo, hi = -x[i] * beta[i], x[j] * beta[j]
-                if hi <= lo:
-                    continue
-                def line(tr):
-                    trial = x.copy()
-                    trial[i] += tr / beta[i]
-                    trial[j] -= tr / beta[j]
-                    return f(np.maximum(trial, 0.0))
-                for _ in range(90):
-                    m1 = lo + (hi - lo) / 3.0
-                    m2 = hi - (hi - lo) / 3.0
-                    if line(m1) <= line(m2):
-                        hi = m2
-                    else:
-                        lo = m1
-                tr = 0.5 * (lo + hi)
-                cand = x.copy()
-                cand[i] = max(cand[i] + tr / beta[i], 0.0)
-                cand[j] = max(cand[j] - tr / beta[j], 0.0)
-                val = f(cand)
-                if val < best - 1e-16:
-                    x, best, improved = cand, val, True
-        if not improved:
-            break
-    return x
-
-
-def oracle_solve(
-    objective: str,
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    p2: float,
-    grid_step: float = 1e-3,
-) -> tuple[np.ndarray, float]:
-    """Brute-force verification solver for the mode-power problems.
-
-    Searches the budget-equality simplex {x >= 0 : sum beta_i x_i = p2}
-    on a lattice (full enumeration at the finest affordable resolution,
-    then pattern-search refinement of the lattice down to ``grid_step``
-    in budget-fraction units), followed by a local pairwise
-    coordinate-descent refinement pass.  Only the raw objective is ever
-    evaluated, so the result is independent of the water-filling
-    closed forms it is used to verify.
-
-    Returns the best point and its objective value (nats for the
-    "capacity" objective, the plain trace sum for "ostbc").
-    """
-    if objective not in ("capacity", "ostbc"):
-        raise ValidationError(f"unknown objective {objective!r}")
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    rho = alpha.size
-    if rho > 4:
-        raise ValidationError(f"grid oracle supports at most 4 modes, got {rho}")
-    if grid_step <= 0.0:
-        raise ValidationError("grid_step must be positive")
-    if np.any(beta <= 0.0) or np.any(alpha < 0.0) or p2 < 0.0:
-        raise ValidationError("need alpha >= 0, beta > 0, p2 >= 0")
-    if objective == "capacity" and np.any(alpha >= 1.0):
-        raise ValidationError("capacity objective needs alpha < 1")
-
-    f = _objective(objective, alpha)
-    if p2 == 0.0 or not np.any(alpha > 0.0):
-        x = np.zeros(rho)
-        return x, float(f(x))
-    if rho == 1:
-        x = np.array([p2 / beta[0]])
-        return x, float(f(x))
-
-    # Full lattice at the finest resolution whose size stays reasonable.
-    caps = {2: 2000, 3: 180, 4: 46}
-    k0 = min(int(math.ceil(1.0 / grid_step)), caps[rho])
-    lattice = _simplex_lattice(k0, rho) / float(k0)
-    points = lattice * (p2 / beta)
-    frac = lattice[int(np.argmin(f(points)))].copy()
-
-    # Pattern-search refinement: halve the lattice spacing down to
-    # grid_step, walking to the best improving neighbor at each level.
-    deltas = []
-    d = 1.0 / k0
-    while d > grid_step * 1.0000001:
-        d = max(d / 2.0, grid_step)
-        deltas.append(d)
-    eye = np.eye(rho)
-    moves = [eye[i] - eye[j] for i in range(rho) for j in range(rho) if i != j]
-    for d in deltas:
-        for _ in range(400):
-            cands = [frac + d * mv for mv in moves]
-            cands = [c for c in cands if c.min() >= -1e-15]
-            if not cands:
-                break
-            cands = np.maximum(np.array(cands), 0.0)
-            vals = f(cands * (p2 / beta))
-            best = int(np.argmin(vals))
-            if vals[best] < f(frac * (p2 / beta)) - 1e-16:
-                frac = cands[best]
-            else:
-                break
-
-    x = _pairwise_polish(f, frac * (p2 / beta), beta)
-    return x, float(f(x))

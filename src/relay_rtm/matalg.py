@@ -19,7 +19,6 @@ __all__ = [
     "herm_eig",
     "thin_ud",
     "inv_sqrt_diag",
-    "check_kk_identity",
     "hermitian_part",
     "DEFAULT_RANK_TOL",
 ]
@@ -70,44 +69,33 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def herm_eig(m: np.ndarray, herm_tol: float = _HERM_ATOL) -> HermEig:
+def herm_eig(m: np.ndarray) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
     Eigenvalues are returned nonincreasing.  Ties keep the order produced
     by the underlying LAPACK factorization (which is deterministic for
     identical input), and every eigenvector is re-phased so that its
     largest-magnitude component is real positive, making repeated calls
-    bit-reproducible.
-
-    Parameters
-    ----------
-    m : array, shape (n, n)
-        Hermitian matrix.  Maximum elementwise asymmetry |m - m^H| must
-        not exceed ``herm_tol``.
-    herm_tol : float
-        Absolute tolerance for the Hermitian-ness check.
-
-    Returns
-    -------
-    HermEig
+    bit-reproducible.  The maximum elementwise asymmetry |m - m^H| must
+    not exceed 1e-12.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
     asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym > herm_tol:
+    if asym > _HERM_ATOL:
         raise ValidationError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {herm_tol:.3e}"
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {_HERM_ATOL:.3e}"
         )
     w, v = np.linalg.eigh(m)
     return HermEig(eigenvalues=w[::-1].copy(), eigenvectors=_fix_phases(v[:, ::-1]))
 
 
-def thin_ud(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> ThinUd:
+def thin_ud(m: np.ndarray) -> ThinUd:
     """Thin unitary diagonalization of a Hermitian PSD matrix.
 
-    Eigenpairs with eigenvalue above ``rank_tol * max(lam_max, 1)`` are
-    retained; negative round-off eigenvalues are clamped to zero first.
+    Eigenpairs with eigenvalue above ``DEFAULT_RANK_TOL * max(lam_max, 1)``
+    are retained; negative round-off eigenvalues are clamped to zero first.
     Eigenvalues below ``-1e-10 * max(lam_max, 1)`` fail the PSD check.
     """
     eig = herm_eig(m)
@@ -118,7 +106,7 @@ def thin_ud(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> ThinUd:
             f"matrix is not positive semidefinite: smallest eigenvalue {w[-1]:.3e}"
         )
     w = np.clip(w, 0.0, None)
-    cut = rank_tol * max(top, 1.0)
+    cut = DEFAULT_RANK_TOL * max(top, 1.0)
     rank = int(np.sum(w > cut))
     return ThinUd(
         u_thin=eig.eigenvectors[:, :rank].copy(),
@@ -134,15 +122,3 @@ def inv_sqrt_diag(lam: np.ndarray) -> np.ndarray:
         raise ValidationError("inv_sqrt_diag requires strictly positive entries")
     return lam ** -0.5
 
-
-def check_kk_identity(k: np.ndarray) -> float:
-    """Frobenius residual of K^H (I + K K^H)^-1 K = I - (I + K^H K)^-1.
-
-    The identity underpins the equivalence of the two network-capacity
-    forms; this check is used by the test suite as a permanent guard.
-    """
-    k = np.asarray(k, dtype=complex)
-    n, m = k.shape
-    lhs = k.conj().T @ np.linalg.inv(np.eye(n) + k @ k.conj().T) @ k
-    rhs = np.eye(m) - np.linalg.inv(np.eye(m) + k.conj().T @ k)
-    return float(np.linalg.norm(lhs - rhs))

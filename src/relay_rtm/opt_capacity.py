@@ -12,10 +12,13 @@ The pipeline has three independent stages:
 
    and the water level ``xi > 0`` is the unique root of
    ``sum_i beta_i * phi_i(xi) = p2``.  The budget curve is continuous and
-   nondecreasing in ``xi`` with square-root kinks at the activation
-   thresholds ``(1 - alpha_i) * beta_i / alpha_i``, so the root is
-   bracketed between consecutive sorted thresholds and found by bisection
-   (unconditionally robust at these sizes, unlike Newton across kinks).
+   increasing in ``xi``, with kinks at the activation thresholds
+   ``(1 - alpha_i) * beta_i / alpha_i``; between consecutive thresholds it
+   is a sum of square roots, so concave.  A scan over the sorted
+   thresholds finds the segment that holds the root, and Newton's method
+   started at the segment's left end then climbs to the root from below:
+   on a concave increasing curve the tangent lies above the curve, so no
+   step overshoots.
 3. ``assemble_rtm`` lifts the mode powers back to the u x s matrix
    ``X = U_b diag(sqrt(x / lam_b)) U_a^H`` over the active modes.
 
@@ -44,6 +47,10 @@ __all__ = [
     "optimize_capacity_rtm",
     "activation_thresholds",
 ]
+
+#: Relative budget tolerance and iteration cap of ``waterfill_capacity``.
+_BUDGET_RTOL = 1e-12
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -101,26 +108,31 @@ class RtmSolution:
     kind: str
 
 
+def _shaping_matrix(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> np.ndarray:
+    """The relay input shaping matrix C = I + (p1/t) H1 H1^H.
+
+    It is the covariance of the relay's received signal, so a transform X
+    spends relay power tr(X C X^H).
+    """
+    return np.eye(dims.s) + (pb.p1 / dims.t) * hermitian_part(ch.h1 @ ch.h1.conj().T)
+
+
 def _spectra_from_parts(
-    variant: str,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    s: int,
-    rank_tol: float,
+    variant: str, a: np.ndarray, ch: ChannelSet, pb: PowerBudget, dims: Dims
 ) -> SpectraBundle:
-    """Shared spectra assembly for both optimization criteria."""
-    ud_b = thin_ud(b, rank_tol)
+    """Shared spectra assembly for both optimization criteria, from the
+    criterion's gain matrix ``a``."""
+    ud_b = thin_ud(hermitian_part(ch.h2.conj().T @ ch.h2))
     if ud_b.rank == 0:
         raise DeadRelayError(
             "relay path dead: the relay-to-destination channel has rank 0"
         )
     rho_b = ud_b.rank
-    rho = min(s, rho_b)
+    rho = min(dims.s, rho_b)
 
     eig_a = herm_eig(a)
     lam_a = np.clip(eig_a.eigenvalues, 0.0, None)
-    cut = rank_tol * max(float(lam_a[0]), 1.0)
+    cut = DEFAULT_RANK_TOL * max(float(lam_a[0]), 1.0)
     rho_a = int(np.sum(lam_a > cut))
     lam_a = np.where(lam_a > cut, lam_a, 0.0)
 
@@ -136,6 +148,7 @@ def _spectra_from_parts(
         np.minimum(alpha, np.nextafter(1.0, 0.0), out=alpha)
         np.minimum(alpha_tail, np.nextafter(1.0, 0.0), out=alpha_tail)
 
+    c = _shaping_matrix(ch, pb, dims)
     u_a = eig_a.eigenvectors[:, :rho].copy()
     cost = np.real(np.einsum("ji,jk,ki->i", u_a.conj(), c, u_a))
     beta = cost / ud_b.lam_thin[:rho]
@@ -154,38 +167,32 @@ def _spectra_from_parts(
     )
 
 
-def build_capacity_spectra(
-    ch: ChannelSet,
-    pb: PowerBudget,
-    dims: Dims,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SpectraBundle:
+def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
     """Reduce a network to the capacity-criterion mode spectra.
 
     The gain matrix is A = H1 (t/p1 I + H0^H H0 + H1^H H1)^-1 H1^H (its
     eigenvalues are the ``alpha``, strictly below 1 because the bracket
     dominates H1^H H1), the second hop enters through B = H2^H H2, and the
-    relay input shaping matrix is C = I + (p1/t) H1 H1^H.  The cost of
-    mode i is beta_i = (U_a^H C U_a)_ii / lam_b_i.
+    cost of mode i is beta_i = (U_a^H C U_a)_ii / lam_b_i with C the relay
+    input shaping matrix (``SpectraBundle.c_matrix``).
 
     Raises DeadRelayError when H2 has rank 0 (no mode can be served).
     """
     validate(dims, ch, pb)
-    t, s = dims.t, dims.s
-    h0, h1, h2 = ch.h0, ch.h1, ch.h2
+    h0, h1 = ch.h0, ch.h1
     g = hermitian_part(
-        (t / pb.p1) * np.eye(t) + h0.conj().T @ h0 + h1.conj().T @ h1
+        (dims.t / pb.p1) * np.eye(dims.t) + h0.conj().T @ h0 + h1.conj().T @ h1
     )
     a = hermitian_part(h1 @ np.linalg.solve(g, h1.conj().T))
-    b = hermitian_part(h2.conj().T @ h2)
-    c = np.eye(s) + (pb.p1 / t) * hermitian_part(h1 @ h1.conj().T)
-    return _spectra_from_parts("capacity", a, b, c, s, rank_tol)
+    return _spectra_from_parts("capacity", a, ch, pb, dims)
 
 
 def _phi(alpha: np.ndarray, beta: np.ndarray, xi: float) -> np.ndarray:
-    # Zero-gain modes fall out on their own: sqrt(0) - 1 clips to 0.
-    return np.maximum(
-        alpha / 2.0 - 1.0 + np.sqrt(alpha ** 2 / 4.0 + alpha / beta * xi), 0.0
+    # alpha/2 - 1 + sqrt(alpha^2/4 + q) in rationalized form, which does not
+    # cancel near the threshold q = 1 - alpha; zero-gain modes give 0 / 1.
+    q = alpha / beta * xi
+    return np.maximum(q - (1.0 - alpha), 0.0) / (
+        1.0 - alpha / 2.0 + np.sqrt(alpha ** 2 / 4.0 + q)
     )
 
 
@@ -203,10 +210,19 @@ def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _no_water(n: int) -> WaterfillSolution:
+def _activation_order(thresholds: np.ndarray) -> np.ndarray:
+    """Indices of the servable modes (finite thresholds), cheapest first."""
+    order = np.argsort(thresholds)
+    return order[np.isfinite(thresholds[order])]
+
+
+def _dry(thresholds: np.ndarray, order: np.ndarray) -> WaterfillSolution:
+    """All-zero mode powers: the "no water" state when no mode is servable,
+    else (p2 == 0) the just-dry water level, the lowest threshold."""
+    n = thresholds.size
     return WaterfillSolution(
         x=np.zeros(n),
-        xi=None,
+        xi=float(thresholds[order[0]]) if order.size else None,
         active=np.zeros(n, dtype=bool),
         achieved_budget=0.0,
     )
@@ -228,101 +244,49 @@ def _validate_wf_inputs(alpha, beta, p2, *, alpha_below_one: bool):
     return alpha, beta
 
 
-def waterfill_capacity(
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    p2: float,
-    *,
-    budget_rtol: float = 1e-12,
-    max_iter: int = 200,
-) -> WaterfillSolution:
+def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> WaterfillSolution:
     """Split a relay power budget across modes for the capacity criterion.
 
     Finds the water level ``xi`` such that ``sum beta_i * phi_i(xi) = p2``
-    (see module docstring), by bisection between consecutive sorted
-    activation thresholds, to relative budget tolerance ``budget_rtol``.
-    The budget binds exactly whenever some gain is positive and p2 > 0;
-    with all gains zero the "no water" solution is returned.
+    (see module docstring) to relative budget tolerance 1e-12, or as close
+    as a float ``xi`` gets to it.  The budget binds exactly whenever
+    some gain is positive and p2 > 0; with all gains zero the "no water"
+    solution is returned.
     """
     alpha, beta = _validate_wf_inputs(alpha, beta, p2, alpha_below_one=True)
-    servable = alpha > 0.0
-    if not np.any(servable):
-        return _no_water(alpha.size)
+    thresholds = activation_thresholds(alpha, beta)
+    order = _activation_order(thresholds)
+    if order.size == 0 or p2 == 0.0:
+        return _dry(thresholds, order)
 
-    thresholds = np.sort(
-        (1.0 - alpha[servable]) * beta[servable] / alpha[servable]
-    )
-    if p2 == 0.0:
-        # exactly zero powers at the just-dry water level
-        return WaterfillSolution(
-            x=np.zeros(alpha.size),
-            xi=float(thresholds[0]),
-            active=np.zeros(alpha.size, dtype=bool),
-            achieved_budget=0.0,
-        )
+    # The root lies left of the first threshold at which the budget reaches
+    # p2, or past the last threshold if there is none.
+    xi = float(thresholds[order[0]])
+    for i in order[1:]:
+        if float(beta @ _phi(alpha, beta, thresholds[i])) >= p2:
+            break
+        xi = float(thresholds[i])
 
-    def budget(xi: float) -> float:
-        return float(beta @ _phi(alpha, beta, xi))
-
-    lo = float(thresholds[0])
-    hi = None
-    for cand in thresholds[1:]:
-        if budget(float(cand)) >= p2:
-            hi = float(cand)
+    # Iterates approach the root from below.  A negative residual means
+    # rounding put xi one float past the root, the closest it can get.
+    x = _phi(alpha, beta, xi)
+    for _ in range(_MAX_ITER):
+        resid = p2 - float(beta @ x)
+        if resid <= _BUDGET_RTOL * p2:
             break
-        lo = float(cand)
-    if hi is None:
-        hi = 2.0 * max(lo, 1.0)
-        while budget(hi) < p2:
-            lo = hi
-            hi *= 2.0
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        resid = budget(mid) - p2
-        if abs(resid) <= budget_rtol * p2:
-            lo = hi = mid
-            break
-        if resid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps * max(hi, 1.0):
-            break
-
-    # Newton polish on the smooth segment: harshly scaled spectra can make
-    # the bisection target unrepresentable in xi floats, so keep the best
-    # iterate seen instead of trusting the last step.
-    xi = 0.5 * (lo + hi)
-    best_xi, best_res = xi, abs(budget(xi) - p2)
-    for _ in range(4):
-        if best_res <= budget_rtol * p2:
-            break
-        x = _phi(alpha, beta, xi)
-        act = x > 0.0
-        deriv = float(
-            np.sum(
-                alpha[act]
-                / (2.0 * np.sqrt(alpha[act] ** 2 / 4.0 + alpha[act] / beta[act] * xi))
-            )
-        )
-        if deriv <= 0.0:
-            break
-        xi_next = xi - (float(beta @ x) - p2) / deriv
-        if not math.isfinite(xi_next) or xi_next <= 0.0:
+        # right derivative: a mode counts from its threshold on, where
+        # d(beta_i x_i)/dxi = alpha_i / (2 sqrt(alpha_i^2/4 + q_i))
+        #                   = alpha_i / (2 + 2 x_i - alpha_i)
+        live = thresholds <= xi
+        slope = float(np.sum(alpha[live] / (2.0 + 2.0 * x[live] - alpha[live])))
+        xi_next = xi + resid / slope
+        if xi_next == xi:
             break
         xi = xi_next
-        res = abs(budget(xi) - p2)
-        if res < best_res:
-            best_xi, best_res = xi, res
-    return _solution_at(alpha, beta, best_xi)
-
-
-def _solution_at(alpha: np.ndarray, beta: np.ndarray, xi: float) -> WaterfillSolution:
-    x = _phi(alpha, beta, xi)
+        x = _phi(alpha, beta, xi)
     return WaterfillSolution(
         x=x,
-        xi=float(xi),
+        xi=xi,
         active=x > 0.0,
         achieved_budget=float(beta @ x),
     )
@@ -358,13 +322,8 @@ def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
     )
 
 
-def optimize_capacity_rtm(
-    ch: ChannelSet,
-    pb: PowerBudget,
-    dims: Dims,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> RtmSolution:
+def optimize_capacity_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
     """End-to-end capacity-optimal relay transform for one realization."""
-    spectra = build_capacity_spectra(ch, pb, dims, rank_tol)
+    spectra = build_capacity_spectra(ch, pb, dims)
     wf = waterfill_capacity(spectra.alpha, spectra.beta, pb.p2)
     return assemble_rtm(spectra, wf)

@@ -10,23 +10,20 @@ The budget curve ``sum beta_i * psi_i(xi)`` is piecewise LINEAR in the
 water level, so the constraint is solved exactly: sort the activation
 thresholds ``sqrt(beta_i / alpha_i)``, find the segment containing the
 root, and solve the linear equation on it.  No iteration, no tolerance.
-
-``rearrangement_bounds`` is the sorted-sequence product-sum inequality
-used by the test suite to validate the mode-pairing argument.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-from .matalg import DEFAULT_RANK_TOL, hermitian_part
+from .matalg import hermitian_part
 from .network import ChannelSet, Dims, PowerBudget, validate
 from .opt_capacity import (
     RtmSolution,
     SpectraBundle,
     WaterfillSolution,
-    _no_water,
+    _activation_order,
+    _dry,
     _spectra_from_parts,
     _validate_wf_inputs,
     assemble_rtm,
@@ -36,29 +33,19 @@ __all__ = [
     "build_ostbc_spectra",
     "waterfill_ostbc",
     "optimize_ostbc_rtm",
-    "rearrangement_bounds",
     "activation_thresholds",
 ]
 
 
-def build_ostbc_spectra(
-    ch: ChannelSet,
-    pb: PowerBudget,
-    dims: Dims,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SpectraBundle:
+def build_ostbc_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
     """Reduce a network to the OSTBC-criterion mode spectra.
 
     The gain matrix is H1 H1^H; second hop and shaping matrix are the same
     as for the capacity criterion.
     """
     validate(dims, ch, pb)
-    t, s = dims.t, dims.s
-    h1, h2 = ch.h1, ch.h2
-    a = hermitian_part(h1 @ h1.conj().T)
-    b = hermitian_part(h2.conj().T @ h2)
-    c = np.eye(s) + (pb.p1 / t) * a
-    return _spectra_from_parts("ostbc", a, b, c, s, rank_tol)
+    a = hermitian_part(ch.h1 @ ch.h1.conj().T)
+    return _spectra_from_parts("ostbc", a, ch, pb, dims)
 
 
 def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -86,30 +73,17 @@ def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterfill
     threshold contains the root.
     """
     alpha, beta = _validate_wf_inputs(alpha, beta, p2, alpha_below_one=False)
-    servable = alpha > 0.0
-    if not np.any(servable):
-        return _no_water(alpha.size)
-
-    thr = np.sqrt(beta[servable] / alpha[servable])
-    order = np.argsort(thr)
-    thr_sorted = thr[order]
-    if p2 == 0.0:
-        # exactly zero powers at the just-dry water level
-        return WaterfillSolution(
-            x=np.zeros(alpha.size),
-            xi=float(thr_sorted[0]),
-            active=np.zeros(alpha.size, dtype=bool),
-            achieved_budget=0.0,
-        )
-    slope = np.cumsum(np.sqrt(alpha[servable] * beta[servable])[order])
-    offset = np.cumsum(beta[servable][order])
+    thresholds = activation_thresholds(alpha, beta)
+    order = _activation_order(thresholds)
+    if order.size == 0 or p2 == 0.0:
+        return _dry(thresholds, order)
+    thr_sorted = thresholds[order]
+    slope = np.cumsum(np.sqrt(alpha * beta)[order])
+    offset = np.cumsum(beta[order])
     n = thr_sorted.size
-    xi = float((p2 + offset[-1]) / slope[-1])
     for k in range(n):
-        cand = (p2 + offset[k]) / slope[k]
-        nxt = thr_sorted[k + 1] if k + 1 < n else np.inf
-        if cand <= nxt:
-            xi = float(cand)
+        xi = float((p2 + offset[k]) / slope[k])
+        if k + 1 == n or xi <= thr_sorted[k + 1]:
             break
     x = _psi(alpha, beta, xi)
     return WaterfillSolution(
@@ -120,36 +94,13 @@ def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterfill
     )
 
 
-def optimize_ostbc_rtm(
-    ch: ChannelSet,
-    pb: PowerBudget,
-    dims: Dims,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> RtmSolution:
+def optimize_ostbc_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
     """End-to-end OSTBC-capacity-optimal relay transform.
 
     The same matrix maximizes the OSTBC capacity for every symbol rate
     simultaneously (the trace argument does not involve the rate).
     """
-    spectra = build_ostbc_spectra(ch, pb, dims, rank_tol)
+    spectra = build_ostbc_spectra(ch, pb, dims)
     wf = waterfill_ostbc(spectra.alpha, spectra.beta, pb.p2)
     return assemble_rtm(spectra, wf)
 
-
-def rearrangement_bounds(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Extreme values of sum(a_i * b_pi(i)) over all permutations pi.
-
-    Both inputs must be nonnegative and sorted nonincreasing.  Returns
-    (lower, upper) = (reversed pairing, aligned pairing); every other
-    pairing lands in between.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValidationError("sequences must be 1-d and of equal length")
-    for name, v in (("a", a), ("b", b)):
-        if v.size and float(v.min()) < 0.0:
-            raise ValidationError(f"sequence {name} must be nonnegative")
-        if np.any(np.diff(v) > 0.0):
-            raise ValidationError(f"sequence {name} must be sorted nonincreasing")
-    return float(a @ b[::-1]), float(a @ b)

@@ -11,25 +11,21 @@ import numpy as np
 
 import helpers
 from helpers import crandn, scaled_channels
+from oracles import check_kk_identity, oracle_solve, rearrangement_bounds
 from relay_rtm.cli import write_csv
 from relay_rtm.evaluate import (
     capacity,
     capacity_forms,
     direct_link_capacity,
     naf_rtm,
-    oracle_solve,
     ostbc_capacity,
     verify_kkt_capacity,
 )
-from relay_rtm.matalg import check_kk_identity, hermitian_part
+from relay_rtm.matalg import hermitian_part
 from relay_rtm.montecarlo import SweepSpec, run_sweep, sample_channels
 from relay_rtm.network import Dims, SnrScenario, translate_scenario
 from relay_rtm.opt_capacity import optimize_capacity_rtm, waterfill_capacity
-from relay_rtm.opt_ostbc import (
-    optimize_ostbc_rtm,
-    rearrangement_bounds,
-    waterfill_ostbc,
-)
+from relay_rtm.opt_ostbc import optimize_ostbc_rtm, waterfill_ostbc
 
 WORKERS = 2
 

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import crandn
+from oracles import check_kk_identity
 from relay_rtm.errors import ValidationError
-from relay_rtm.matalg import (
-    check_kk_identity,
-    herm_eig,
-    hermitian_part,
-    inv_sqrt_diag,
-    thin_ud,
-)
+from relay_rtm.matalg import herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
 
 
 class TestHermEig:

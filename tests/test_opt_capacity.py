@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import canonical_budget, crandn, scaled_channels, scalar_network
+from oracles import oracle_solve
 from relay_rtm.errors import DeadRelayError, ValidationError
-from relay_rtm.evaluate import capacity, oracle_solve, verify_kkt_capacity
+from relay_rtm.evaluate import capacity, verify_kkt_capacity
 from relay_rtm.network import ChannelSet, Dims, PowerBudget
 from relay_rtm.opt_capacity import (
     activation_thresholds,
@@ -81,23 +82,35 @@ class TestWaterfill:
     def test_two_modes_against_grid_oracle(self):
         alpha = np.array([0.5, 0.3])
         beta = np.array([1.0, 5.0])
-        wf = waterfill_capacity(alpha, beta, 2.0)
-        obj_wf = -np.sum(np.log(1.0 - alpha / (1.0 + wf.x)))
-        _, obj_oracle = oracle_solve("capacity", alpha, beta, 2.0, grid_step=1e-4)
-        assert abs(obj_wf - obj_oracle) < 1e-6
+        last = activation_thresholds(alpha, beta)[1]
+        # the budget is about 1.678 at the last threshold: the root of p2 = 1
+        # lies between the thresholds, those of p2 = 2 and 40 past the last
+        for p2 in (1.0, 2.0, 40.0):
+            wf = waterfill_capacity(alpha, beta, p2)
+            assert (wf.xi > last) == (p2 > 1.0)
+            obj_wf = -np.sum(np.log(1.0 - alpha / (1.0 + wf.x)))
+            _, obj_oracle = oracle_solve("capacity", alpha, beta, p2, grid_step=1e-4)
+            assert abs(obj_wf - obj_oracle) < 1e-6
 
     def test_budget_equality_property(self):
         rng = np.random.default_rng(123)
-        for _ in range(100):
-            rho = int(rng.integers(1, 7))
+        for _ in range(1000):
+            rho = int(rng.integers(1, 9))
             alpha = rng.uniform(0.0, 0.999, rho)
-            beta = rng.uniform(0.05, 20.0, rho)
-            p2 = float(rng.uniform(0.01, 50.0))
+            beta = 10.0 ** rng.uniform(-4.0, 4.0, rho)
+            p2 = float(10.0 ** rng.uniform(-3.0, 3.0))
             if not np.any(alpha > 0):
                 continue
             wf = waterfill_capacity(alpha, beta, p2)
             assert wf.achieved_budget == pytest.approx(p2, rel=1e-8)
             assert np.all(wf.x >= 0.0)
+            rep = verify_kkt_capacity(alpha, beta, p2, wf)
+            assert max(
+                rep.stationarity_residual,
+                rep.complementary_slackness,
+                rep.primal_feasibility,
+                rep.dual_feasibility,
+            ) <= 1e-8
 
     def test_zero_gain_modes_stay_dry(self):
         wf = waterfill_capacity(np.array([0.6, 0.0]), np.array([1.0, 1e-6]), 3.0)
@@ -121,6 +134,13 @@ class TestWaterfill:
         thr = activation_thresholds(np.array([0.5, 0.0]), np.array([1.0, 3.0]))
         np.testing.assert_allclose(thr[0], 1.0)  # (1-0.5)*1/0.5
         assert np.isinf(thr[1])
+        # phi_0(6) = -0.75 + sqrt(0.0625 + 3) = 1, so p2 = 1 puts the water
+        # level exactly at the second mode's threshold (1-0.5)*6/0.5 = 6
+        alpha, beta = np.array([0.5, 0.5]), np.array([1.0, 6.0])
+        wf = waterfill_capacity(alpha, beta, 1.0)
+        assert wf.xi == pytest.approx(6.0, rel=1e-12)
+        np.testing.assert_allclose(wf.x, [1.0, 0.0], rtol=1e-12, atol=1e-12)
+        assert verify_kkt_capacity(alpha, beta, 1.0, wf).stationarity_residual < 1e-12
 
 
 class TestAssemble:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import canonical_budget, scaled_channels, scalar_network
+from oracles import oracle_solve, rearrangement_bounds
 from relay_rtm.errors import DeadRelayError, ValidationError
-from relay_rtm.evaluate import naf_rtm, oracle_solve, ostbc_capacity
+from relay_rtm.evaluate import naf_rtm, ostbc_capacity
 from relay_rtm.matalg import herm_eig, hermitian_part
 from relay_rtm.network import ChannelSet, Dims, PowerBudget
 from relay_rtm.opt_capacity import optimize_capacity_rtm
@@ -13,7 +14,6 @@ from relay_rtm.opt_ostbc import (
     activation_thresholds,
     build_ostbc_spectra,
     optimize_ostbc_rtm,
-    rearrangement_bounds,
     waterfill_ostbc,
 )
 
