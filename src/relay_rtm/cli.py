@@ -27,10 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -38,17 +35,10 @@ from typing import Optional
 import numpy as np
 
 from . import opt_capacity, opt_ostbc
-from .errors import ConfigError, RelayRtmError
+from .errors import ConfigError, RelayRtmError, ValidationError
 from .evaluate import capacity_forms, naf_rtm, ostbc_capacity, verify_kkt_capacity
-from .montecarlo import (
-    METRICS,
-    RTM_KINDS,
-    SWEEP_AXES,
-    SweepSpec,
-    run_sweep,
-    sample_channels,
-)
-from .network import ChannelSet, Dims, PowerBudget, SnrScenario, translate_scenario
+from .montecarlo import SWEEP_AXES, SweepSpec, run_sweep, sample_channels
+from .network import Dims, SnrScenario, translate_scenario
 
 __all__ = ["RunConfig", "parse_config", "run", "explain", "main"]
 
@@ -61,7 +51,6 @@ class RunConfig:
     spec: SweepSpec
     output_path: str
     explain_at: Optional[tuple]  # (seed, trial) for explain mode
-    format_version: int = 1
 
 
 def _fail(path: str, message: str):
@@ -77,24 +66,30 @@ def _require_keys(obj: dict, path: str, allowed: set, required: set):
             _fail(path, f"missing required key {key!r}")
 
 
-def _get_int(obj: dict, key: str, path: str, minimum: int) -> int:
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        _fail(f"{path}{key}", f"must be an integer, got {val!r}")
-    if val < minimum:
-        _fail(f"{path}{key}", f"must be >= {minimum}, got {val}")
+_JSON_TYPES = {"object": dict, "list": list, "number": (int, float), "string": str}
+
+
+def _typed(val, kind: str, path: str):
+    """``val`` if it has the JSON type ``kind`` (true and false are not numbers)."""
+    if isinstance(val, bool) or not isinstance(val, _JSON_TYPES[kind]):
+        _fail(path, f"must be a JSON {kind}, got {val!r}")
     return val
 
 
-def _get_number(obj: dict, key: str, path: str) -> float:
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-        _fail(f"{path}{key}", f"must be a finite number, got {val!r}")
-    return float(val)
+def _section(obj: dict, key: str, fields: tuple) -> dict:
+    """The JSON object at ``obj[key]``, which must have exactly ``fields``."""
+    val = _typed(obj[key], "object", key)
+    _require_keys(val, key, set(fields), set(fields))
+    return val
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config document into a RunConfig."""
+    """Parse a JSON config document into a RunConfig.
+
+    This checks the document's structure and JSON types; every value rule
+    (ranges, membership, ordering) belongs to the domain type that carries
+    the value, and its ValidationError is reported as a ConfigError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -112,29 +107,15 @@ def parse_config(text: str) -> RunConfig:
     if version != 1:
         _fail("format_version", f"unsupported value {version!r} (this tool writes version 1)")
 
-    dims_doc = doc["dims"]
-    if not isinstance(dims_doc, dict):
-        _fail("dims", "must be an object with keys t, r, s, u")
-    _require_keys(dims_doc, "dims", {"t", "r", "s", "u"}, {"t", "r", "s", "u"})
-    dims = Dims(*(_get_int(dims_doc, k, "dims.", 1) for k in ("t", "r", "s", "u")))
-
-    sweep_doc = doc["sweep"]
-    if not isinstance(sweep_doc, dict):
-        _fail("sweep", "must be an object with keys axis, points_db")
-    _require_keys(sweep_doc, "sweep", {"axis", "points_db"}, {"axis", "points_db"})
+    dims_doc = _section(doc, "dims", ("t", "r", "s", "u"))
+    sweep_doc = _section(doc, "sweep", ("axis", "points_db"))
     axis = sweep_doc["axis"]
+    # The SNR key rules below depend on the axis, so it is checked first.
     if axis not in SWEEP_AXES:
         _fail("sweep.axis", f"must be one of {list(SWEEP_AXES)}, got {axis!r}")
-    points = sweep_doc["points_db"]
-    if not isinstance(points, list) or not points:
-        _fail("sweep.points_db", "must be a nonempty list of numbers")
-    points_db = []
+    points = _typed(sweep_doc["points_db"], "list", "sweep.points_db")
     for i, p in enumerate(points):
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
-            _fail(f"sweep.points_db[{i}]", f"must be a finite number, got {p!r}")
-        points_db.append(float(p))
-    if sorted(points_db) != points_db:
-        _fail("sweep.points_db", "must be sorted nondecreasing")
+        _typed(p, "number", f"sweep.points_db[{i}]")
 
     # Sweeping rho0 implies the direct link is in play; otherwise the link
     # is on exactly when rho0_db is given, unless overridden explicitly.
@@ -147,63 +128,37 @@ def parse_config(text: str) -> RunConfig:
     def snr(key: str) -> float:
         swept = axis == key[:-3]
         if key in doc:
-            return _get_number(doc, key, "")
+            return float(_typed(doc[key], "number", key))
         if swept or (key == "rho0_db" and not direct_link):
             return 0.0  # placeholder, never used
         _fail("", f"missing required key {key!r} (not the swept axis)")
 
-    scenario = SnrScenario(
-        rho0_db=snr("rho0_db"),
-        rho1_db=snr("rho1_db"),
-        rho2_db=snr("rho2_db"),
-        dims=dims,
-        direct_link_enabled=direct_link,
-    )
-
-    rtms = doc["rtms"]
-    if not isinstance(rtms, list) or not rtms:
-        _fail("rtms", f"must be a nonempty list drawn from {list(RTM_KINDS)}")
-    for i, k in enumerate(rtms):
-        if k not in RTM_KINDS:
-            _fail(f"rtms[{i}]", f"must be one of {list(RTM_KINDS)}, got {k!r}")
-    metrics = doc["metrics"]
-    if not isinstance(metrics, list) or not metrics:
-        _fail("metrics", f"must be a nonempty list drawn from {list(METRICS)}")
-    for i, m in enumerate(metrics):
-        if m not in METRICS:
-            _fail(f"metrics[{i}]", f"must be one of {list(METRICS)}, got {m!r}")
-
-    symbol_rate = 1.0
-    if "symbol_rate" in doc:
-        symbol_rate = _get_number(doc, "symbol_rate", "")
-        if not (0.0 < symbol_rate <= 1.0):
-            _fail("symbol_rate", f"must lie in (0, 1], got {symbol_rate}")
-
-    trials = _get_int(doc, "trials", "", 1)
-    seed = _get_int(doc, "seed", "", 0)
+    snrs = {key: snr(key) for key in ("rho0_db", "rho1_db", "rho2_db")}
 
     explain_at = None
     if "explain" in doc:
-        exp = doc["explain"]
-        if not isinstance(exp, dict):
-            _fail("explain", "must be an object with keys seed, trial")
-        _require_keys(exp, "explain", {"seed", "trial"}, {"seed", "trial"})
-        explain_at = (_get_int(exp, "seed", "explain.", 0), _get_int(exp, "trial", "explain.", 0))
+        exp = _section(doc, "explain", ("seed", "trial"))
+        for key in ("seed", "trial"):
+            val = exp[key]
+            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+                _fail(f"explain.{key}", f"must be a nonnegative integer, got {val!r}")
+        explain_at = (exp["seed"], exp["trial"])
 
-    output = doc.get("output", DEFAULT_OUTPUT)
-    if not isinstance(output, str) or not output:
-        _fail("output", f"must be a nonempty path string, got {output!r}")
-
-    spec = SweepSpec(
-        scenario=scenario,
-        sweep_axis=axis,
-        sweep_points_db=tuple(points_db),
-        rtm_kinds=tuple(rtms),
-        metrics=tuple(metrics),
-        trials=trials,
-        seed=seed,
-        symbol_rate=symbol_rate,
-    )
+    try:
+        dims = Dims(*(dims_doc[k] for k in ("t", "r", "s", "u")))
+        spec = SweepSpec(
+            scenario=SnrScenario(**snrs, dims=dims, direct_link_enabled=direct_link),
+            sweep_axis=axis,
+            sweep_points_db=points,
+            rtm_kinds=_typed(doc["rtms"], "list", "rtms"),
+            metrics=_typed(doc["metrics"], "list", "metrics"),
+            trials=doc["trials"],
+            seed=doc["seed"],
+            symbol_rate=float(_typed(doc.get("symbol_rate", 1.0), "number", "symbol_rate")),
+        )
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
+    output = _typed(doc.get("output", DEFAULT_OUTPUT), "string", "output")
     return RunConfig(spec=spec, output_path=output, explain_at=explain_at)
 
 
@@ -229,18 +184,21 @@ def write_csv(points, stream) -> None:
         )
 
 
-def run(cfg: RunConfig, threads: int = 1, output_override: Optional[str] = None) -> int:
-    """Run the configured sweep, write the CSV, print a summary table."""
+def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
+    """Run the configured sweep, write the CSV, print a summary table.
+
+    An unwritable output path fails before the sweep starts, but the CSV
+    is written only once the sweep has returned: a failed run leaves an
+    existing CSV as it was.
+    """
     path = output_override or cfg.output_path
     try:
-        out = open(path, "w", newline="")
+        open(path, "a").close()
     except OSError as exc:
         raise ConfigError(f"output path {path!r} is not writable: {exc}") from exc
-    with out:
-        points = run_sweep(cfg.spec, workers=threads)
-        buf = io.StringIO()
-        write_csv(points, buf)
-        out.write(buf.getvalue())
+    points = run_sweep(cfg.spec)
+    with open(path, "w", newline="") as out:
+        write_csv(points, out)
 
     print(f"wrote {len(points)} curve points to {path}")
     print(f"{'sweep_db':>9} {'rtm':>5} {'metric':>9} {'mean_bits':>12} {'stderr':>10} {'trials':>7}")
@@ -271,32 +229,17 @@ def _explain_solution(lines, sol, thresholds):
     lines.append(f"  active modes:            {{{', '.join(active)}}} ({len(active)} of {spectra.rho})")
 
 
-def explain(
-    cfg: RunConfig,
-    *,
-    channels: Optional[ChannelSet] = None,
-    power: Optional[PowerBudget] = None,
-) -> str:
+def explain(cfg: RunConfig) -> str:
     """Single-realization diagnostic report of the solutions the solvers
-    return.
-
-    Normally samples the (seed, trial) realization from the config and
-    translates the scenario; tests may inject exact ``channels`` and
-    ``power`` instead (both must then be given in canonical form).
-    """
+    return for the config's (seed, trial) realization."""
     if cfg.explain_at is None:
         raise ConfigError("explain: config has no \"explain\" section")
     seed, trial = cfg.explain_at
-    dims = cfg.spec.scenario.dims
-    if channels is None:
-        raw = sample_channels(dims, seed, trial)
-        ch, pb = translate_scenario(cfg.spec.scenario, raw)
-    else:
-        ch = channels
-        pb = power if power is not None else PowerBudget(float(dims.t), float(dims.u))
+    scn = cfg.spec.scenario
+    dims = scn.dims
+    ch, pb = translate_scenario(scn, sample_channels(dims, seed, trial))
 
     lines = [f"realization seed={seed} trial={trial}"]
-    scn = cfg.spec.scenario
     link = "on" if scn.direct_link_enabled else "off"
     lines.append(
         f"scenario: t={dims.t} r={dims.r} s={dims.s} u={dims.u}; "
@@ -353,19 +296,13 @@ def main(argv=None) -> int:
         "networks: run seeded ergodic-capacity sweeps or explain one realization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "run the configured sweep and write a CSV"),
-        ("explain", "print spectra, water levels and KKT residuals for one realization"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to the JSON config document")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads for the sweep (default: all cores)",
-        )
-        p.add_argument("--output", default=None, help="override the CSV output path")
+    config_help = "path to the JSON config document"
+    run_parser = sub.add_parser("run", help="run the configured sweep and write a CSV")
+    run_parser.add_argument("config", help=config_help)
+    run_parser.add_argument("--output", default=None, help="override the CSV output path")
+    sub.add_parser(
+        "explain", help="print spectra, water levels and KKT residuals for one realization"
+    ).add_argument("config", help=config_help)
     args = parser.parse_args(argv)
 
     try:
@@ -375,10 +312,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         cfg = parse_config(text)
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "run":
-            return run(cfg, threads=args.threads, output_override=args.output)
+            return run(cfg, output_override=args.output)
         report = explain(cfg)
         print(report, end="")
         return 0

@@ -92,9 +92,11 @@ def capacity_forms(
     """Both equivalent network-capacity forms, in bits.
 
     Returns (direct form, identity form).  The first evaluates the
-    whitened two-hop channel directly; the second replaces the relay-path
-    term by I + (p1/t)(H0^H H0 + H1^H H1) minus the residual
-    (p1/t) H1^H (I + X^H H2^H H2 X)^-1 H1.
+    whitened two-hop channel on the destination side,
+    K^H (I + K K^H)^-1 K with K = H2 X; the second uses the
+    matrix-inversion identity to evaluate the same term on the relay side,
+    (I + Z)^-1 Z with Z = K^H K.  Neither form subtracts, so both keep
+    their accuracy when one term dominates at high SNR.
     """
     x_matrix = _check_x_shape(dims, x_matrix)
     t = dims.t
@@ -104,12 +106,10 @@ def capacity_forms(
 
     direct = _logdet_bits(np.eye(t) + scale * (g0 + _whitened_inner(ch, x_matrix)))
 
-    bx = x_matrix.conj().T @ (h2.conj().T @ h2) @ x_matrix
-    gram = hermitian_part(np.eye(dims.s) + bx)
-    residual = h1.conj().T @ np.linalg.solve(gram, h1)
-    ident = _logdet_bits(
-        np.eye(t) + scale * (g0 + h1.conj().T @ h1) - scale * residual
-    )
+    k = h2 @ x_matrix
+    z = hermitian_part(k.conj().T @ k)
+    relay_side = np.linalg.solve(np.eye(dims.s) + z, z)
+    ident = _logdet_bits(np.eye(t) + scale * (g0 + h1.conj().T @ relay_side @ h1))
     return direct, ident
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DeadRelayError, ValidationError
+from .errors import RelayRtmError, ValidationError
 from .evaluate import capacity, naf_rtm, ostbc_capacity
 from .network import ChannelSet, Dims, SnrScenario, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
@@ -46,24 +46,25 @@ class SweepSpec:
         object.__setattr__(self, "sweep_points_db", tuple(float(p) for p in self.sweep_points_db))
         object.__setattr__(self, "rtm_kinds", tuple(self.rtm_kinds))
         object.__setattr__(self, "metrics", tuple(self.metrics))
+        points, kinds, metrics = self.sweep_points_db, self.rtm_kinds, self.metrics
         if self.sweep_axis not in SWEEP_AXES:
             raise ValidationError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        if not self.sweep_points_db:
-            raise ValidationError("sweep_points_db must be nonempty")
-        if not all(math.isfinite(p) for p in self.sweep_points_db):
-            raise ValidationError("sweep points must be finite")
-        if any(b < a for a, b in zip(self.sweep_points_db, self.sweep_points_db[1:])):
-            raise ValidationError("sweep points must be sorted nondecreasing")
-        if not self.rtm_kinds or any(k not in RTM_KINDS for k in self.rtm_kinds):
-            raise ValidationError(f"rtm_kinds must be a nonempty subset of {RTM_KINDS}")
-        if not self.metrics or any(m not in METRICS for m in self.metrics):
-            raise ValidationError(f"metrics must be a nonempty subset of {METRICS}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
+        if not points:
+            raise ValidationError(f"sweep_points_db must be nonempty, got {points}")
+        if not all(math.isfinite(p) for p in points):
+            raise ValidationError(f"sweep points must be finite, got {points}")
+        if any(b < a for a, b in zip(points, points[1:])):
+            raise ValidationError(f"sweep points must be sorted nondecreasing, got {points}")
+        if not kinds or any(k not in RTM_KINDS for k in kinds):
+            raise ValidationError(f"rtm_kinds must be a nonempty subset of {RTM_KINDS}, got {kinds}")
+        if not metrics or any(m not in METRICS for m in metrics):
+            raise ValidationError(f"metrics must be a nonempty subset of {METRICS}, got {metrics}")
+        for name, minimum in (("trials", 1), ("seed", 0)):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < minimum:
+                raise ValidationError(f"{name} must be an integer >= {minimum}, got {val!r}")
         if not (0.0 < self.symbol_rate <= 1.0):
-            raise ValidationError(f"symbol_rate must lie in (0, 1], got {self.symbol_rate}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+            raise ValidationError(f"symbol_rate must lie in (0, 1], got {self.symbol_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -113,22 +114,21 @@ def _trial_values(spec: SweepSpec, trial: int) -> np.ndarray:
     axis_field = spec.sweep_axis + "_db"
     out = np.empty((len(spec.sweep_points_db), len(spec.rtm_kinds), len(spec.metrics)))
     for ip, point in enumerate(spec.sweep_points_db):
-        scn = replace(spec.scenario, **{axis_field: point})
-        ch, pb = translate_scenario(scn, raw)
-        for ik, kind in enumerate(spec.rtm_kinds):
-            try:
+        try:
+            ch, pb = translate_scenario(replace(spec.scenario, **{axis_field: point}), raw)
+            for ik, kind in enumerate(spec.rtm_kinds):
                 sol = _BUILDERS[kind](ch, pb, dims)
-            except DeadRelayError as exc:
-                raise DeadRelayError(
-                    f"trial {trial} (seed {spec.seed}) at {spec.sweep_axis}={point} dB: {exc}"
-                ) from exc
-            for im, metric in enumerate(spec.metrics):
-                if metric == "capacity":
-                    out[ip, ik, im] = capacity(ch, pb, dims, sol.x_matrix).bits
-                else:
-                    out[ip, ik, im] = ostbc_capacity(
-                        ch, pb, dims, sol.x_matrix, spec.symbol_rate
-                    ).bits
+                for im, metric in enumerate(spec.metrics):
+                    if metric == "capacity":
+                        out[ip, ik, im] = capacity(ch, pb, dims, sol.x_matrix).bits
+                    else:
+                        out[ip, ik, im] = ostbc_capacity(
+                            ch, pb, dims, sol.x_matrix, spec.symbol_rate
+                        ).bits
+        except RelayRtmError as exc:
+            raise type(exc)(
+                f"trial {trial} (seed {spec.seed}) at {spec.sweep_axis}={point} dB: {exc}"
+            ) from exc
     return out
 
 

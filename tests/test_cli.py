@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ class TestParseConfig:
         assert spec.rtm_kinds == ("opt1", "naf")
         assert spec.trials == 1000 and spec.seed == 7
         assert cfg.output_path == "sweep.csv"
-        assert cfg.format_version == 1
 
     def test_rho0_presence_enables_direct_link(self):
         cfg = parse_config(json.dumps(make_config(rho0_db=10.0)))
@@ -110,6 +110,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="symbol_rate"):
             parse_config(json.dumps(make_config(symbol_rate=2.0)))
 
+    # Value rules live in Dims and SweepSpec; the CLI reports their
+    # ValidationError as a config error (exit 1) that names the value.
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(dims={"t": 0, "r": 4, "s": 4, "u": 4}), "got 0"),
+            (dict(dims={"t": 2.5, "r": 4, "s": 4, "u": 4}), "got 2.5"),
+            (dict(sweep={"axis": "rho2", "points_db": []}), "got ()"),
+            (dict(sweep={"axis": "rho2", "points_db": [10, 0]}), "got (10.0, 0.0)"),
+            (dict(rtms=["opt1", "opt9"]), "'opt9'"),
+            (dict(rtms=[]), "got ()"),
+            (dict(metrics=["bps"]), "'bps'"),
+            (dict(symbol_rate=2.0), "got 2.0"),
+            (dict(trials=0), "got 0"),
+            (dict(trials=True), "got True"),
+            (dict(seed=-1), "got -1"),
+        ],
+    )
+    def test_domain_rule_is_config_error(self, tmp_path, capsys, overrides, named):
+        doc = make_config(output=str(tmp_path / "out.csv"), **overrides)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 1
+        assert named in capsys.readouterr().err
+
 
 def _small_config(tmp_path, **overrides):
     doc = make_config(
@@ -150,14 +177,6 @@ class TestRun:
         run(cfg)
         assert open(doc["output"], "rb").read() == first
 
-    def test_thread_count_does_not_change_csv(self, tmp_path, capsys):
-        path, doc = _small_config(tmp_path, trials=5)
-        cfg = parse_config(path.read_text())
-        run(cfg, threads=1)
-        serial = open(doc["output"], "rb").read()
-        run(cfg, threads=4)
-        assert open(doc["output"], "rb").read() == serial
-
     def test_monotone_capacity_in_second_hop_snr(self, tmp_path, capsys):
         path, doc = _small_config(
             tmp_path,
@@ -197,11 +216,18 @@ class TestExplain:
         }
         return parse_config(json.dumps(doc))
 
-    def test_worked_scalar_example(self):
-        dims, ch = scalar_network()
-        report = explain(
-            self._scalar_cfg(), channels=ch, power=PowerBudget(1.0, 2.0)
+    @staticmethod
+    def _inject(monkeypatch, ch):
+        """Have explain solve ``ch`` under p1 = 1, p2 = 2 instead of the
+        sampled realization."""
+        monkeypatch.setattr(
+            "relay_rtm.cli.translate_scenario", lambda scn, raw: (ch, PowerBudget(1.0, 2.0))
         )
+
+    def test_worked_scalar_example(self, monkeypatch):
+        dims, ch = scalar_network()
+        self._inject(monkeypatch, ch)
+        report = explain(self._scalar_cfg())
         assert "alpha:        [0.5]" in report.replace("  ", " ") or "[0.5]" in report
         assert "[2]" in report      # beta
         assert "12" in report        # water level
@@ -209,11 +235,13 @@ class TestExplain:
         assert "0.584962500" in report
         assert "kkt residuals" in report
 
-    def test_no_water_state_reported(self):
+    def test_no_water_state_reported(self, monkeypatch):
         cfg = self._scalar_cfg()
-        ch = ChannelSet(h0=np.zeros((1, 1)), h1=np.zeros((1, 1)), h2=np.ones((1, 1)))
+        self._inject(
+            monkeypatch, ChannelSet(h0=np.zeros((1, 1)), h1=np.zeros((1, 1)), h2=np.ones((1, 1)))
+        )
         with pytest.warns(UserWarning):
-            report = explain(cfg, channels=ch, power=PowerBudget(1.0, 2.0))
+            report = explain(cfg)
         assert "no water" in report
 
     def test_opt2_segment_identity(self):
@@ -268,7 +296,7 @@ class TestExplain:
 class TestMain:
     def test_run_roundtrip(self, tmp_path, capsys):
         path, doc = _small_config(tmp_path)
-        assert main(["run", str(path), "--threads", "2"]) == 0
+        assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "mean_bits" in out
 
@@ -296,9 +324,19 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         assert "synthetic failure" in capsys.readouterr().err
 
-    def test_bad_thread_count(self, tmp_path, capsys):
-        path, _ = _small_config(tmp_path)
-        assert main(["run", str(path), "--threads", "0"]) == 1
+    def test_failed_run_leaves_existing_csv(self, tmp_path, capsys, monkeypatch):
+        path, doc = _small_config(tmp_path)
+        previous = b"sweep_db,rtm,metric,mean_bits,stderr_bits,trials\n0.0,opt1,capacity,1.0,0.0,3\n"
+        with open(doc["output"], "wb") as fh:
+            fh.write(previous)
+
+        def boom(spec):
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr("relay_rtm.cli.run_sweep", boom)
+        assert main(["run", str(path)]) == 2
+        with open(doc["output"], "rb") as fh:
+            assert fh.read() == previous
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         path, _ = _small_config(tmp_path, output=str(tmp_path / "no_dir" / "x.csv"))

@@ -13,7 +13,8 @@ from relay_rtm.evaluate import (
     verify_kkt_capacity,
 )
 from relay_rtm.matalg import hermitian_part
-from relay_rtm.network import ChannelSet, Dims, PowerBudget
+from relay_rtm.montecarlo import sample_channels
+from relay_rtm.network import ChannelSet, Dims, PowerBudget, SnrScenario, translate_scenario
 from relay_rtm.opt_capacity import (
     WaterfillSolution,
     optimize_capacity_rtm,
@@ -57,6 +58,13 @@ class TestCapacity:
             x = _random_feasible_x(rng, ch, pb, dims)
             direct, ident = capacity_forms(ch, pb, dims, x)
             assert abs(direct - ident) < 1e-9
+        # high SNR: a form that subtracts the relay-path residual missed
+        # the gate here by 2.3e-9 bits
+        dims = Dims(4, 4, 4, 4)
+        scenario = SnrScenario(0.0, 60.0, 50.0, dims, direct_link_enabled=False)
+        ch, pb = translate_scenario(scenario, sample_channels(dims, 7, 1))
+        direct, ident = capacity_forms(ch, pb, dims, optimize_ostbc_rtm(ch, pb, dims).x_matrix)
+        assert abs(direct - ident) < 1e-9
 
     def test_data_processing_ceiling(self):
         # no transform can beat the first-hop information ceiling

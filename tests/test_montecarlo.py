@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from relay_rtm.errors import DeadRelayError, ValidationError
+from relay_rtm.errors import DeadRelayError, NumericalError, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm
 from relay_rtm.matalg import hermitian_part
 from relay_rtm.montecarlo import CurvePoint, SweepSpec, run_sweep, sample_channels
@@ -91,6 +93,9 @@ class TestSweepSpecValidation:
             dict(metrics=("bps",)),
             dict(symbol_rate=0.0),
             dict(seed="seven"),
+            dict(seed=-1),
+            dict(trials=True),
+            dict(seed=True),
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -204,18 +209,28 @@ class TestRunSweep:
             assert abs(p.mean_bits - ceiling_mean) < 0.1
             assert p.mean_bits <= ceiling_mean + 1e-9
 
-    def test_dead_relay_aborts_with_context(self, monkeypatch):
-        def dead_channels(dims, seed, trial_index):
-            return ChannelSet(
-                h0=np.zeros((dims.r, dims.t)),
-                h1=np.ones((dims.s, dims.t)),
-                h2=np.zeros((dims.r, dims.u)),
-            )
+    @pytest.mark.parametrize("failure", ["dead_relay", "capacity_forms"])
+    def test_dead_relay_aborts_with_context(self, monkeypatch, failure):
+        # a per-trial failure keeps its type and names (seed, trial, axis, point)
+        if failure == "dead_relay":
+            def dead_channels(dims, seed, trial_index):
+                return ChannelSet(
+                    h0=np.zeros((dims.r, dims.t)),
+                    h1=np.ones((dims.s, dims.t)),
+                    h2=np.zeros((dims.r, dims.u)),
+                )
 
-        monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", dead_channels)
+            monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", dead_channels)
+            error, warned = DeadRelayError, pytest.warns(UserWarning)
+        else:
+            def disagreeing_forms(*args):
+                raise NumericalError("capacity forms disagree: 1.0 vs 2.0 bits")
+
+            monkeypatch.setattr("relay_rtm.montecarlo.capacity", disagreeing_forms)
+            error, warned = NumericalError, contextlib.nullcontext()
         spec = _spec(trials=2)
-        with pytest.warns(UserWarning):
-            with pytest.raises(DeadRelayError, match="trial 0"):
+        with warned:
+            with pytest.raises(error, match=r"trial 0 \(seed 11\) at rho2=0.0 dB: "):
                 run_sweep(spec)
 
     def test_rejects_bad_worker_count(self):
