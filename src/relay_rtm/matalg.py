@@ -3,6 +3,12 @@
 Problem sizes are a handful of antennas, so everything is dense
 double-precision complex and LAPACK (via numpy) is the only backend worth
 having.  All functions are pure: safe to call concurrently.
+
+``hermitian_part``, ``herm_eig`` and ``thin_ud`` accept a stack of
+matrices (any leading batch axes, ``(..., n, n)``) as well as a single
+matrix; numpy's batched ``eigh`` factorizes each member exactly as it
+would factorize it alone, so a member's result does not depend on the
+stack it is in.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ __all__ = [
     "thin_ud",
     "inv_sqrt_diag",
     "hermitian_part",
+    "conj_transpose",
     "DEFAULT_RANK_TOL",
 ]
 
@@ -31,10 +38,10 @@ _HERM_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class HermEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (or of each in a stack).
 
-    ``eigenvalues`` are real and sorted nonincreasing; column ``i`` of
-    ``eigenvectors`` pairs with ``eigenvalues[i]``.
+    ``eigenvalues`` are real and sorted nonincreasing along the last axis;
+    column ``i`` of ``eigenvectors`` pairs with ``eigenvalues[..., i]``.
     """
 
     eigenvalues: np.ndarray
@@ -47,26 +54,41 @@ class ThinUd:
 
     ``u_thin`` is an n-by-m semi-unitary factor (``u_thin^H u_thin = I_m``)
     and ``lam_thin`` holds the m retained eigenvalues, all strictly
-    positive and nonincreasing.
+    positive and nonincreasing.  For a stack, ``rank`` is the array of
+    member ranks and m is the largest of them; ``lam_thin`` is zero past a
+    member's own rank, where ``u_thin`` keeps the member's eigenvectors.
     """
 
     u_thin: np.ndarray
     lam_thin: np.ndarray
-    rank: int
+    rank: int | np.ndarray
+
+
+def _any(mask) -> bool:
+    """Whether a numpy boolean array or scalar has a true entry.  A lone
+    value skips numpy's reduction, which costs microseconds per call."""
+    return bool(mask.any() if mask.ndim else mask)
+
+
+def conj_transpose(m: np.ndarray) -> np.ndarray:
+    """M^H of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Return (M + M^H)/2, which is exactly Hermitian in floating point."""
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + conj_transpose(m))
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     # Reproducible eigenvector representatives: rotate each column so its
     # largest-magnitude entry (first such index on ties) is real positive.
-    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    mag = np.abs(lead)
-    phase = np.where(mag > 0.0, lead / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return v / phase
+    # Eigenvectors have unit norm, so that entry is never zero.
+    n = v.shape[-1]
+    flat = v.reshape(-1, n, n)
+    lead = flat[np.arange(len(flat))[:, None], np.abs(flat).argmax(axis=1), np.arange(n)]
+    lead = lead.reshape(v.shape[:-2] + (1, n))
+    return v / (lead / np.abs(lead))
 
 
 def herm_eig(m: np.ndarray) -> HermEig:
@@ -77,18 +99,18 @@ def herm_eig(m: np.ndarray) -> HermEig:
     identical input), and every eigenvector is re-phased so that its
     largest-magnitude component is real positive, making repeated calls
     bit-reproducible.  The maximum elementwise asymmetry |m - m^H| must
-    not exceed 1e-12.
+    not exceed 1e-12.  ``m`` may be a stack ``(..., n, n)``.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
-    asym = float(np.max(np.abs(m - m.conj().T)))
+    asym = float(np.abs(m - conj_transpose(m)).max(initial=0.0))
     if asym > _HERM_ATOL:
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {_HERM_ATOL:.3e}"
         )
     w, v = np.linalg.eigh(m)
-    return HermEig(eigenvalues=w[::-1].copy(), eigenvectors=_fix_phases(v[:, ::-1]))
+    return HermEig(eigenvalues=w[..., ::-1], eigenvectors=_fix_phases(v[..., ::-1]))
 
 
 def thin_ud(m: np.ndarray) -> ThinUd:
@@ -97,21 +119,23 @@ def thin_ud(m: np.ndarray) -> ThinUd:
     Eigenpairs with eigenvalue above ``DEFAULT_RANK_TOL * max(lam_max, 1)``
     are retained; negative round-off eigenvalues are clamped to zero first.
     Eigenvalues below ``-1e-10 * max(lam_max, 1)`` fail the PSD check.
+    ``m`` may be a stack ``(..., n, n)``; see ``ThinUd`` for the result.
     """
     eig = herm_eig(m)
     w = eig.eigenvalues
-    top = float(w[0])
-    if float(w[-1]) < -1e-10 * max(top, 1.0):
+    floor = np.maximum(w[..., :1], 1.0)
+    bad = w[..., -1:] < -1e-10 * floor
+    if _any(bad):
         raise ValidationError(
-            f"matrix is not positive semidefinite: smallest eigenvalue {w[-1]:.3e}"
+            f"matrix is not positive semidefinite: smallest eigenvalue {w[..., -1:][bad][0]:.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    cut = DEFAULT_RANK_TOL * max(top, 1.0)
-    rank = int(np.sum(w > cut))
+    keep = w > DEFAULT_RANK_TOL * floor
+    rank = keep.sum(axis=-1)
+    width = int(rank.max(initial=0))
     return ThinUd(
-        u_thin=eig.eigenvectors[:, :rank].copy(),
-        lam_thin=w[:rank].copy(),
-        rank=rank,
+        u_thin=eig.eigenvectors[..., :width],
+        lam_thin=np.where(keep, w, 0.0)[..., :width],
+        rank=int(rank) if rank.ndim == 0 else rank,
     )
 
 
@@ -121,4 +145,3 @@ def inv_sqrt_diag(lam: np.ndarray) -> np.ndarray:
     if lam.size and float(lam.min()) <= 0.0:
         raise ValidationError("inv_sqrt_diag requires strictly positive entries")
     return lam ** -0.5
-

@@ -1,23 +1,33 @@
 """Seeded Monte Carlo sweeps over iid Rayleigh channel ensembles.
 
 Determinism contract: every trial draws its channels from a counter-based
-substream keyed by (seed, trial_index), so a sweep produces bit-identical
-results regardless of execution order or worker count.  Channels are
-reused across sweep points and transform kinds within a trial (common
-random numbers: the curves compare matrices on the same fading).
+substream keyed by (seed, trial_index).  Channels are reused across sweep
+points and transform kinds within a trial (common random numbers: the
+curves compare matrices on the same fading).
+
+Sweeps run on stacks: the trials are cut into chunks of ``_CHUNK_TRIALS``
+(a bound on memory, not a tuning knob), and the (trial x point) problems
+of a chunk are solved by one call per transform kind and evaluated by one
+call per metric, with one relay-path information matrix serving both
+metrics.  Every layer treats a member of a stack exactly as it would
+treat it alone, so each problem's figures do not depend on the stack size
+or the worker count: they are bit-identical to those of the
+per-realization API, and a sweep's output is the same for any
+``workers``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import RelayRtmError, ValidationError
-from .evaluate import capacity, naf_rtm, ostbc_capacity
-from .network import ChannelSet, Dims, SnrScenario, translate_scenario
+from .evaluate import _whitened_inner, capacity, naf_rtm, ostbc_capacity
+from .network import ChannelSet, Dims, PowerBudget, SnrScenario, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
@@ -26,6 +36,15 @@ __all__ = ["SweepSpec", "CurvePoint", "sample_channels", "run_sweep", "RTM_KINDS
 SWEEP_AXES = ("rho0", "rho1", "rho2")
 RTM_KINDS = ("opt1", "opt2", "naf")
 METRICS = ("capacity", "ostbc")
+
+#: Trials per stacked chunk of a sweep: enough (times the sweep points) to
+#: spread numpy's per-call cost over hundreds of problems, few enough that a
+#: sweep of thousands of trials holds one chunk's arrays at a time.
+_CHUNK_TRIALS = 64
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
 @dataclass(frozen=True)
@@ -43,7 +62,13 @@ class SweepSpec:
     symbol_rate: float = field(default=1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "sweep_points_db", tuple(float(p) for p in self.sweep_points_db))
+        try:
+            points = tuple(self.sweep_points_db)
+        except TypeError:
+            points = None
+        if points is None or not all(_is_number(p) for p in points):
+            raise ValidationError(f"sweep_points_db must be a sequence of numbers, got {self.sweep_points_db!r}")
+        object.__setattr__(self, "sweep_points_db", tuple(float(p) for p in points))
         object.__setattr__(self, "rtm_kinds", tuple(self.rtm_kinds))
         object.__setattr__(self, "metrics", tuple(self.metrics))
         points, kinds, metrics = self.sweep_points_db, self.rtm_kinds, self.metrics
@@ -63,7 +88,7 @@ class SweepSpec:
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < minimum:
                 raise ValidationError(f"{name} must be an integer >= {minimum}, got {val!r}")
-        if not (0.0 < self.symbol_rate <= 1.0):
+        if not (_is_number(self.symbol_rate) and 0.0 < self.symbol_rate <= 1.0):
             raise ValidationError(f"symbol_rate must lie in (0, 1], got {self.symbol_rate!r}")
 
 
@@ -107,47 +132,72 @@ _BUILDERS = {
 }
 
 
-def _trial_values(spec: SweepSpec, trial: int) -> np.ndarray:
-    """(points x kinds x metrics) metric values for one trial."""
+def _values(spec: SweepSpec, ch: ChannelSet, pb: PowerBudget) -> np.ndarray:
+    """(..., kinds, metrics) metric values of one network or of a stack:
+    each kind is solved, then evaluated by each metric."""
     dims = spec.scenario.dims
-    raw = sample_channels(dims, spec.seed, trial)
-    axis_field = spec.sweep_axis + "_db"
-    out = np.empty((len(spec.sweep_points_db), len(spec.rtm_kinds), len(spec.metrics)))
-    for ip, point in enumerate(spec.sweep_points_db):
-        try:
-            ch, pb = translate_scenario(replace(spec.scenario, **{axis_field: point}), raw)
-            for ik, kind in enumerate(spec.rtm_kinds):
-                sol = _BUILDERS[kind](ch, pb, dims)
-                for im, metric in enumerate(spec.metrics):
-                    if metric == "capacity":
-                        out[ip, ik, im] = capacity(ch, pb, dims, sol.x_matrix).bits
-                    else:
-                        out[ip, ik, im] = ostbc_capacity(
-                            ch, pb, dims, sol.x_matrix, spec.symbol_rate
-                        ).bits
-        except RelayRtmError as exc:
-            raise type(exc)(
-                f"trial {trial} (seed {spec.seed}) at {spec.sweep_axis}={point} dB: {exc}"
-            ) from exc
-    return out
+    out = []
+    for kind in spec.rtm_kinds:
+        x = _BUILDERS[kind](ch, pb, dims).x_matrix
+        inner = _whitened_inner(ch, x)
+        out.append([
+            capacity(ch, pb, dims, x, inner).bits
+            if metric == "capacity"
+            else ostbc_capacity(ch, pb, dims, x, spec.symbol_rate, inner).bits
+            for metric in spec.metrics
+        ])
+    return np.moveaxis(np.array(out), (0, 1), (-2, -1))
+
+
+def _point_scenario(spec: SweepSpec, point: float) -> SnrScenario:
+    return replace(spec.scenario, **{spec.sweep_axis + "_db": point})
+
+
+def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
+    """(trials, points, kinds, metrics) metric values of a chunk of trials,
+    solved as one (trial x point) stack.
+
+    When the stack raises, its problems are replayed one at a time in
+    trial, point and kind order, and the first failure is raised with its
+    type and (seed, trial, axis, point) context.
+    """
+    raws = [sample_channels(spec.scenario.dims, spec.seed, trial) for trial in trials]
+    try:
+        raw = ChannelSet(*(np.stack([getattr(r, name) for r in raws]) for name in ("h0", "h1", "h2")))
+        nets = [translate_scenario(_point_scenario(spec, point), raw) for point in spec.sweep_points_db]
+        ch = ChannelSet(*(np.stack([getattr(c, name) for c, _ in nets], axis=1) for name in ("h0", "h1", "h2")))
+        return _values(spec, ch, nets[0][1])
+    except RelayRtmError:
+        for trial, raw in zip(trials, raws):
+            for point in spec.sweep_points_db:
+                try:
+                    _values(spec, *translate_scenario(_point_scenario(spec, point), raw))
+                except RelayRtmError as exc:
+                    raise type(exc)(
+                        f"trial {trial} (seed {spec.seed}) at {spec.sweep_axis}={point} dB: {exc}"
+                    ) from exc
+        raise
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CurvePoint]:
     """Run all trials of a sweep and average per (point, kind, metric).
 
-    Trials are independent work items; with ``workers > 1`` they run on a
-    thread pool.  Results are aggregated from a trial-ordered array, so
-    the output is bit-identical for any worker count.
+    Chunks of trials are independent work items; with ``workers > 1`` they
+    run on a thread pool.  Results are aggregated from a trial-ordered
+    array, so the output is bit-identical for any worker count.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    trials = range(spec.trials)
+    chunks = [
+        range(first, min(first + _CHUNK_TRIALS, spec.trials))
+        for first in range(0, spec.trials, _CHUNK_TRIALS)
+    ]
     if workers == 1:
-        per_trial = [_trial_values(spec, tr) for tr in trials]
+        parts = [_chunk_values(spec, chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(lambda tr: _trial_values(spec, tr), trials))
-    arr = np.stack(per_trial, axis=0)
+            parts = list(pool.map(lambda chunk: _chunk_values(spec, chunk), chunks))
+    arr = np.concatenate(parts, axis=0)
     mean = arr.mean(axis=0)
     if spec.trials > 1:
         stderr = arr.std(axis=0, ddof=1) / math.sqrt(spec.trials)

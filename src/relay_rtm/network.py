@@ -7,6 +7,11 @@ receive antennas, the relay ``s`` receive and ``u`` transmit antennas.
 source-to-relay, ``h2`` (r x u) relay-to-destination.  Noise variances are
 never stored: they are absorbed into the SNR scaling of the channel
 matrices, so every formula downstream works on whitened channels.
+
+A ``ChannelSet`` may hold a stack of realizations: matrices with the same
+leading batch axes, ``(..., rows, cols)``.  ``validate`` and
+``translate_scenario`` take such stacks, and so do the solvers and
+metrics downstream.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeadRelayWarning, ValidationError
+from .matalg import _any
 
 __all__ = [
     "Dims",
@@ -50,17 +56,18 @@ class Dims:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One realization of the three complex channel matrices."""
+    """One realization of the three complex channel matrices, or a stack
+    of realizations sharing leading batch axes."""
 
-    h0: np.ndarray  # r x t, source -> destination
-    h1: np.ndarray  # s x t, source -> relay
-    h2: np.ndarray  # r x u, relay -> destination
+    h0: np.ndarray  # (..., r, t) source -> destination
+    h1: np.ndarray  # (..., s, t) source -> relay
+    h2: np.ndarray  # (..., r, u) relay -> destination
 
     def __post_init__(self):
         for name in ("h0", "h1", "h2"):
             arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.ndim != 2:
-                raise ValidationError(f"{name} must be a 2-d matrix, got ndim {arr.ndim}")
+            if arr.ndim < 2:
+                raise ValidationError(f"{name} must be a matrix or a stack of matrices, got ndim {arr.ndim}")
             object.__setattr__(self, name, arr)
 
 
@@ -105,24 +112,26 @@ def _check_shapes(dims: Dims, ch: ChannelSet) -> None:
         "h1": (dims.s, dims.t),
         "h2": (dims.r, dims.u),
     }
+    batch = ch.h0.shape[:-2]
     for name, shape in expected.items():
         h = getattr(ch, name)
-        if h.shape != shape:
-            raise ValidationError(f"{name} must have shape {shape}, got {h.shape}")
+        if h.shape != batch + shape:
+            raise ValidationError(f"{name} must have shape {batch + shape}, got {h.shape}")
 
 
 def validate(dims: Dims, ch: ChannelSet, pb: PowerBudget) -> None:
     """Check shape consistency and finiteness of a network description.
 
     Raises ValidationError on hard inconsistencies.  All-zero h1 or h2 is
-    legal (a degenerate network) and only triggers a DeadRelayWarning.
+    legal (a degenerate network) and only triggers a DeadRelayWarning, one
+    per matrix for a stack in which some member has it.
     """
     _check_shapes(dims, ch)
     for name in ("h0", "h1", "h2"):
-        if not np.all(np.isfinite(getattr(ch, name))):
+        if not np.isfinite(getattr(ch, name)).all():
             raise ValidationError(f"{name} contains non-finite entries")
     for name in ("h1", "h2"):
-        if not np.any(getattr(ch, name)):
+        if _any(~getattr(ch, name).any(axis=(-2, -1))):
             warnings.warn(
                 f"relay path dead: {name} is identically zero",
                 DeadRelayWarning,
@@ -138,7 +147,8 @@ def translate_scenario(scn: SnrScenario, raw: ChannelSet) -> tuple[ChannelSet, P
     the direct link is disabled) and the canonical powers are p1 = t,
     p2 = u.  Feeding the result into the generic capacity and power
     constraint reproduces the SNR-normalized expressions exactly, so the
-    optimizers never need to know about SNRs.
+    optimizers never need to know about SNRs.  ``raw`` may be a stack of
+    draws; every member is scaled alike.
     """
     dims = scn.dims
     _check_shapes(dims, raw)

@@ -14,13 +14,20 @@ The pipeline has three independent stages:
    ``sum_i beta_i * phi_i(xi) = p2``.  The budget curve is continuous and
    increasing in ``xi``, with kinks at the activation thresholds
    ``(1 - alpha_i) * beta_i / alpha_i``; between consecutive thresholds it
-   is a sum of square roots, so concave.  A scan over the sorted
-   thresholds finds the segment that holds the root, and Newton's method
-   started at the segment's left end then climbs to the root from below:
-   on a concave increasing curve the tangent lies above the curve, so no
-   step overshoots.
+   is a sum of square roots, so concave.  The budget at every threshold
+   locates the segment that holds the root, and Newton's method started
+   at the segment's left end then climbs to the root from below: on a
+   concave increasing curve the tangent lies above the curve, so no step
+   overshoots.
 3. ``assemble_rtm`` lifts the mode powers back to the u x s matrix
    ``X = U_b diag(sqrt(x / lam_b)) U_a^H`` over the active modes.
+
+Every stage also takes a stack of problems (a stacked ``ChannelSet``, or
+spectra and mode powers with leading batch axes) and treats each member
+exactly as it would treat it alone: a member's X, relay power and mode
+powers are bit-identical whatever stack it is solved in.  Members with
+fewer servable modes than the widest member are padded with zero-gain
+modes, which never receive power.
 
 All functions are pure; a solver call owns all of its intermediates.
 """
@@ -34,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
+from .matalg import DEFAULT_RANK_TOL, _any, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
 from .network import ChannelSet, Dims, PowerBudget, validate
 
 __all__ = [
@@ -63,6 +70,12 @@ class SpectraBundle:
     rank exceeds ``rho``); those modes are stuck at zero power but still
     enter the parametric capacity.  ``variant`` is "capacity" (gains
     strictly below 1) or "ostbc" (gains unbounded).
+
+    For a stack, every array gains the leading batch axes, the counts are
+    int arrays, and the mode axis is as wide as the largest ``rho``; a
+    member's modes past its own ``rho`` (or ``rho_b``) have zero gain and
+    unit ``lam_b_thin``, and its first-hop gains there are not kept in
+    ``alpha_tail``.
     """
 
     variant: str
@@ -83,7 +96,8 @@ class WaterfillSolution:
     """Mode powers from a water-filling solve.
 
     ``xi`` is the water level; ``None`` is the explicit "no water" state
-    (all gains zero: nothing to pour the budget into).
+    (all gains zero: nothing to pour the budget into).  For a stack, ``xi``
+    and ``achieved_budget`` are arrays and NaN marks "no water".
     """
 
     x: np.ndarray
@@ -98,7 +112,8 @@ class RtmSolution:
 
     ``kind`` is one of "opt1" (capacity-optimal), "opt2" (OSTBC-optimal),
     "naf" / "naf-rect" (scaled identity).  ``spectra`` is None for the
-    NAF kinds, which are not built from an eigenstructure.
+    NAF kinds, which are not built from an eigenstructure.  For a stack,
+    ``x_matrix`` is a stack of matrices and ``relay_power_used`` an array.
     """
 
     x_matrix: np.ndarray
@@ -114,30 +129,44 @@ def _shaping_matrix(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> np.ndarray:
     It is the covariance of the relay's received signal, so a transform X
     spends relay power tr(X C X^H).
     """
-    return np.eye(dims.s) + (pb.p1 / dims.t) * hermitian_part(ch.h1 @ ch.h1.conj().T)
+    return np.eye(dims.s) + (pb.p1 / dims.t) * hermitian_part(ch.h1 @ conj_transpose(ch.h1))
+
+
+def _count(n: np.ndarray):
+    """A mode count: an int for one problem, an int array for a stack."""
+    return int(n) if n.ndim == 0 else n
+
+
+def _figure(v):
+    """A float for one problem, the array itself for a stack."""
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
 def _spectra_from_parts(
     variant: str, a: np.ndarray, ch: ChannelSet, pb: PowerBudget, dims: Dims
 ) -> SpectraBundle:
     """Shared spectra assembly for both optimization criteria, from the
-    criterion's gain matrix ``a``."""
-    ud_b = thin_ud(hermitian_part(ch.h2.conj().T @ ch.h2))
-    if ud_b.rank == 0:
+    criterion's gain matrix ``a`` (one matrix or a stack)."""
+    ud_b = thin_ud(hermitian_part(conj_transpose(ch.h2) @ ch.h2))
+    rho = np.minimum(dims.s, ud_b.rank)
+    if _any(rho == 0):
         raise DeadRelayError(
             "relay path dead: the relay-to-destination channel has rank 0"
         )
-    rho_b = ud_b.rank
-    rho = min(dims.s, rho_b)
+    width = min(dims.s, ud_b.lam_thin.shape[-1])
+    # Modes past a stack member's own count are padded with zero gain and
+    # unit second-hop eigenvalue: they never receive power.
+    has_b = ud_b.lam_thin > 0.0
+    servable = has_b[..., :width]
+    lam_b = np.where(has_b, ud_b.lam_thin, 1.0)
 
     eig_a = herm_eig(a)
-    lam_a = np.clip(eig_a.eigenvalues, 0.0, None)
-    cut = DEFAULT_RANK_TOL * max(float(lam_a[0]), 1.0)
-    rho_a = int(np.sum(lam_a > cut))
-    lam_a = np.where(lam_a > cut, lam_a, 0.0)
+    lam_a = eig_a.eigenvalues
+    kept = lam_a > DEFAULT_RANK_TOL * np.maximum(lam_a[..., :1], 1.0)
+    lam_a = np.where(kept, lam_a, 0.0)
 
-    alpha = lam_a[:rho].copy()
-    alpha_tail = lam_a[rho:].copy()
+    alpha = np.where(servable, lam_a[..., :width], 0.0)
+    alpha_tail = lam_a[..., width:]
     if variant == "capacity":
         top = float(alpha.max(initial=0.0))
         if top >= 1.0 + 1e-12:
@@ -148,27 +177,30 @@ def _spectra_from_parts(
         np.minimum(alpha, np.nextafter(1.0, 0.0), out=alpha)
         np.minimum(alpha_tail, np.nextafter(1.0, 0.0), out=alpha_tail)
 
+    # Every product here has shapes fixed by ``dims``, not by the mode
+    # count: BLAS may round a column differently in a product of another
+    # width, and a padded member must come out as it would alone.
     c = _shaping_matrix(ch, pb, dims)
-    u_a = eig_a.eigenvectors[:, :rho].copy()
-    cost = np.real(np.einsum("ji,jk,ki->i", u_a.conj(), c, u_a))
-    beta = cost / ud_b.lam_thin[:rho]
+    u_a = eig_a.eigenvectors
+    cost = (u_a.conj() * (c @ u_a)).real.sum(axis=-2)[..., :width]
     return SpectraBundle(
         variant=variant,
         alpha=alpha,
-        beta=beta,
-        u_a_thin=u_a,
+        beta=cost / lam_b[..., :width],
+        u_a_thin=u_a[..., :width],
         u_b_thin=ud_b.u_thin,
-        lam_b_thin=ud_b.lam_thin,
-        rho=rho,
-        rho_a=rho_a,
-        rho_b=rho_b,
+        lam_b_thin=lam_b,
+        rho=_count(rho),
+        rho_a=_count(kept.sum(axis=-1)),
+        rho_b=ud_b.rank,
         alpha_tail=alpha_tail,
         c_matrix=c,
     )
 
 
 def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
-    """Reduce a network to the capacity-criterion mode spectra.
+    """Reduce a network (or a stack of networks) to the capacity-criterion
+    mode spectra.
 
     The gain matrix is A = H1 (t/p1 I + H0^H H0 + H1^H H1)^-1 H1^H (its
     eigenvalues are the ``alpha``, strictly below 1 because the bracket
@@ -180,20 +212,35 @@ def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> Spect
     """
     validate(dims, ch, pb)
     h0, h1 = ch.h0, ch.h1
+    h1_h = conj_transpose(h1)
     g = hermitian_part(
-        (dims.t / pb.p1) * np.eye(dims.t) + h0.conj().T @ h0 + h1.conj().T @ h1
+        (dims.t / pb.p1) * np.eye(dims.t) + conj_transpose(h0) @ h0 + h1_h @ h1
     )
-    a = hermitian_part(h1 @ np.linalg.solve(g, h1.conj().T))
+    a = hermitian_part(h1 @ np.linalg.solve(g, h1_h))
     return _spectra_from_parts("capacity", a, ch, pb, dims)
 
 
-def _phi(alpha: np.ndarray, beta: np.ndarray, xi: float) -> np.ndarray:
-    # alpha/2 - 1 + sqrt(alpha^2/4 + q) in rationalized form, which does not
-    # cancel near the threshold q = 1 - alpha; zero-gain modes give 0 / 1.
-    q = alpha / beta * xi
-    return np.maximum(q - (1.0 - alpha), 0.0) / (
-        1.0 - alpha / 2.0 + np.sqrt(alpha ** 2 / 4.0 + q)
-    )
+def _phi_terms(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """The parts of ``_phi`` that do not depend on the water level."""
+    return alpha / beta, 1.0 - alpha, 1.0 - alpha / 2.0, alpha ** 2 / 4.0
+
+
+def _phi(terms: tuple, xi: np.ndarray) -> np.ndarray:
+    # alpha/2 - 1 + sqrt(alpha^2/4 + q) with q = alpha/beta * xi, in
+    # rationalized form, which does not cancel near the threshold
+    # q = 1 - alpha; zero-gain modes give 0 / 1.
+    ratio, one_minus, base, square = terms
+    q = ratio * xi
+    return np.maximum(q - one_minus, 0.0) / (base + np.sqrt(square + q))
+
+
+def _mode_sum(v: np.ndarray) -> np.ndarray:
+    """Sum over the mode (last) axis in index order.  Unlike ``np.sum``,
+    whose order depends on the length, trailing zero modes leave it
+    bit-identical, so a padded member of a stack sums as it would alone."""
+    if v.shape[-1] == 0:
+        return np.zeros(v.shape[:-1], dtype=v.dtype)
+    return np.cumsum(v, axis=-1)[..., -1]
 
 
 def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -204,42 +251,41 @@ def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    out = np.full(alpha.shape, np.inf)
-    pos = alpha > 0.0
-    out[pos] = (1.0 - alpha[pos]) * beta[pos] / alpha[pos]
-    return out
+    return np.divide((1.0 - alpha) * beta, alpha, out=np.full(alpha.shape, np.inf), where=alpha > 0.0)
 
 
-def _activation_order(thresholds: np.ndarray) -> np.ndarray:
-    """Indices of the servable modes (finite thresholds), cheapest first."""
-    order = np.argsort(thresholds)
-    return order[np.isfinite(thresholds[order])]
+def _wet(thresholds: np.ndarray, p2: float) -> tuple:
+    """Each problem's lowest activation threshold (kept as a length-1 mode
+    axis) and whether it takes power: some mode is servable and p2 > 0."""
+    lowest = thresholds.min(axis=-1, keepdims=True, initial=np.inf)
+    return lowest, np.isfinite(lowest[..., 0]) & (p2 > 0.0)
 
 
-def _dry(thresholds: np.ndarray, order: np.ndarray) -> WaterfillSolution:
-    """All-zero mode powers: the "no water" state when no mode is servable,
-    else (p2 == 0) the just-dry water level, the lowest threshold."""
-    n = thresholds.size
-    return WaterfillSolution(
-        x=np.zeros(n),
-        xi=float(thresholds[order[0]]) if order.size else None,
-        active=np.zeros(n, dtype=bool),
-        achieved_budget=0.0,
-    )
+def _solution(x, xi, wet, lowest, beta) -> WaterfillSolution:
+    """Mode powers and water levels as a ``WaterfillSolution``.  A problem
+    that takes no power reports the just-dry level, its lowest threshold,
+    or NaN ("no water") when no mode is servable; for one problem (1-d
+    ``x``) the level is a float, or None for NaN."""
+    if _any(~wet):
+        lowest = lowest[..., 0]
+        xi = np.where(wet, xi, np.where(np.isfinite(lowest), lowest, np.nan))
+    if x.ndim == 1:
+        xi = None if np.isnan(xi) else float(xi)
+    return WaterfillSolution(x=x, xi=xi, active=x > 0.0, achieved_budget=_figure(_mode_sum(beta * x)))
 
 
 def _validate_wf_inputs(alpha, beta, p2, *, alpha_below_one: bool):
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if alpha.ndim != 1 or alpha.shape != beta.shape:
-        raise ValidationError("alpha and beta must be 1-d vectors of equal length")
+    if alpha.ndim < 1 or alpha.shape != beta.shape:
+        raise ValidationError("alpha and beta must be vectors (or stacks of vectors) of equal shape")
     if not math.isfinite(p2) or p2 < 0.0:
         raise ValidationError(f"relay power budget must be finite and >= 0, got {p2}")
-    if np.any(alpha < 0.0):
+    if (alpha < 0.0).any():
         raise ValidationError("mode gains must be nonnegative")
-    if alpha_below_one and np.any(alpha >= 1.0):
+    if alpha_below_one and (alpha >= 1.0).any():
         raise ValidationError("capacity mode gains must lie in [0, 1)")
-    if np.any(beta <= 0.0) or not np.all(np.isfinite(beta)):
+    if (beta <= 0.0).any() or not np.isfinite(beta).all():
         raise ValidationError("mode power costs must be finite and strictly positive")
     return alpha, beta
 
@@ -251,79 +297,82 @@ def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterf
     (see module docstring) to relative budget tolerance 1e-12, or as close
     as a float ``xi`` gets to it.  The budget binds exactly whenever
     some gain is positive and p2 > 0; with all gains zero the "no water"
-    solution is returned.
+    solution is returned.  ``alpha`` and ``beta`` may be stacks
+    ``(..., modes)`` of problems sharing ``p2``; each is solved as alone,
+    and a stack's water levels are an array with NaN for "no water".
     """
     alpha, beta = _validate_wf_inputs(alpha, beta, p2, alpha_below_one=True)
     thresholds = activation_thresholds(alpha, beta)
-    order = _activation_order(thresholds)
-    if order.size == 0 or p2 == 0.0:
-        return _dry(thresholds, order)
+    finite = np.isfinite(thresholds)
+    lowest, wet = _wet(thresholds, p2)
+    terms = _phi_terms(alpha, beta)
 
-    # The root lies left of the first threshold at which the budget reaches
-    # p2, or past the last threshold if there is none.
-    xi = float(thresholds[order[0]])
-    for i in order[1:]:
-        if float(beta @ _phi(alpha, beta, thresholds[i])) >= p2:
-            break
-        xi = float(thresholds[i])
+    # The budget is increasing in xi, so the root lies right of the highest
+    # threshold at which it is still below p2 (the lowest threshold always
+    # qualifies) and left of the next one.
+    t = np.where(finite, thresholds, 0.0)
+    below = _mode_sum(beta[..., None, :] * _phi(tuple(v[..., None, :] for v in terms), t[..., :, None])) < p2
+    left = wet[..., None] & finite & (below | (thresholds == lowest))
+    xi = np.where(left, t, 0.0).max(axis=-1, initial=0.0)
 
-    # Iterates approach the root from below.  A negative residual means
-    # rounding put xi one float past the root, the closest it can get.
-    x = _phi(alpha, beta, xi)
+    # Newton from the segment's left end climbs to the root from below; a
+    # negative residual means rounding put xi one float past the root, the
+    # closest it can get.  A problem stops when its residual is within
+    # tolerance or its step no longer moves xi, and the loop when every
+    # problem has stopped, so each ends where it would alone.
+    x = _phi(terms, xi[..., None])
+    dry = ~wet
+    two_minus = 2.0 - alpha
     for _ in range(_MAX_ITER):
-        resid = p2 - float(beta @ x)
-        if resid <= _BUDGET_RTOL * p2:
+        resid = p2 - _mode_sum(beta * x)
+        climb = wet & (resid > _BUDGET_RTOL * p2)
+        if not _any(climb):
             break
         # right derivative: a mode counts from its threshold on, where
         # d(beta_i x_i)/dxi = alpha_i / (2 sqrt(alpha_i^2/4 + q_i))
         #                   = alpha_i / (2 + 2 x_i - alpha_i)
-        live = thresholds <= xi
-        slope = float(np.sum(alpha[live] / (2.0 + 2.0 * x[live] - alpha[live])))
-        xi_next = xi + resid / slope
-        if xi_next == xi:
+        live = thresholds <= xi[..., None]
+        slope = _mode_sum(live * alpha / (two_minus + 2.0 * x)) + dry
+        xi_next = xi + climb * resid / slope
+        if not _any(xi_next != xi):
             break
         xi = xi_next
-        x = _phi(alpha, beta, xi)
-    return WaterfillSolution(
-        x=x,
-        xi=xi,
-        active=x > 0.0,
-        achieved_budget=float(beta @ x),
-    )
+        x = _phi(terms, xi[..., None])
+    return _solution(x, xi, wet, lowest, beta)
 
 
 def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
     """Build the relay transform matrix from spectra and mode powers.
 
-    X = U_b diag(sqrt(x_i / lam_b_i)) U_a^H over the active modes; zero
-    modes are skipped so the returned matrix has rank equal to the active
-    count.  ``relay_power_used`` is the exact trace tr(X C X^H).
+    X = U_b diag(sqrt(x_i / lam_b_i)) U_a^H; modes without power add
+    nothing, so the returned matrix has rank equal to the active count.
+    ``relay_power_used`` is the exact trace tr(X C X^H).  Stacked spectra
+    and mode powers give a stack of matrices and an array of powers.
     """
-    if wf.x.shape != (spectra.rho,):
+    width = spectra.alpha.shape[-1]
+    if wf.x.shape != spectra.alpha.shape:
         raise ValidationError(
-            f"water-filling solution has {wf.x.shape[0]} modes, spectra expect {spectra.rho}"
+            f"water-filling solution has {wf.x.shape[-1]} modes, spectra expect {width}"
         )
-    u_rows = spectra.u_b_thin.shape[0]
-    s_rows = spectra.u_a_thin.shape[0]
-    idx = np.flatnonzero(wf.x > 0.0)
-    if idx.size:
-        scale = np.sqrt(wf.x[idx]) * inv_sqrt_diag(spectra.lam_b_thin[idx])
-        x_matrix = (spectra.u_b_thin[:, idx] * scale) @ spectra.u_a_thin[:, idx].conj().T
-    else:
-        x_matrix = np.zeros((u_rows, s_rows), dtype=complex)
-    power = float(np.real(np.trace(x_matrix @ spectra.c_matrix @ x_matrix.conj().T)))
+    scale = np.sqrt(wf.x) * inv_sqrt_diag(spectra.lam_b_thin[..., :width])
+    # a sum of rank-one terms in mode order rather than a product over the
+    # modes, so that zero modes padded onto a stack member change nothing
+    u_b = spectra.u_b_thin[..., :width] * scale[..., None, :]
+    x_matrix = _mode_sum(u_b[..., :, None, :] * spectra.u_a_thin.conj()[..., None, :, :])
+    power = (x_matrix @ spectra.c_matrix @ conj_transpose(x_matrix)).trace(axis1=-2, axis2=-1).real
     kind = "opt1" if spectra.variant == "capacity" else "opt2"
     return RtmSolution(
         x_matrix=x_matrix,
         wf=wf,
         spectra=spectra,
-        relay_power_used=power,
+        relay_power_used=_figure(power),
         kind=kind,
     )
 
 
 def optimize_capacity_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
-    """End-to-end capacity-optimal relay transform for one realization."""
+    """End-to-end capacity-optimal relay transform for one realization, or
+    for each realization of a stacked ``ChannelSet``."""
     spectra = build_capacity_spectra(ch, pb, dims)
     wf = waterfill_capacity(spectra.alpha, spectra.beta, pb.p2)
     return assemble_rtm(spectra, wf)

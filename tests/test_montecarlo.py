@@ -6,7 +6,7 @@ import pytest
 from relay_rtm.errors import DeadRelayError, NumericalError, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm
 from relay_rtm.matalg import hermitian_part
-from relay_rtm.montecarlo import CurvePoint, SweepSpec, run_sweep, sample_channels
+from relay_rtm.montecarlo import _CHUNK_TRIALS, CurvePoint, SweepSpec, run_sweep, sample_channels
 from relay_rtm.network import ChannelSet, Dims, SnrScenario, translate_scenario
 from relay_rtm.opt_capacity import optimize_capacity_rtm
 from relay_rtm.opt_ostbc import optimize_ostbc_rtm
@@ -96,6 +96,9 @@ class TestSweepSpecValidation:
             dict(seed=-1),
             dict(trials=True),
             dict(seed=True),
+            dict(sweep_points_db=(None,)),
+            dict(sweep_points_db=("x",)),
+            dict(symbol_rate="1"),
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -232,6 +235,21 @@ class TestRunSweep:
         with warned:
             with pytest.raises(error, match=r"trial 0 \(seed 11\) at rho2=0.0 dB: "):
                 run_sweep(spec)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_failing_problem_is_named(self, monkeypatch, workers):
+        # trials 1 and 3 of the first chunk and one trial of the second are
+        # dead; the error names the first of them, at the first point
+        def channels(dims, seed, trial_index):
+            raw = sample_channels(dims, seed, trial_index)
+            if trial_index in (1, 3, _CHUNK_TRIALS + 1):
+                return ChannelSet(h0=raw.h0, h1=raw.h1, h2=np.zeros_like(raw.h2))
+            return raw
+
+        monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", channels)
+        with pytest.warns(UserWarning):
+            with pytest.raises(DeadRelayError, match=r"^trial 1 \(seed 11\) at rho2=0.0 dB: "):
+                run_sweep(_spec(trials=_CHUNK_TRIALS + 5), workers=workers)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValidationError):
