@@ -70,6 +70,16 @@ def _any(mask) -> bool:
     return bool(mask.any() if mask.ndim else mask)
 
 
+def _count(n: np.ndarray):
+    """A count: an int for one problem, an int array for a stack."""
+    return int(n) if n.ndim == 0 else n
+
+
+def _figure(v):
+    """A float for one problem, the array itself for a stack."""
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
+
+
 def conj_transpose(m: np.ndarray) -> np.ndarray:
     """M^H of a matrix, or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -135,7 +145,7 @@ def thin_ud(m: np.ndarray) -> ThinUd:
     return ThinUd(
         u_thin=eig.eigenvectors[..., :width],
         lam_thin=np.where(keep, w, 0.0)[..., :width],
-        rank=int(rank) if rank.ndim == 0 else rank,
+        rank=_count(rank),
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import RelayRtmError, ValidationError
-from .evaluate import _whitened_inner, capacity, naf_rtm, ostbc_capacity
+from .evaluate import _metric_bits, naf_rtm
 from .network import ChannelSet, Dims, PowerBudget, SnrScenario, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
@@ -136,16 +136,10 @@ def _values(spec: SweepSpec, ch: ChannelSet, pb: PowerBudget) -> np.ndarray:
     """(..., kinds, metrics) metric values of one network or of a stack:
     each kind is solved, then evaluated by each metric."""
     dims = spec.scenario.dims
-    out = []
-    for kind in spec.rtm_kinds:
-        x = _BUILDERS[kind](ch, pb, dims).x_matrix
-        inner = _whitened_inner(ch, x)
-        out.append([
-            capacity(ch, pb, dims, x, inner).bits
-            if metric == "capacity"
-            else ostbc_capacity(ch, pb, dims, x, spec.symbol_rate, inner).bits
-            for metric in spec.metrics
-        ])
+    out = [
+        _metric_bits(ch, pb, dims, _BUILDERS[kind](ch, pb, dims).x_matrix, spec.metrics, spec.symbol_rate)
+        for kind in spec.rtm_kinds
+    ]
     return np.moveaxis(np.array(out), (0, 1), (-2, -1))
 
 

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, _any, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
+from .matalg import DEFAULT_RANK_TOL, _any, _count, _figure, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
 from .network import ChannelSet, Dims, PowerBudget, validate
 
 __all__ = [
@@ -130,16 +130,6 @@ def _shaping_matrix(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> np.ndarray:
     spends relay power tr(X C X^H).
     """
     return np.eye(dims.s) + (pb.p1 / dims.t) * hermitian_part(ch.h1 @ conj_transpose(ch.h1))
-
-
-def _count(n: np.ndarray):
-    """A mode count: an int for one problem, an int array for a stack."""
-    return int(n) if n.ndim == 0 else n
-
-
-def _figure(v):
-    """A float for one problem, the array itself for a stack."""
-    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
 def _spectra_from_parts(

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import canonical_budget, crandn
-from relay_rtm.evaluate import capacity, naf_rtm, ostbc_capacity
+from relay_rtm import evaluate
+from relay_rtm.evaluate import capacity, capacity_forms, naf_rtm, ostbc_capacity
 from relay_rtm.montecarlo import _CHUNK_TRIALS, SweepSpec, run_sweep
 from relay_rtm.network import ChannelSet, Dims, SnrScenario
 from relay_rtm.opt_capacity import build_capacity_spectra, optimize_capacity_rtm
@@ -64,6 +65,7 @@ def test_stack_members_match_single_solves(solver, dims, low_rank_h2):
     sol = solver(stack, pb, dims)
     cap = capacity(stack, pb, dims, sol.x_matrix).bits
     ost = ostbc_capacity(stack, pb, dims, sol.x_matrix, 0.5).bits
+    direct, ident = capacity_forms(stack, pb, dims, sol.x_matrix)
     for index, member in zip(np.ndindex(*STACK), members):
         alone = solver(member, pb, dims)
         assert np.array_equal(sol.x_matrix[index], alone.x_matrix)
@@ -77,6 +79,35 @@ def test_stack_members_match_single_solves(solver, dims, low_rank_h2):
             assert sol.wf.xi[index] == alone.wf.xi
         assert cap[index] == capacity(member, pb, dims, alone.x_matrix).bits
         assert ost[index] == ostbc_capacity(member, pb, dims, alone.x_matrix, 0.5).bits
+        assert (direct[index], ident[index]) == capacity_forms(member, pb, dims, alone.x_matrix)
+
+
+def test_stacked_capacity_reports_its_largest_form_gap(monkeypatch):
+    # a stack's cross-check goes through capacity_forms once, on the member
+    # whose forms differ most, so its largest gap is seen there as floats
+    dims = Dims(4, 4, 4, 4)
+    members = _members(np.random.default_rng(7), dims, 2)
+    stack = ChannelSet(*(np.stack([getattr(m, name) for m in members]) for name in ("h0", "h1", "h2")))
+    pb = canonical_budget(dims)
+    x = optimize_capacity_rtm(stack, pb, dims).x_matrix
+    direct, ident = capacity_forms(stack, pb, dims, x)
+    pairs = []
+
+    def recording(*args, **kwargs):
+        pairs.append(capacity_forms(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(evaluate, "capacity_forms", recording)
+    bits = capacity(stack, pb, dims, x).bits
+    assert np.array_equal(bits, direct)
+    worst = int(np.argmax(np.abs(direct - ident)))
+    assert pairs == [(direct[worst], ident[worst])]
+    assert all(isinstance(v, float) for v in pairs[0])
+    # one transform on a stack of networks, and a stack of transforms on one
+    for i, member in enumerate(members):
+        alone = capacity(member, pb, dims, x[0]).bits
+        assert capacity(stack, pb, dims, x[0]).bits[i] == alone
+        assert capacity(members[0], pb, dims, x).bits[i] == capacity(members[0], pb, dims, x[i]).bits
 
 
 def test_sweep_points_independent_of_chunks_and_workers():

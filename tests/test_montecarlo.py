@@ -226,10 +226,10 @@ class TestRunSweep:
             monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", dead_channels)
             error, warned = DeadRelayError, pytest.warns(UserWarning)
         else:
-            def disagreeing_forms(*args):
+            def disagreeing_forms(*args, **kwargs):
                 raise NumericalError("capacity forms disagree: 1.0 vs 2.0 bits")
 
-            monkeypatch.setattr("relay_rtm.montecarlo.capacity", disagreeing_forms)
+            monkeypatch.setattr("relay_rtm.evaluate.capacity", disagreeing_forms)
             error, warned = NumericalError, contextlib.nullcontext()
         spec = _spec(trials=2)
         with warned:
