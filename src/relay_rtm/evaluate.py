@@ -145,7 +145,7 @@ def capacity(
     call.
     """
     x_matrix = _check_x_shape(dims, x_matrix)
-    if x_matrix.ndim == 2 and ch.h0.ndim == 2:
+    if x_matrix.ndim == ch.h0.ndim == ch.h1.ndim == ch.h2.ndim == 2:
         direct, ident = capacity_forms(ch, pb, dims, x_matrix, _inner=_inner)
         bits = direct
     else:

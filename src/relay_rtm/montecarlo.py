@@ -9,11 +9,13 @@ Sweeps run on stacks: the trials are cut into chunks of ``_CHUNK_TRIALS``
 (a bound on memory, not a tuning knob), and the (trial x point) problems
 of a chunk are solved by one call per transform kind and evaluated by one
 call per metric, with one relay-path information matrix serving both
-metrics.  Every layer treats a member of a stack exactly as it would
-treat it alone, so each problem's figures do not depend on the stack size
-or the worker count: they are bit-identical to those of the
-per-realization API, and a sweep's output is the same for any
-``workers``.
+metrics.  The chunk is a broadcast stack: the matrix the swept SNR scales
+is ``(trials, points, ...)`` and the other two are ``(trials, 1, ...)``,
+so whatever is built from those two alone is computed once per trial.
+Every layer treats a member of a stack exactly as it would treat it
+alone, so each problem's figures do not depend on the stack size or the
+worker count: they are bit-identical to those of the per-realization
+API, and a sweep's output is the same for any ``workers``.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def _point_scenario(spec: SweepSpec, point: float) -> SnrScenario:
 
 def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
     """(trials, points, kinds, metrics) metric values of a chunk of trials,
-    solved as one (trial x point) stack.
+    solved as one broadcast (trial x point) stack.
 
     When the stack raises, its problems are replayed one at a time in
     trial, point and kind order, and the first failure is raised with its
@@ -159,7 +161,14 @@ def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
     try:
         raw = ChannelSet(*(np.stack([getattr(r, name) for r in raws]) for name in ("h0", "h1", "h2")))
         nets = [translate_scenario(_point_scenario(spec, point), raw) for point in spec.sweep_points_db]
-        ch = ChannelSet(*(np.stack([getattr(c, name) for c, _ in nets], axis=1) for name in ("h0", "h1", "h2")))
+        # only the matrix the swept SNR scales varies along the point axis
+        swept = "h" + spec.sweep_axis[-1]
+        ch = ChannelSet(*(
+            np.stack([getattr(c, name) for c, _ in nets], axis=1)
+            if name == swept
+            else getattr(nets[0][0], name)[:, None]
+            for name in ("h0", "h1", "h2")
+        ))
         return _values(spec, ch, nets[0][1])
     except RelayRtmError:
         for trial, raw in zip(trials, raws):

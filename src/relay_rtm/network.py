@@ -8,10 +8,12 @@ source-to-relay, ``h2`` (r x u) relay-to-destination.  Noise variances are
 never stored: they are absorbed into the SNR scaling of the channel
 matrices, so every formula downstream works on whitened channels.
 
-A ``ChannelSet`` may hold a stack of realizations: matrices with the same
-leading batch axes, ``(..., rows, cols)``.  ``validate`` and
-``translate_scenario`` take such stacks, and so do the solvers and
-metrics downstream.
+A ``ChannelSet`` may hold a stack of realizations: matrices
+``(..., rows, cols)`` whose leading batch axes broadcast against each
+other, so a matrix that does not vary along an axis of the stack can keep
+a singleton axis there (a sweep stack gives only the swept matrix its
+point axis).  ``validate`` and ``translate_scenario`` take such stacks,
+and so do the solvers and metrics downstream.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ class Dims:
 @dataclass(frozen=True)
 class ChannelSet:
     """One realization of the three complex channel matrices, or a stack
-    of realizations sharing leading batch axes."""
+    of realizations whose leading batch axes broadcast against each other
+    (checked by ``validate`` and ``translate_scenario``)."""
 
     h0: np.ndarray  # (..., r, t) source -> destination
     h1: np.ndarray  # (..., s, t) source -> relay
@@ -112,11 +115,18 @@ def _check_shapes(dims: Dims, ch: ChannelSet) -> None:
         "h1": (dims.s, dims.t),
         "h2": (dims.r, dims.u),
     }
-    batch = ch.h0.shape[:-2]
-    for name, shape in expected.items():
-        h = getattr(ch, name)
-        if h.shape != batch + shape:
-            raise ValidationError(f"{name} must have shape {batch + shape}, got {h.shape}")
+    shapes = (ch.h0.shape, ch.h1.shape, ch.h2.shape)
+    for (name, shape), got in zip(expected.items(), shapes):
+        if got[-2:] != shape:
+            raise ValidationError(f"{name} must have shape {got[:-2] + shape}, got {got}")
+    # numpy's broadcast check costs microseconds; equal batch axes need none
+    if not shapes[0][:-2] == shapes[1][:-2] == shapes[2][:-2]:
+        try:
+            np.broadcast_shapes(*(got[:-2] for got in shapes))
+        except ValueError:
+            raise ValidationError(
+                f"batch axes of h0 {shapes[0]}, h1 {shapes[1]} and h2 {shapes[2]} do not broadcast"
+            ) from None
 
 
 def validate(dims: Dims, ch: ChannelSet, pb: PowerBudget) -> None:

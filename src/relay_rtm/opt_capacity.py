@@ -71,11 +71,13 @@ class SpectraBundle:
     enter the parametric capacity.  ``variant`` is "capacity" (gains
     strictly below 1) or "ostbc" (gains unbounded).
 
-    For a stack, every array gains the leading batch axes, the counts are
-    int arrays, and the mode axis is as wide as the largest ``rho``; a
-    member's modes past its own ``rho`` (or ``rho_b``) have zero gain and
-    unit ``lam_b_thin``, and its first-hop gains there are not kept in
-    ``alpha_tail``.
+    For a stack, every array gains the leading batch axes of the inputs it
+    is built from (broadcast; e.g. ``u_a_thin`` and ``c_matrix`` are
+    ``(trials, 1, ...)`` on a stack whose ``h2`` alone has a point axis),
+    the counts are int arrays, and the mode axis is as wide as the largest
+    ``rho``; a member's modes past its own ``rho`` (or ``rho_b``) have zero
+    gain and unit ``lam_b_thin``, and its first-hop gains there are not
+    kept in ``alpha_tail``.
     """
 
     variant: str
@@ -113,7 +115,10 @@ class RtmSolution:
     ``kind`` is one of "opt1" (capacity-optimal), "opt2" (OSTBC-optimal),
     "naf" / "naf-rect" (scaled identity).  ``spectra`` is None for the
     NAF kinds, which are not built from an eigenstructure.  For a stack,
-    ``x_matrix`` is a stack of matrices and ``relay_power_used`` an array.
+    ``x_matrix`` is a stack of matrices and ``relay_power_used`` an array,
+    both with the broadcast batch axes of the channel matrices the kind is
+    built from: all three for opt1, ``h1`` and ``h2`` for opt2, ``h1`` for
+    NAF.
     """
 
     x_matrix: np.ndarray

@@ -11,8 +11,16 @@ import pytest
 from helpers import canonical_budget, crandn
 from relay_rtm import evaluate
 from relay_rtm.evaluate import capacity, capacity_forms, naf_rtm, ostbc_capacity
-from relay_rtm.montecarlo import _CHUNK_TRIALS, SweepSpec, run_sweep
-from relay_rtm.network import ChannelSet, Dims, SnrScenario
+from relay_rtm.montecarlo import (
+    _CHUNK_TRIALS,
+    SweepSpec,
+    _chunk_values,
+    _point_scenario,
+    _values,
+    run_sweep,
+    sample_channels,
+)
+from relay_rtm.network import ChannelSet, Dims, SnrScenario, translate_scenario
 from relay_rtm.opt_capacity import build_capacity_spectra, optimize_capacity_rtm
 from relay_rtm.opt_ostbc import optimize_ostbc_rtm
 
@@ -82,6 +90,79 @@ def test_stack_members_match_single_solves(solver, dims, low_rank_h2):
         assert (direct[index], ident[index]) == capacity_forms(member, pb, dims, alone.x_matrix)
 
 
+#: the channel matrices each kind's transform is built from
+_DEPENDS = {optimize_capacity_rtm: "h0h1h2", optimize_ostbc_rtm: "h1h2", naf_rtm: "h1"}
+
+
+@pytest.mark.parametrize("solver", [optimize_capacity_rtm, optimize_ostbc_rtm, naf_rtm])
+@pytest.mark.parametrize("swept", ["h0", "h1", "h2"])
+@pytest.mark.parametrize(
+    "dims, low_rank_h2", [(Dims(4, 4, 4, 4), 2), (Dims(8, 8, 8, 8), 7), (Dims(3, 2, 4, 3), 1)]
+)
+def test_broadcast_stack_members_match_single_solves(solver, swept, dims, low_rank_h2):
+    # a sweep chunk's stack: the swept matrix varies along (trial, point),
+    # the other two only along the trial axis, with a singleton point axis
+    rng = np.random.default_rng(dims.t * 10 + dims.u)
+    members = _members(rng, dims, low_rank_h2)
+    trials, points = STACK
+    # trial 0 takes its unswept matrices from the member without a direct
+    # link and trial 1 from a member with a low-rank H2
+    base = (members[1], members[2])
+    stack = ChannelSet(*(
+        np.stack([getattr(m, name) for m in members]).reshape(STACK + getattr(members[0], name).shape)
+        if name == swept
+        else np.stack([getattr(b, name) for b in base])[:, None]
+        for name in ("h0", "h1", "h2")
+    ))
+    pb = canonical_budget(dims)
+    sol = solver(stack, pb, dims)
+    # a transform is formed once per trial unless the swept matrix enters it
+    assert sol.x_matrix.shape[:-2] == (STACK if swept in _DEPENDS[solver] else (trials, 1))
+    cap = capacity(stack, pb, dims, sol.x_matrix).bits
+    ost = ostbc_capacity(stack, pb, dims, sol.x_matrix, 0.5).bits
+    assert cap.shape == ost.shape == STACK
+    for trial, point in np.ndindex(*STACK):
+        member = ChannelSet(*(
+            getattr(members[trial * points + point] if name == swept else base[trial], name)
+            for name in ("h0", "h1", "h2")
+        ))
+        alone = solver(member, pb, dims)
+        got = (trial, min(point, sol.x_matrix.shape[1] - 1))
+        assert np.array_equal(sol.x_matrix[got], alone.x_matrix)
+        assert sol.relay_power_used[got] == alone.relay_power_used
+        modes = alone.wf.x.size
+        assert np.array_equal(sol.wf.x[got][:modes], alone.wf.x)
+        assert not np.any(sol.wf.x[got][modes:])
+        assert sol.wf.achieved_budget[got] == alone.wf.achieved_budget
+        if alone.wf.xi is not None:
+            assert sol.wf.xi[got] == alone.wf.xi
+        assert cap[trial, point] == capacity(member, pb, dims, alone.x_matrix).bits
+        assert ost[trial, point] == ostbc_capacity(member, pb, dims, alone.x_matrix, 0.5).bits
+
+
+@pytest.mark.parametrize("axis", ["rho0", "rho1", "rho2"])
+def test_chunk_matches_per_problem_replay(axis):
+    # rho1 is swept by no shipped config or reference sweep
+    dims = Dims(3, 2, 4, 3)
+    spec = SweepSpec(
+        scenario=SnrScenario(5.0, 10.0, 15.0, dims),
+        sweep_axis=axis,
+        sweep_points_db=(-5.0, 10.0, 30.0),
+        rtm_kinds=("opt1", "opt2", "naf"),
+        metrics=("capacity", "ostbc"),
+        trials=4,
+        seed=31,
+        symbol_rate=0.5,
+    )
+    chunk = _chunk_values(spec, range(spec.trials))
+    assert chunk.shape == (4, 3, 3, 2)
+    for trial in range(spec.trials):
+        raw = sample_channels(dims, spec.seed, trial)
+        for ip, point in enumerate(spec.sweep_points_db):
+            alone = _values(spec, *translate_scenario(_point_scenario(spec, point), raw))
+            assert np.array_equal(chunk[trial, ip], alone)
+
+
 def test_stacked_capacity_reports_its_largest_form_gap(monkeypatch):
     # a stack's cross-check goes through capacity_forms once, on the member
     # whose forms differ most, so its largest gap is seen there as floats
@@ -103,11 +184,15 @@ def test_stacked_capacity_reports_its_largest_form_gap(monkeypatch):
     worst = int(np.argmax(np.abs(direct - ident)))
     assert pairs == [(direct[worst], ident[worst])]
     assert all(isinstance(v, float) for v in pairs[0])
-    # one transform on a stack of networks, and a stack of transforms on one
+    # one transform on a stack of networks, a stack of transforms on one, and
+    # one transform on a network whose H2 alone is stacked
+    h0, h1 = members[0].h0, members[0].h1
+    partly = capacity(ChannelSet(h0, h1, stack.h2), pb, dims, x[0]).bits
     for i, member in enumerate(members):
         alone = capacity(member, pb, dims, x[0]).bits
         assert capacity(stack, pb, dims, x[0]).bits[i] == alone
         assert capacity(members[0], pb, dims, x).bits[i] == capacity(members[0], pb, dims, x[i]).bits
+        assert partly[i] == capacity(ChannelSet(h0, h1, member.h2), pb, dims, x[0]).bits
 
 
 def test_sweep_points_independent_of_chunks_and_workers():

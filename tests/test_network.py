@@ -87,6 +87,26 @@ class TestValidate:
         with pytest.raises(ValidationError):
             translate_scenario(SnrScenario(0.0, 0.0, 0.0, dims), raw)
 
+    def test_batch_axes_broadcast(self):
+        rng = np.random.default_rng(2)
+        dims = Dims(2, 3, 4, 2)
+        ch = ChannelSet(
+            h0=crandn(rng, (2, 3, 3, 2)), h1=crandn(rng, (2, 1, 4, 2)), h2=crandn(rng, (3, 2))
+        )
+        validate(dims, ch, canonical_budget(dims))
+        scaled, _ = translate_scenario(SnrScenario(0.0, 10.0, 20.0, dims), ch)
+        assert [h.shape[:-2] for h in (scaled.h0, scaled.h1, scaled.h2)] == [(2, 3), (2, 1), ()]
+
+    def test_batch_axes_that_do_not_broadcast(self):
+        rng = np.random.default_rng(3)
+        dims = Dims(2, 2, 2, 2)
+        ch = ChannelSet(h0=crandn(rng, (2, 3, 2, 2)), h1=crandn(rng, (4, 2, 2)), h2=crandn(rng, (2, 2)))
+        names = r"h0 \(2, 3, 2, 2\), h1 \(4, 2, 2\) and h2 \(2, 2\) do not broadcast"
+        with pytest.raises(ValidationError, match=names):
+            validate(dims, ch, PowerBudget(2.0, 2.0))
+        with pytest.raises(ValidationError, match=names):
+            translate_scenario(SnrScenario(0.0, 0.0, 0.0, dims), ch)
+
 
 class TestTranslate:
     def test_unit_snr_is_identity(self):
