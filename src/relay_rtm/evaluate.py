@@ -222,7 +222,7 @@ def direct_link_capacity(h0: np.ndarray, pb: PowerBudget, dims: Dims) -> Capacit
     return CapacityReport(bits=float(bits), variant="capacity", symbol_rate=1.0)
 
 
-def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
+def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> RtmSolution:
     """Naive amplify-and-forward baseline: a scaled identity transform.
 
     The gain is chosen so that tr(X C X^H) meets the relay budget exactly.
@@ -231,7 +231,7 @@ def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
     ``ChannelSet`` gives a stack of transforms.
     """
     s, u = dims.s, dims.u
-    c = _shaping_matrix(ch, pb, dims)
+    c = _shaping_matrix(ch, pb, dims) if _relay is None else _relay[1]
     k = min(s, u)
     gain = np.sqrt(pb.p2 / c[..., :k, :k].trace(axis1=-2, axis2=-1).real)
     x_matrix = np.zeros(c.shape[:-2] + (u, s), dtype=complex)

@@ -137,17 +137,29 @@ def _shaping_matrix(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> np.ndarray:
     return np.eye(dims.s) + (pb.p1 / dims.t) * hermitian_part(ch.h1 @ conj_transpose(ch.h1))
 
 
-def _spectra_from_parts(
-    variant: str, a: np.ndarray, ch: ChannelSet, pb: PowerBudget, dims: Dims
-) -> SpectraBundle:
-    """Shared spectra assembly for both optimization criteria, from the
-    criterion's gain matrix ``a`` (one matrix or a stack)."""
+def _relay_side(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> tuple:
+    """What both criteria build from the network alone, before their gain
+    matrices differ: the validated network's thin diagonalization of
+    B = H2^H H2 and the shaping matrix C.  A sweep builds it once per
+    chunk and hands it to every kind.
+
+    Raises DeadRelayError when H2 has rank 0 (no mode can be served).
+    """
+    validate(dims, ch, pb)
     ud_b = thin_ud(hermitian_part(conj_transpose(ch.h2) @ ch.h2))
-    rho = np.minimum(dims.s, ud_b.rank)
-    if _any(rho == 0):
+    if _any(np.equal(ud_b.rank, 0)):
         raise DeadRelayError(
             "relay path dead: the relay-to-destination channel has rank 0"
         )
+    return ud_b, _shaping_matrix(ch, pb, dims)
+
+
+def _spectra_from_parts(variant: str, a: np.ndarray, relay: tuple, dims: Dims) -> SpectraBundle:
+    """Shared spectra assembly for both optimization criteria, from the
+    criterion's gain matrix ``a`` (one matrix or a stack) and the
+    network's ``_relay_side``."""
+    ud_b, c = relay
+    rho = np.minimum(dims.s, ud_b.rank)
     width = min(dims.s, ud_b.lam_thin.shape[-1])
     # Modes past a stack member's own count are padded with zero gain and
     # unit second-hop eigenvalue: they never receive power.
@@ -175,7 +187,6 @@ def _spectra_from_parts(
     # Every product here has shapes fixed by ``dims``, not by the mode
     # count: BLAS may round a column differently in a product of another
     # width, and a padded member must come out as it would alone.
-    c = _shaping_matrix(ch, pb, dims)
     u_a = eig_a.eigenvectors
     cost = (u_a.conj() * (c @ u_a)).real.sum(axis=-2)[..., :width]
     return SpectraBundle(
@@ -193,7 +204,9 @@ def _spectra_from_parts(
     )
 
 
-def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
+def build_capacity_spectra(
+    ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None
+) -> SpectraBundle:
     """Reduce a network (or a stack of networks) to the capacity-criterion
     mode spectra.
 
@@ -205,14 +218,14 @@ def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> Spect
 
     Raises DeadRelayError when H2 has rank 0 (no mode can be served).
     """
-    validate(dims, ch, pb)
+    relay = _relay_side(ch, pb, dims) if _relay is None else _relay
     h0, h1 = ch.h0, ch.h1
     h1_h = conj_transpose(h1)
     g = hermitian_part(
         (dims.t / pb.p1) * np.eye(dims.t) + conj_transpose(h0) @ h0 + h1_h @ h1
     )
     a = hermitian_part(h1 @ np.linalg.solve(g, h1_h))
-    return _spectra_from_parts("capacity", a, ch, pb, dims)
+    return _spectra_from_parts("capacity", a, relay, dims)
 
 
 def _phi_terms(alpha: np.ndarray, beta: np.ndarray) -> tuple:
@@ -365,9 +378,9 @@ def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
     )
 
 
-def optimize_capacity_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
+def optimize_capacity_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> RtmSolution:
     """End-to-end capacity-optimal relay transform for one realization, or
     for each realization of a stacked ``ChannelSet``."""
-    spectra = build_capacity_spectra(ch, pb, dims)
+    spectra = build_capacity_spectra(ch, pb, dims, _relay=_relay)
     wf = waterfill_capacity(spectra.alpha, spectra.beta, pb.p2)
     return assemble_rtm(spectra, wf)

@@ -19,12 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .matalg import conj_transpose, hermitian_part
-from .network import ChannelSet, Dims, PowerBudget, validate
+from .network import ChannelSet, Dims, PowerBudget
 from .opt_capacity import (
     RtmSolution,
     SpectraBundle,
     WaterfillSolution,
     _mode_sum,
+    _relay_side,
     _solution,
     _spectra_from_parts,
     _validate_wf_inputs,
@@ -40,16 +41,16 @@ __all__ = [
 ]
 
 
-def build_ostbc_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
+def build_ostbc_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> SpectraBundle:
     """Reduce a network (or a stack of networks) to the OSTBC-criterion
     mode spectra.
 
     The gain matrix is H1 H1^H; second hop and shaping matrix are the same
     as for the capacity criterion.
     """
-    validate(dims, ch, pb)
+    relay = _relay_side(ch, pb, dims) if _relay is None else _relay
     a = hermitian_part(ch.h1 @ conj_transpose(ch.h1))
-    return _spectra_from_parts("ostbc", a, ch, pb, dims)
+    return _spectra_from_parts("ostbc", a, relay, dims)
 
 
 def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -88,14 +89,14 @@ def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterfill
     return _solution(x, xi, wet, lowest, beta)
 
 
-def optimize_ostbc_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
+def optimize_ostbc_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> RtmSolution:
     """End-to-end OSTBC-capacity-optimal relay transform for one
     realization, or for each realization of a stacked ``ChannelSet``.
 
     The same matrix maximizes the OSTBC capacity for every symbol rate
     simultaneously (the trace argument does not involve the rate).
     """
-    spectra = build_ostbc_spectra(ch, pb, dims)
+    spectra = build_ostbc_spectra(ch, pb, dims, _relay=_relay)
     wf = waterfill_ostbc(spectra.alpha, spectra.beta, pb.p2)
     return assemble_rtm(spectra, wf)
 

@@ -5,11 +5,16 @@ as it treats that problem alone, so a sweep's figures do not depend on how
 its trials are chunked or spread over workers.
 """
 
+import contextlib
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import canonical_budget, crandn
-from relay_rtm import evaluate
+from relay_rtm import evaluate, matalg, montecarlo, network, opt_capacity, opt_ostbc
+from relay_rtm.errors import DeadRelayError, DeadRelayWarning
 from relay_rtm.evaluate import capacity, capacity_forms, naf_rtm, ostbc_capacity
 from relay_rtm.montecarlo import (
     _CHUNK_TRIALS,
@@ -140,12 +145,10 @@ def test_broadcast_stack_members_match_single_solves(solver, swept, dims, low_ra
         assert ost[trial, point] == ostbc_capacity(member, pb, dims, alone.x_matrix, 0.5).bits
 
 
-@pytest.mark.parametrize("axis", ["rho0", "rho1", "rho2"])
-def test_chunk_matches_per_problem_replay(axis):
+def _chunk_spec(axis):
     # rho1 is swept by no shipped config or reference sweep
-    dims = Dims(3, 2, 4, 3)
-    spec = SweepSpec(
-        scenario=SnrScenario(5.0, 10.0, 15.0, dims),
+    return SweepSpec(
+        scenario=SnrScenario(5.0, 10.0, 15.0, Dims(3, 2, 4, 3)),
         sweep_axis=axis,
         sweep_points_db=(-5.0, 10.0, 30.0),
         rtm_kinds=("opt1", "opt2", "naf"),
@@ -154,6 +157,12 @@ def test_chunk_matches_per_problem_replay(axis):
         seed=31,
         symbol_rate=0.5,
     )
+
+
+@pytest.mark.parametrize("axis", ["rho0", "rho1", "rho2"])
+def test_chunk_matches_per_problem_replay(axis):
+    spec = _chunk_spec(axis)
+    dims = spec.scenario.dims
     chunk = _chunk_values(spec, range(spec.trials))
     assert chunk.shape == (4, 3, 3, 2)
     for trial in range(spec.trials):
@@ -161,6 +170,76 @@ def test_chunk_matches_per_problem_replay(axis):
         for ip, point in enumerate(spec.sweep_points_db):
             alone = _values(spec, *translate_scenario(_point_scenario(spec, point), raw))
             assert np.array_equal(chunk[trial, ip], alone)
+
+
+@pytest.mark.parametrize("axis", ["rho0", "rho1", "rho2"])
+def test_chunk_matches_public_solves(monkeypatch, axis):
+    # every member of a chunk, trial 2 with a rank-1 H2 among them, equals
+    # each kind's lone public solve and evaluation
+    def channels(dims, seed, trial_index):
+        raw = sample_channels(dims, seed, trial_index)
+        if trial_index == 2:
+            rng = np.random.default_rng(trial_index)
+            return replace(raw, h2=crandn(rng, (dims.r, 1)) @ crandn(rng, (1, dims.u)))
+        return raw
+
+    monkeypatch.setattr(montecarlo, "sample_channels", channels)
+    spec = _chunk_spec(axis)
+    dims = spec.scenario.dims
+    chunk = _chunk_values(spec, range(spec.trials))
+    assert chunk.shape == (4, 3, 3, 2)
+    solvers = (optimize_capacity_rtm, optimize_ostbc_rtm, naf_rtm)
+    for trial in range(spec.trials):
+        raw = channels(dims, spec.seed, trial)
+        for ip, point in enumerate(spec.sweep_points_db):
+            ch, pb = translate_scenario(replace(spec.scenario, **{axis + "_db": point}), raw)
+            for ik, solve in enumerate(solvers):
+                x = solve(ch, pb, dims).x_matrix
+                assert chunk[trial, ip, ik, 0] == capacity(ch, pb, dims, x).bits
+                assert chunk[trial, ip, ik, 1] == ostbc_capacity(ch, pb, dims, x, spec.symbol_rate).bits
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace ``fn`` wherever a package module holds it by a wrapper that
+    counts its calls; returns the list of calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (montecarlo, network, matalg, opt_capacity, opt_ostbc, evaluate):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_chunk_factorizes_the_second_hop_once(monkeypatch):
+    # opt1 and opt2 share the validated network, B's factorization and C
+    thin_ud_calls = _count_calls(monkeypatch, matalg.thin_ud)
+    validate_calls = _count_calls(monkeypatch, network.validate)
+    _chunk_values(_chunk_spec("rho2"), range(4))
+    assert len(thin_ud_calls) == 1
+    assert len(validate_calls) == 1
+
+
+@pytest.mark.parametrize("dead", ["h1", "h2"])
+def test_dead_matrix_warns_once(dead):
+    # one warning per identically zero matrix of a stack, whatever the
+    # number of kinds; a dead H2 then stops the eigen-based kinds
+    dims = Dims(4, 4, 4, 4)
+    members = _members(np.random.default_rng(3), dims, None)
+    members[4] = replace(members[4], **{dead: np.zeros_like(getattr(members[4], dead))})
+    stack = ChannelSet(*(np.stack([getattr(m, name) for m in members]) for name in ("h0", "h1", "h2")))
+    spec = replace(_chunk_spec("rho2"), scenario=SnrScenario(5.0, 10.0, 15.0, dims))
+    stops = pytest.raises(DeadRelayError) if dead == "h2" else contextlib.nullcontext()
+    with warnings.catch_warnings(record=True) as caught, stops:
+        warnings.simplefilter("always")
+        _values(spec, stack, canonical_budget(dims))
+    assert [str(w.message) for w in caught if w.category is DeadRelayWarning] == [
+        f"relay path dead: {dead} is identically zero"
+    ]
 
 
 def test_stacked_capacity_reports_its_largest_form_gap(monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,14 @@ class TestRunSweep:
         with warned:
             with pytest.raises(error, match=r"trial 0 \(seed 11\) at rho2=0.0 dB: "):
                 run_sweep(spec)
+
+    def test_naf_alone_survives_a_rank_zero_second_hop(self):
+        # at -150 dB H2^H H2 has numerical rank 0: no mode of an eigen-based
+        # kind can be served, but NAF needs no factorization of it
+        spec = _spec(trials=2, rtm_kinds=("naf",), sweep_points_db=(-150.0, 0.0))
+        assert all(np.isfinite(p.mean_bits) for p in run_sweep(spec))
+        with pytest.raises(DeadRelayError, match=r"at rho2=-150.0 dB: "):
+            run_sweep(replace(spec, rtm_kinds=("naf", "opt2")))
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_first_failing_problem_is_named(self, monkeypatch, workers):
