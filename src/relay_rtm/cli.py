@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -184,19 +185,27 @@ def write_csv(points, stream) -> None:
         )
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     """Run the configured sweep, write the CSV, print a summary table.
 
-    An unwritable output path fails before the sweep starts, but the CSV
-    is written only once the sweep has returned: a failed run leaves an
-    existing CSV as it was.
+    The sweep's chunks are spread over every available CPU; the CSV is the
+    same for any number of them.  An unwritable output path fails before
+    the sweep starts, but the CSV is written only once the sweep has
+    returned: a failed run leaves an existing CSV as it was.
     """
     path = output_override or cfg.output_path
     try:
         open(path, "a").close()
     except OSError as exc:
         raise ConfigError(f"output path {path!r} is not writable: {exc}") from exc
-    points = run_sweep(cfg.spec)
+    points = run_sweep(cfg.spec, workers=_available_cpus())
     with open(path, "w", newline="") as out:
         write_csv(points, out)
 

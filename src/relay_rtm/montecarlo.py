@@ -19,14 +19,22 @@ Every layer treats a member of a stack exactly as it would treat it
 alone, so each problem's figures do not depend on the stack size or the
 worker count: they are bit-identical to those of the per-realization
 API, and a sweep's output is the same for any ``workers``.
+
+Chunks are independent, so ``run_sweep`` can spread them over worker
+processes.  A lone chunk, or a sweep with one worker, runs inline in the
+caller; a pooled chunk returns the warnings it issued and its
+``RelayRtmError``, if any, and the caller re-issues and raises them in
+trial order, as the inline run would have.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +58,11 @@ _CHUNK_TRIALS = 64
 
 def _is_number(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
+def _check_count(name: str, val, minimum: int) -> None:
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +102,8 @@ class SweepSpec:
             raise ValidationError(f"rtm_kinds must be a nonempty subset of {RTM_KINDS}, got {kinds}")
         if not metrics or any(m not in METRICS for m in metrics):
             raise ValidationError(f"metrics must be a nonempty subset of {METRICS}, got {metrics}")
-        for name, minimum in (("trials", 1), ("seed", 0)):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < minimum:
-                raise ValidationError(f"{name} must be an integer >= {minimum}, got {val!r}")
+        _check_count("trials", self.trials, 1)
+        _check_count("seed", self.seed, 0)
         if not (_is_number(self.symbol_rate) and 0.0 < self.symbol_rate <= 1.0):
             raise ValidationError(f"symbol_rate must lie in (0, 1], got {self.symbol_rate!r}")
 
@@ -193,24 +204,72 @@ def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
         raise
 
 
+def _pooled_chunk(spec: SweepSpec, trials: range) -> tuple:
+    """``_chunk_values`` in a worker process: its values or its
+    ``RelayRtmError``, and every warning it issued, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _chunk_values(spec, trials)
+        except RelayRtmError as exc:
+            result = exc
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reissue(message, category, filename: str, lineno: int) -> None:
+    """Issue a worker's warning in the caller, under the caller's filters
+    and in the registry of the module it names, as ``warnings.warn``
+    would have issued it there."""
+    module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
+    warnings.warn_explicit(
+        message, category, filename, lineno,
+        module=module and module.__name__,
+        registry=module and vars(module).setdefault("__warningregistry__", {}),
+    )
+
+
+def _pool_context():
+    """The ``fork`` start method where the platform offers it: workers then
+    inherit the loaded modules and their state instead of importing them
+    again.  The pool forks every worker before it starts a thread of its
+    own; fork copies only the calling thread, so a caller that runs other
+    threads holding locks should sweep with one worker."""
+    import multiprocessing
+
+    return multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CurvePoint]:
     """Run all trials of a sweep and average per (point, kind, metric).
 
-    Chunks of trials are independent work items; with ``workers > 1`` they
-    run on a thread pool.  Results are aggregated from a trial-ordered
-    array, so the output is bit-identical for any worker count.
+    Chunks of trials are independent work items.  With ``workers > 1`` and
+    more than one chunk they run on up to ``workers`` processes; a chunk's
+    warnings and error reach the caller in trial order, so a failing sweep
+    raises the same error after the same warnings for any worker count.
+    Results are aggregated from a trial-ordered array, so the output is
+    bit-identical for any worker count.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    _check_count("workers", workers, 1)
     chunks = [
         range(first, min(first + _CHUNK_TRIALS, spec.trials))
         for first in range(0, spec.trials, _CHUNK_TRIALS)
     ]
-    if workers == 1:
+    if workers == 1 or len(chunks) == 1:
         parts = [_chunk_values(spec, chunk) for chunk in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda chunk: _chunk_values(spec, chunk), chunks))
+        from concurrent.futures import ProcessPoolExecutor
+
+        parts = []
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)), mp_context=_pool_context())
+        try:
+            for result, caught in pool.map(partial(_pooled_chunk, spec), chunks):
+                for warning in caught:
+                    _reissue(*warning)
+                if isinstance(result, RelayRtmError):
+                    raise result
+                parts.append(result)
+        finally:
+            pool.shutdown(cancel_futures=True)
     arr = np.concatenate(parts, axis=0)
     mean = arr.mean(axis=0)
     if spec.trials > 1:

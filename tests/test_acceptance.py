@@ -22,7 +22,7 @@ from relay_rtm.evaluate import (
     verify_kkt_capacity,
 )
 from relay_rtm.matalg import hermitian_part
-from relay_rtm.montecarlo import SweepSpec, run_sweep, sample_channels
+from relay_rtm.montecarlo import _CHUNK_TRIALS, SweepSpec, run_sweep, sample_channels
 from relay_rtm.network import Dims, SnrScenario, translate_scenario
 from relay_rtm.opt_capacity import optimize_capacity_rtm, waterfill_capacity
 from relay_rtm.opt_ostbc import optimize_ostbc_rtm, waterfill_ostbc
@@ -258,8 +258,9 @@ def test_criterion_9_rearrangement_lemma_exhaustive():
     assert _report(9, ok, f"{checked} sequence pairs, all permutation sums within bounds")
 
 
-def test_criterion_10_thread_determinism(tmp_path):
-    # 1 vs N worker threads produce byte-identical CSV output
+def test_criterion_10_worker_determinism(tmp_path):
+    # 1 vs N worker processes produce byte-identical CSV output; the sweep
+    # has two chunks, so that more than one process runs
     dims = Dims(3, 3, 3, 3)
     spec = SweepSpec(
         scenario=SnrScenario(5.0, 10.0, 10.0, dims),
@@ -267,7 +268,7 @@ def test_criterion_10_thread_determinism(tmp_path):
         sweep_points_db=(0.0, 10.0, 20.0),
         rtm_kinds=("opt1", "opt2", "naf"),
         metrics=("capacity", "ostbc"),
-        trials=10,
+        trials=_CHUNK_TRIALS + 5,
         seed=1010,
     )
     outputs = []
@@ -278,4 +279,4 @@ def test_criterion_10_thread_determinism(tmp_path):
             write_csv(points, fh)
         outputs.append(path.read_bytes())
     ok = outputs[0] == outputs[1]
-    assert _report(10, ok, f"1-thread vs 4-thread CSV identical ({len(outputs[0])} bytes)")
+    assert _report(10, ok, f"1-worker vs 4-worker CSV identical ({len(outputs[0])} bytes)")

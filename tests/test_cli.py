@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -193,6 +194,24 @@ class TestRun:
         means = [float(r["mean_bits"]) for r in rows]
         assert means == sorted(means)
 
+    def test_sweep_uses_every_available_cpu(self, tmp_path, capsys, monkeypatch):
+        path, _ = _small_config(tmp_path)
+        cfg = parse_config(path.read_text())
+        seen = []
+
+        def recording(spec, workers=1):
+            seen.append(workers)
+            return []
+
+        monkeypatch.setattr("relay_rtm.cli.run_sweep", recording)
+        run(cfg)
+        expected = [len(os.sched_getaffinity(0))] if hasattr(os, "sched_getaffinity") else [os.cpu_count() or 1]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count in (5, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            run(cfg)
+        assert seen == expected + [5, 1]
+
     def test_output_override(self, tmp_path, capsys):
         path, doc = _small_config(tmp_path)
         cfg = parse_config(path.read_text())
@@ -330,7 +349,7 @@ class TestMain:
         with open(doc["output"], "wb") as fh:
             fh.write(previous)
 
-        def boom(spec):
+        def boom(spec, workers=1):
             raise NumericalError("synthetic failure")
 
         monkeypatch.setattr("relay_rtm.cli.run_sweep", boom)

@@ -1,10 +1,17 @@
 import contextlib
+import os
+import re
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relay_rtm.errors import DeadRelayError, NumericalError, ValidationError
+import relay_rtm
+from relay_rtm.errors import DeadRelayError, DeadRelayWarning, NumericalError, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm
 from relay_rtm.matalg import hermitian_part
 from relay_rtm.montecarlo import _CHUNK_TRIALS, CurvePoint, SweepSpec, run_sweep, sample_channels
@@ -129,11 +136,41 @@ class TestRunSweep:
         assert all(isinstance(p, CurvePoint) for p in points)
 
     def test_worker_count_invariance(self):
-        spec = _spec(trials=6, dims=Dims(3, 3, 3, 3))
+        # two chunks, so that workers=4 runs them on two processes
+        spec = _spec(trials=_CHUNK_TRIALS + 5, dims=Dims(3, 3, 3, 3))
         serial = run_sweep(spec, workers=1)
-        threaded = run_sweep(spec, workers=4)
-        for a, b in zip(serial, threaded):
+        pooled = run_sweep(spec, workers=4)
+        for a, b in zip(serial, pooled):
             assert a == b  # dataclass equality: bit-identical floats
+
+    def test_lone_chunk_runs_inline(self, monkeypatch):
+        # one chunk has nothing to spread over workers: no pool is started
+        def no_pool():
+            raise AssertionError("a pool was started for one chunk")
+
+        monkeypatch.setattr("relay_rtm.montecarlo._pool_context", no_pool)
+        spec = _spec(trials=_CHUNK_TRIALS)
+        assert run_sweep(spec, workers=4) == run_sweep(spec, workers=1)
+
+    def test_pooled_warnings_reach_the_caller(self, monkeypatch):
+        # a dead h1 in the second chunk is legal: it warns and does not
+        # raise, and the caller sees the same warnings from pooled chunks
+        def channels(dims, seed, trial_index):
+            raw = sample_channels(dims, seed, trial_index)
+            if trial_index == _CHUNK_TRIALS + 2:
+                return ChannelSet(h0=raw.h0, h1=np.zeros_like(raw.h1), h2=raw.h2)
+            return raw
+
+        monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", channels)
+        spec = _spec(trials=_CHUNK_TRIALS + 5)
+        seen = {}
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                points = run_sweep(spec, workers=workers)
+            seen[workers] = points, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        assert [(c, m) for c, m, _, _ in seen[1][1]] == [(DeadRelayWarning, "relay path dead: h1 is identically zero")]
+        assert seen[2] == seen[1]
 
     def test_rerun_identical(self):
         spec = _spec(trials=3)
@@ -260,9 +297,10 @@ class TestRunSweep:
             with pytest.raises(DeadRelayError, match=r"^trial 1 \(seed 11\) at rho2=0.0 dB: "):
                 run_sweep(_spec(trials=_CHUNK_TRIALS + 5), workers=workers)
 
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValidationError):
-            run_sweep(_spec(), workers=0)
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True, "2"])
+    def test_rejects_bad_worker_count(self, workers):
+        with pytest.raises(ValidationError, match=rf"workers must be an integer >= 1, got {re.escape(repr(workers))}"):
+            run_sweep(_spec(), workers=workers)
 
     def test_vanishing_direct_link_matches_disabled_link(self):
         # a -40 dB direct link is indistinguishable from none at curve scale
@@ -279,3 +317,13 @@ class TestRunSweep:
         bits_full = [p.mean_bits for p in run_sweep(full)]
         bits_half = [p.mean_bits for p in run_sweep(half)]
         assert all(h < f for h, f in zip(bits_half, bits_full))
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules are imported by the first sweep that uses them:
+    # importing them costs a noticeable share of the package's start-up time
+    src = str(Path(relay_rtm.__file__).resolve().parents[1])
+    code = "import relay_rtm, sys; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
