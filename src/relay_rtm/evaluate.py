@@ -153,14 +153,17 @@ def capacity(
         # that member goes through capacity_forms on its own: it comes out
         # bit-identical there, and the largest gap of every evaluation is
         # seen by whoever watches capacity_forms (the benchmark's tracer).
-        bits, ident = _forms(ch, pb, dims, x_matrix, _inner)
+        inner = _whitened_inner(ch, x_matrix) if _inner is None else _inner
+        bits, ident = _forms(ch, pb, dims, x_matrix, inner)
         worst = np.unravel_index(np.argmax(np.abs(bits - ident)), bits.shape)
 
         def pick(m):
-            return np.broadcast_to(m, bits.shape + m.shape[-2:])[worst]
+            # a batch axis of m is either the stack's or a singleton
+            batch = m.shape[:-2]
+            return m[tuple(0 if n == 1 else i for n, i in zip(batch, worst[len(worst) - len(batch):]))]
 
         member = ChannelSet(pick(ch.h0), pick(ch.h1), pick(ch.h2))
-        direct, ident = capacity_forms(member, pb, dims, pick(x_matrix))
+        direct, ident = capacity_forms(member, pb, dims, pick(x_matrix), _inner=pick(inner))
     if abs(direct - ident) > _FORM_AGREEMENT_BITS:
         raise NumericalError(f"capacity forms disagree: {direct!r} vs {ident!r} bits")
     return CapacityReport(bits=_figure(bits), variant="capacity", symbol_rate=1.0)

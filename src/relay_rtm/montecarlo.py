@@ -7,14 +7,16 @@ curves compare matrices on the same fading).
 
 Sweeps run on stacks: the trials are cut into chunks of ``_CHUNK_TRIALS``
 (a bound on memory, not a tuning knob), and the (trial x point) problems
-of a chunk take one pass.  The network is validated, and what the kinds
-share (the second hop's factorization and the shaping matrix) is built,
-once; each transform kind is then solved by one call on it and
-evaluated by one call for all metrics, with one relay-path information
-matrix serving both.  The chunk is a broadcast stack: the matrix the
-swept SNR scales is ``(trials, points, ...)`` and the other two are
-``(trials, 1, ...)``, so whatever is built from those two alone is
-computed once per trial.
+of a chunk take one pass.  The chunk's channels are sampled by one call
+and translated to the template scenario by one call, and the matrix the
+swept SNR scales is scaled to every point by one multiply.  The network
+is validated, and what the kinds share (the second hop's factorization
+and the shaping matrix) is built, once; each transform kind is then
+solved by one call on it and evaluated by one call for all metrics, with
+one relay-path information matrix serving both.  The chunk is a
+broadcast stack: the matrix the swept SNR scales is
+``(trials, points, ...)`` and the other two are ``(trials, 1, ...)``, so
+whatever is built from those two alone is computed once per trial.
 Every layer treats a member of a stack exactly as it would treat it
 alone, so each problem's figures do not depend on the stack size or the
 worker count: they are bit-identical to those of the per-realization
@@ -35,12 +37,13 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import RelayRtmError, ValidationError
 from .evaluate import _metric_bits, naf_rtm
-from .network import ChannelSet, Dims, PowerBudget, SnrScenario, translate_scenario
+from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, translate_scenario
 from .opt_capacity import _relay_side, optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
@@ -102,6 +105,8 @@ class SweepSpec:
             raise ValidationError(f"rtm_kinds must be a nonempty subset of {RTM_KINDS}, got {kinds}")
         if not metrics or any(m not in METRICS for m in metrics):
             raise ValidationError(f"metrics must be a nonempty subset of {METRICS}, got {metrics}")
+        if self.sweep_axis == "rho0" and not self.scenario.direct_link_enabled:
+            raise ValidationError("sweep_axis 'rho0' needs the direct link enabled: without it rho0 scales nothing")
         _check_count("trials", self.trials, 1)
         _check_count("seed", self.seed, 0)
         if not (_is_number(self.symbol_rate) and 0.0 < self.symbol_rate <= 1.0):
@@ -120,25 +125,35 @@ class CurvePoint:
     trials: int
 
 
-def sample_channels(dims: Dims, seed: int, trial_index: int) -> ChannelSet:
-    """Draw one iid Rayleigh realization (unit-variance complex entries).
+def sample_channels(dims: Dims, seed: int, trial_index: int | range) -> ChannelSet:
+    """Draw iid Rayleigh realizations (unit-variance complex entries).
 
-    Deterministic function of (seed, trial_index): the substream is
-    spawned from the seed with the trial index as spawn key, so the same
-    pair always yields the same matrices under any scheduling.
+    An int ``trial_index`` gives one realization; a ``range`` of trials
+    gives a stack with a leading trial axis, whose member i is exactly
+    what trial ``trial_index[i]`` gives alone.  Each trial is a
+    deterministic function of (seed, trial): its substream is spawned from
+    the seed with the trial index as spawn key, so the same pair always
+    yields the same matrices under any scheduling or chunking.  A trial
+    takes all its normals in one draw, the real then the imaginary parts
+    of h0, h1 and h2 in turn; the draws of a stack are then made complex
+    in one pass.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial_index),))
-    rng = np.random.default_rng(ss)
-
-    def draw(rows: int, cols: int) -> np.ndarray:
-        z = rng.standard_normal((2, rows, cols))
-        return (z[0] + 1j * z[1]) / np.sqrt(2.0)
-
-    return ChannelSet(
-        h0=draw(dims.r, dims.t),
-        h1=draw(dims.s, dims.t),
-        h2=draw(dims.r, dims.u),
-    )
+    shapes = ((dims.r, dims.t), (dims.s, dims.t), (dims.r, dims.u))
+    stacked = isinstance(trial_index, range)
+    trials = trial_index if stacked else (trial_index,)
+    edges = list(accumulate((rows * cols for rows, cols in shapes), initial=0))
+    spans = list(zip(edges, edges[1:]))
+    z = np.empty((len(trials), 2 * edges[-1]))
+    for row, trial in zip(z, trials):
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
+        np.random.default_rng(ss).standard_normal(out=row)
+    # the matrix at [a, b) of a complex row drew its real parts at
+    # [2a, a + b) and its imaginary parts at [a + b, 2b)
+    re = np.concatenate([z[:, 2 * a:a + b] for a, b in spans], axis=1)
+    im = np.concatenate([z[:, a + b:2 * b] for a, b in spans], axis=1)
+    c = (re + 1j * im) / np.sqrt(2.0)
+    batch = (len(trials),) if stacked else ()
+    return ChannelSet(*(c[:, a:b].reshape(batch + shape) for (a, b), shape in zip(spans, shapes)))
 
 
 _BUILDERS = {
@@ -175,28 +190,26 @@ def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
     """(trials, points, kinds, metrics) metric values of a chunk of trials,
     solved as one broadcast (trial x point) stack.
 
-    When the stack raises, its problems are replayed one at a time in
-    trial, point and kind order, and the first failure is raised with its
-    type and (seed, trial, axis, point) context.
+    The chunk's channels are sampled and translated to the template
+    scenario once; the matrix the swept SNR scales is then scaled to every
+    point by one multiply.  When the stack raises, its problems are
+    replayed one at a time in trial, point and kind order, and the first
+    failure is raised with its type and (seed, trial, axis, point) context.
     """
-    raws = [sample_channels(spec.scenario.dims, spec.seed, trial) for trial in trials]
+    raw = sample_channels(spec.scenario.dims, spec.seed, trials)
+    swept = "h" + spec.sweep_axis[-1]
     try:
-        raw = ChannelSet(*(np.stack([getattr(r, name) for r in raws]) for name in ("h0", "h1", "h2")))
-        nets = [translate_scenario(_point_scenario(spec, point), raw) for point in spec.sweep_points_db]
+        ch, pb = translate_scenario(spec.scenario, ChannelSet(raw.h0[:, None], raw.h1[:, None], raw.h2[:, None]))
         # only the matrix the swept SNR scales varies along the point axis
-        swept = "h" + spec.sweep_axis[-1]
-        ch = ChannelSet(*(
-            np.stack([getattr(c, name) for c, _ in nets], axis=1)
-            if name == swept
-            else getattr(nets[0][0], name)[:, None]
-            for name in ("h0", "h1", "h2")
-        ))
-        return _values(spec, ch, nets[0][1])
+        gains = np.array([_amplitude(point) for point in spec.sweep_points_db])
+        ch = replace(ch, **{swept: gains[:, None, None] * getattr(raw, swept)[:, None]})
+        return _values(spec, ch, pb)
     except RelayRtmError:
-        for trial, raw in zip(trials, raws):
+        for i, trial in enumerate(trials):
+            member = ChannelSet(raw.h0[i], raw.h1[i], raw.h2[i])
             for point in spec.sweep_points_db:
                 try:
-                    _values(spec, *translate_scenario(_point_scenario(spec, point), raw))
+                    _values(spec, *translate_scenario(_point_scenario(spec, point), member))
                 except RelayRtmError as exc:
                     raise type(exc)(
                         f"trial {trial} (seed {spec.seed}) at {spec.sweep_axis}={point} dB: {exc}"

@@ -149,6 +149,12 @@ def validate(dims: Dims, ch: ChannelSet, pb: PowerBudget) -> None:
             )
 
 
+def _amplitude(snr_db: float) -> float:
+    """The gain sqrt(10^(dB/10)) that scales a unit-variance channel to a
+    per-link SNR given in dB."""
+    return math.sqrt(10.0 ** (snr_db / 10.0))
+
+
 def translate_scenario(scn: SnrScenario, raw: ChannelSet) -> tuple[ChannelSet, PowerBudget]:
     """Map an SNR scenario onto canonical channel matrices and powers.
 
@@ -162,11 +168,6 @@ def translate_scenario(scn: SnrScenario, raw: ChannelSet) -> tuple[ChannelSet, P
     """
     dims = scn.dims
     _check_shapes(dims, raw)
-    g1 = math.sqrt(10.0 ** (scn.rho1_db / 10.0))
-    g2 = math.sqrt(10.0 ** (scn.rho2_db / 10.0))
-    if scn.direct_link_enabled:
-        h0 = math.sqrt(10.0 ** (scn.rho0_db / 10.0)) * raw.h0
-    else:
-        h0 = np.zeros_like(raw.h0)
-    ch = ChannelSet(h0=h0, h1=g1 * raw.h1, h2=g2 * raw.h2)
+    h0 = _amplitude(scn.rho0_db) * raw.h0 if scn.direct_link_enabled else np.zeros_like(raw.h0)
+    ch = ChannelSet(h0=h0, h1=_amplitude(scn.rho1_db) * raw.h1, h2=_amplitude(scn.rho2_db) * raw.h2)
     return ch, PowerBudget(p1=float(dims.t), p2=float(dims.u))

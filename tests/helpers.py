@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from relay_rtm.montecarlo import sample_channels
 from relay_rtm.network import ChannelSet, Dims, PowerBudget
 
 #: one "ACCEPTANCE n: PASS/FAIL" line per criterion, echoed by conftest's
@@ -29,6 +30,24 @@ def scaled_channels(rng, dims: Dims, rho0_db=None, rho1_db=10.0, rho2_db=10.0):
     h1 = np.sqrt(db_to_lin(rho1_db)) * crandn(rng, (dims.s, dims.t))
     h2 = np.sqrt(db_to_lin(rho2_db)) * crandn(rng, (dims.r, dims.u))
     return ChannelSet(h0=h0, h1=h1, h2=h2)
+
+
+def stack(members):
+    """The ChannelSet whose leading axis runs over ``members``."""
+    return ChannelSet(*(np.stack([getattr(m, name) for m in members]) for name in ("h0", "h1", "h2")))
+
+
+def edited_sampler(edit):
+    """A stand-in for ``sample_channels`` that passes each trial's draw
+    through ``edit(trial, raw)``; like the sampler, it takes one trial
+    index or a range of them."""
+
+    def channels(dims, seed, trial_index):
+        if isinstance(trial_index, range):
+            return stack([channels(dims, seed, trial) for trial in trial_index])
+        return edit(trial_index, sample_channels(dims, seed, trial_index))
+
+    return channels
 
 
 def canonical_budget(dims: Dims) -> PowerBudget:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import canonical_budget, crandn
+from helpers import canonical_budget, crandn, edited_sampler
 from relay_rtm import evaluate, matalg, montecarlo, network, opt_capacity, opt_ostbc
 from relay_rtm.errors import DeadRelayError, DeadRelayWarning
 from relay_rtm.evaluate import capacity, capacity_forms, naf_rtm, ostbc_capacity
@@ -176,13 +176,14 @@ def test_chunk_matches_per_problem_replay(axis):
 def test_chunk_matches_public_solves(monkeypatch, axis):
     # every member of a chunk, trial 2 with a rank-1 H2 among them, equals
     # each kind's lone public solve and evaluation
-    def channels(dims, seed, trial_index):
-        raw = sample_channels(dims, seed, trial_index)
-        if trial_index == 2:
-            rng = np.random.default_rng(trial_index)
-            return replace(raw, h2=crandn(rng, (dims.r, 1)) @ crandn(rng, (1, dims.u)))
+    def rank_one_h2(trial, raw):
+        if trial == 2:
+            rng = np.random.default_rng(trial)
+            r, u = raw.h2.shape
+            return replace(raw, h2=crandn(rng, (r, 1)) @ crandn(rng, (1, u)))
         return raw
 
+    channels = edited_sampler(rank_one_h2)
     monkeypatch.setattr(montecarlo, "sample_channels", channels)
     spec = _chunk_spec(axis)
     dims = spec.scenario.dims
@@ -222,6 +223,17 @@ def test_chunk_factorizes_the_second_hop_once(monkeypatch):
     _chunk_values(_chunk_spec("rho2"), range(4))
     assert len(thin_ud_calls) == 1
     assert len(validate_calls) == 1
+
+
+def test_chunk_samples_and_translates_once(monkeypatch):
+    # a chunk's channels are drawn by one call and translated by one call,
+    # whatever its numbers of trials and points
+    sample_calls = _count_calls(monkeypatch, montecarlo.sample_channels)
+    translate_calls = _count_calls(monkeypatch, network.translate_scenario)
+    _chunk_values(_chunk_spec("rho2"), range(4))
+    assert len(sample_calls) == 1
+    assert sample_calls[0][2] == range(4)
+    assert len(translate_calls) == 1
 
 
 @pytest.mark.parametrize("dead", ["h1", "h2"])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import relay_rtm
+from helpers import edited_sampler
 from relay_rtm.errors import DeadRelayError, DeadRelayWarning, NumericalError, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm
 from relay_rtm.matalg import hermitian_part
@@ -81,6 +82,39 @@ class TestSampleChannels:
         assert ch.h1.shape == (3, 1)
         assert ch.h2.shape == (2, 4)
 
+    def test_stream_is_pinned(self):
+        # every sweep's figures rest on these draws
+        ch = sample_channels(Dims(2, 3, 4, 5), 7, 3)
+        expected = {
+            ("h0", 0, 0): ("-0x1.6fbec8913a126p-1", "0x1.7a17000129642p-4"),
+            ("h0", 2, 1): ("-0x1.864d5c38acca9p-2", "0x1.bb76099973f25p+0"),
+            ("h1", 3, 1): ("0x1.07d3156dbaaf7p-2", "0x1.6f11ade13ff07p-2"),
+            ("h2", 0, 0): ("-0x1.da807ad595c20p-1", "-0x1.51554f991e44cp-1"),
+            ("h2", 2, 4): ("-0x1.726854dacd954p-1", "0x1.8e280a55d4033p-3"),
+        }
+        for (name, i, j), (re, im) in expected.items():
+            entry = getattr(ch, name)[i, j]
+            assert (entry.real, entry.imag) == (float.fromhex(re), float.fromhex(im))
+
+    def test_stack_members_match_single_draws(self):
+        dims = Dims(2, 3, 4, 5)
+        stack = sample_channels(dims, 7, range(5, 9))
+        assert (stack.h0.shape, stack.h1.shape, stack.h2.shape) == ((4, 3, 2), (4, 4, 2), (4, 3, 5))
+        for i, trial in enumerate(range(5, 9)):
+            alone = sample_channels(dims, 7, trial)
+            for name in ("h0", "h1", "h2"):
+                assert np.array_equal(getattr(stack, name)[i], getattr(alone, name))
+
+    @pytest.mark.parametrize("dims", [Dims(1, 1, 1, 1), Dims(2, 3, 4, 5), Dims(8, 8, 8, 8)])
+    def test_one_draw_per_trial_matches_one_draw_per_matrix(self, dims):
+        # reference: each matrix drawn on its own from the trial's generator
+        stack = sample_channels(dims, 11, range(3))
+        for trial in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(trial,)))
+            for name, shape in (("h0", (dims.r, dims.t)), ("h1", (dims.s, dims.t)), ("h2", (dims.r, dims.u))):
+                z = rng.standard_normal((2, *shape))
+                assert getattr(stack, name)[trial].tobytes() == ((z[0] + 1j * z[1]) / np.sqrt(2.0)).tobytes()
+
 
 class TestSweepSpecValidation:
     def test_accepts_lists(self):
@@ -107,6 +141,7 @@ class TestSweepSpecValidation:
             dict(sweep_points_db=(None,)),
             dict(sweep_points_db=("x",)),
             dict(symbol_rate="1"),
+            dict(sweep_axis="rho0"),  # with the direct link off
         ],
     )
     def test_rejects_bad_fields(self, kw):
@@ -155,13 +190,12 @@ class TestRunSweep:
     def test_pooled_warnings_reach_the_caller(self, monkeypatch):
         # a dead h1 in the second chunk is legal: it warns and does not
         # raise, and the caller sees the same warnings from pooled chunks
-        def channels(dims, seed, trial_index):
-            raw = sample_channels(dims, seed, trial_index)
-            if trial_index == _CHUNK_TRIALS + 2:
+        def channels(trial, raw):
+            if trial == _CHUNK_TRIALS + 2:
                 return ChannelSet(h0=raw.h0, h1=np.zeros_like(raw.h1), h2=raw.h2)
             return raw
 
-        monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", channels)
+        monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", edited_sampler(channels))
         spec = _spec(trials=_CHUNK_TRIALS + 5)
         seen = {}
         for workers in (1, 2):
@@ -254,14 +288,14 @@ class TestRunSweep:
     def test_dead_relay_aborts_with_context(self, monkeypatch, failure):
         # a per-trial failure keeps its type and names (seed, trial, axis, point)
         if failure == "dead_relay":
-            def dead_channels(dims, seed, trial_index):
+            def dead_channels(trial, raw):
                 return ChannelSet(
-                    h0=np.zeros((dims.r, dims.t)),
-                    h1=np.ones((dims.s, dims.t)),
-                    h2=np.zeros((dims.r, dims.u)),
+                    h0=np.zeros_like(raw.h0),
+                    h1=np.ones_like(raw.h1),
+                    h2=np.zeros_like(raw.h2),
                 )
 
-            monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", dead_channels)
+            monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", edited_sampler(dead_channels))
             error, warned = DeadRelayError, pytest.warns(UserWarning)
         else:
             def disagreeing_forms(*args, **kwargs):
@@ -286,13 +320,12 @@ class TestRunSweep:
     def test_first_failing_problem_is_named(self, monkeypatch, workers):
         # trials 1 and 3 of the first chunk and one trial of the second are
         # dead; the error names the first of them, at the first point
-        def channels(dims, seed, trial_index):
-            raw = sample_channels(dims, seed, trial_index)
-            if trial_index in (1, 3, _CHUNK_TRIALS + 1):
+        def channels(trial, raw):
+            if trial in (1, 3, _CHUNK_TRIALS + 1):
                 return ChannelSet(h0=raw.h0, h1=raw.h1, h2=np.zeros_like(raw.h2))
             return raw
 
-        monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", channels)
+        monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", edited_sampler(channels))
         with pytest.warns(UserWarning):
             with pytest.raises(DeadRelayError, match=r"^trial 1 \(seed 11\) at rho2=0.0 dB: "):
                 run_sweep(_spec(trials=_CHUNK_TRIALS + 5), workers=workers)
