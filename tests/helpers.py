@@ -32,11 +32,6 @@ def scaled_channels(rng, dims: Dims, rho0_db=None, rho1_db=10.0, rho2_db=10.0):
     return ChannelSet(h0=h0, h1=h1, h2=h2)
 
 
-def stack(members):
-    """The ChannelSet whose leading axis runs over ``members``."""
-    return ChannelSet(*(np.stack([getattr(m, name) for m in members]) for name in ("h0", "h1", "h2")))
-
-
 def edited_sampler(edit):
     """A stand-in for ``sample_channels`` that passes each trial's draw
     through ``edit(trial, raw)``; like the sampler, it takes one trial
@@ -44,7 +39,8 @@ def edited_sampler(edit):
 
     def channels(dims, seed, trial_index):
         if isinstance(trial_index, range):
-            return stack([channels(dims, seed, trial) for trial in trial_index])
+            members = [channels(dims, seed, trial) for trial in trial_index]
+            return ChannelSet(*(np.stack([getattr(m, name) for m in members]) for name in ("h0", "h1", "h2")))
         return edit(trial_index, sample_channels(dims, seed, trial_index))
 
     return channels

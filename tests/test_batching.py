@@ -286,6 +286,41 @@ def test_stacked_capacity_reports_its_largest_form_gap(monkeypatch):
         assert partly[i] == capacity(ChannelSet(h0, h1, member.h2), pb, dims, x[0]).bits
 
 
+def test_stacked_capacity_checks_its_worst_member_alone(monkeypatch):
+    # on a broadcast stack like a sweep chunk's, the member whose forms
+    # differ most is found through the singleton axes and goes through
+    # capacity_forms alone, with its slice of the relay-path matrix
+    dims = Dims(4, 4, 4, 4)
+    pb = canonical_budget(dims)
+    rng = np.random.default_rng(0)
+    gains = np.sqrt(10.0 ** (np.array([0.0, 15.0, 30.0, 45.0]) / 10.0))
+    h2 = gains[:, None, None] * crandn(rng, (3, 1, dims.r, dims.u))
+    ch = ChannelSet(crandn(rng, (3, 1, dims.r, dims.t)), crandn(rng, (3, 1, dims.s, dims.t)), h2)
+    x = optimize_capacity_rtm(ch, pb, dims).x_matrix
+    assert x.shape == (3, 4, dims.u, dims.s)
+    worst, forms = (2, 1), evaluate._forms
+
+    def widened(*args):
+        # the stacked cross-check sees its largest gap at ``worst``
+        direct, ident = forms(*args)
+        if np.ndim(direct):
+            ident = ident.copy()
+            ident[worst] += 1.0
+        return direct, ident
+
+    pairs = []
+
+    def recording(*args, **kwargs):
+        pairs.append(capacity_forms(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(evaluate, "_forms", widened)
+    monkeypatch.setattr(evaluate, "capacity_forms", recording)
+    capacity(ch, pb, dims, x)
+    member = ChannelSet(ch.h0[2, 0], ch.h1[2, 0], ch.h2[2, 1])
+    assert pairs == [capacity_forms(member, pb, dims, x[worst])]
+
+
 def test_sweep_points_independent_of_chunks_and_workers():
     spec = SweepSpec(
         scenario=SnrScenario(5.0, 10.0, 10.0, Dims(2, 2, 2, 2)),
