@@ -118,13 +118,11 @@ def parse_config(text: str) -> RunConfig:
     for i, p in enumerate(points):
         _typed(p, "number", f"sweep.points_db[{i}]")
 
-    # Sweeping rho0 implies the direct link is in play; otherwise the link
-    # is on exactly when rho0_db is given, unless overridden explicitly.
+    # The link is on when rho0_db is given or rho0 is swept, unless set
+    # explicitly; SweepSpec rejects a rho0 sweep with the link set off.
     direct_link = doc.get("direct_link", "rho0_db" in doc or axis == "rho0")
     if not isinstance(direct_link, bool):
         _fail("direct_link", f"must be true or false, got {direct_link!r}")
-    if axis == "rho0":
-        direct_link = True
 
     def snr(key: str) -> float:
         swept = axis == key[:-3]

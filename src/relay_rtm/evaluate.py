@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .matalg import _any, _figure, conj_transpose, hermitian_part
-from .network import ChannelSet, Dims, PowerBudget
+from .network import ChannelSet, Dims, PowerBudget, _g0
 from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix
 
 __all__ = [
@@ -106,7 +106,7 @@ def _forms(ch, pb, dims, x_matrix, inner):
         inner = _whitened_inner(ch, x_matrix)
     eye = np.eye(dims.t)
     scale = pb.p1 / dims.t
-    g0 = conj_transpose(ch.h0) @ ch.h0
+    g0 = _g0(ch)
     direct = _logdet_bits(eye + scale * (g0 + inner))
 
     k = ch.h2 @ x_matrix
@@ -189,7 +189,7 @@ def ostbc_capacity(
     x_matrix = _check_x_shape(dims, x_matrix)
     if _inner is None:
         _inner = _whitened_inner(ch, x_matrix)
-    g0_trace = (conj_transpose(ch.h0) @ ch.h0).trace(axis1=-2, axis2=-1).real
+    g0_trace = _g0(ch).trace(axis1=-2, axis2=-1).real
     trace_arg = g0_trace + _inner.trace(axis1=-2, axis2=-1).real
     bits = symbol_rate * np.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
     bad = ~np.isfinite(bits)
@@ -225,7 +225,7 @@ def direct_link_capacity(h0: np.ndarray, pb: PowerBudget, dims: Dims) -> Capacit
     return CapacityReport(bits=float(bits), variant="capacity", symbol_rate=1.0)
 
 
-def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> RtmSolution:
+def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
     """Naive amplify-and-forward baseline: a scaled identity transform.
 
     The gain is chosen so that tr(X C X^H) meets the relay budget exactly.
@@ -234,7 +234,7 @@ def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> RtmS
     ``ChannelSet`` gives a stack of transforms.
     """
     s, u = dims.s, dims.u
-    c = _shaping_matrix(ch, pb, dims) if _relay is None else _relay[1]
+    c = _shaping_matrix(ch, pb, dims)
     k = min(s, u)
     gain = np.sqrt(pb.p2 / c[..., :k, :k].trace(axis1=-2, axis2=-1).real)
     x_matrix = np.zeros(c.shape[:-2] + (u, s), dtype=complex)

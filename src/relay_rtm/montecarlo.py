@@ -9,11 +9,12 @@ Sweeps run on stacks: the trials are cut into chunks of ``_CHUNK_TRIALS``
 (a bound on memory, not a tuning knob), and the (trial x point) problems
 of a chunk take one pass.  The chunk's channels are sampled by one call
 and translated to the template scenario by one call, and the matrix the
-swept SNR scales is scaled to every point by one multiply.  The network
-is validated, and what the kinds share (the second hop's factorization
-and the shaping matrix) is built, once; each transform kind is then
-solved by one call on it and evaluated by one call for all metrics, with
-one relay-path information matrix serving both.  The chunk is a
+swept SNR scales is scaled to every point by one multiply.  Each
+transform kind is then solved by one call on the chunk's ``ChannelSet``
+and evaluated by one call for all metrics, with one relay-path
+information matrix serving both; the ``ChannelSet`` builds what the kinds
+share (the validated network, the second hop's factorization, the
+shaping matrix, G0 and H1 H1^H) once, on first use.  The chunk is a
 broadcast stack: the matrix the swept SNR scales is
 ``(trials, points, ...)`` and the other two are ``(trials, 1, ...)``, so
 whatever is built from those two alone is computed once per trial.
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import RelayRtmError, ValidationError
 from .evaluate import _metric_bits, naf_rtm
 from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, translate_scenario
-from .opt_capacity import _relay_side, optimize_capacity_rtm
+from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
 __all__ = ["SweepSpec", "CurvePoint", "sample_channels", "run_sweep", "RTM_KINDS", "METRICS", "SWEEP_AXES"]
@@ -166,17 +167,16 @@ _BUILDERS = {
 def _values(spec: SweepSpec, ch: ChannelSet, pb: PowerBudget) -> np.ndarray:
     """(..., kinds, metrics) metric values of one network or of a stack.
 
-    What the kinds share (``opt_capacity._relay_side``) is built once,
-    and not at all for NAF alone, which needs no factorization of the
-    second hop; each kind is solved on it, then evaluated by each metric.
-    Kinds are evaluated one by one, so that a kind the swept SNR does not
-    enter keeps its relay-path matrix per trial: one stack of all kinds
-    would rebuild it at every point, which at full chunks costs more than
-    the calls it saves."""
+    Each kind is solved by one call on ``ch``, whose memo shares what the
+    kinds build from the network alone (NAF asks for none of the second
+    hop's factorization), then evaluated by each metric.  Kinds are
+    evaluated one by one, so that a kind the swept SNR does not enter
+    keeps its relay-path matrix per trial: one stack of all kinds would
+    rebuild it at every point, which at full chunks costs more than the
+    calls it saves."""
     dims = spec.scenario.dims
-    relay = _relay_side(ch, pb, dims) if {"opt1", "opt2"} & set(spec.rtm_kinds) else None
     out = [
-        _metric_bits(ch, pb, dims, _BUILDERS[kind](ch, pb, dims, _relay=relay).x_matrix, spec.metrics, spec.symbol_rate)
+        _metric_bits(ch, pb, dims, _BUILDERS[kind](ch, pb, dims).x_matrix, spec.metrics, spec.symbol_rate)
         for kind in spec.rtm_kinds
     ]
     return np.moveaxis(np.array(out), (0, 1), (-2, -1))

@@ -14,10 +14,18 @@ other, so a matrix that does not vary along an axis of the stack can keep
 a singleton axis there (a sweep stack gives only the swept matrix its
 point axis).  ``validate`` and ``translate_scenario`` take such stacks,
 and so do the solvers and metrics downstream.
+
+A ``ChannelSet`` is immutable: it holds read-only copies of the matrices
+it is given.  So what is built from the network alone (the Gram matrices
+G0 = H0^H H0 and H1 H1^H here, the second hop's factorization and the
+shaping matrix in ``opt_capacity``) is built by ``_memoized`` functions
+once per instance, on first use, and shared by every solver and metric
+called on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeadRelayWarning, ValidationError
-from .matalg import _any
+from .matalg import _any, conj_transpose, hermitian_part
 
 __all__ = [
     "Dims",
@@ -60,7 +68,10 @@ class Dims:
 class ChannelSet:
     """One realization of the three complex channel matrices, or a stack
     of realizations whose leading batch axes broadcast against each other
-    (checked by ``validate`` and ``translate_scenario``)."""
+    (checked by ``validate`` and ``translate_scenario``).
+
+    The matrices are read-only copies of the arrays given, so the memo of
+    ``_memoized`` stays valid for the life of the instance."""
 
     h0: np.ndarray  # (..., r, t) source -> destination
     h1: np.ndarray  # (..., s, t) source -> relay
@@ -68,10 +79,61 @@ class ChannelSet:
 
     def __post_init__(self):
         for name in ("h0", "h1", "h2"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
+            try:
+                arr = np.array(getattr(self, name), dtype=complex)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{name} must hold numbers: {exc}") from None
             if arr.ndim < 2:
                 raise ValidationError(f"{name} must be a matrix or a stack of matrices, got ndim {arr.ndim}")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_memo", {})
+
+    def __reduce__(self):
+        # a copy or an unpickled instance is built anew: read-only, no memo
+        return ChannelSet, (self.h0, self.h1, self.h2)
+
+
+def _read_only(*values) -> None:
+    """Make the arrays among ``values`` read-only; other values pass."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+
+
+def _memoized(build):
+    """``build(ch, *args)``, built once per ChannelSet ``ch`` and ``args``.
+
+    An array result is made read-only, since every caller shares it.  The
+    memo is a plain dict lookup with no lock, so concurrent callers never
+    wait on each other; a race builds an equal value twice and keeps the
+    first.  An exception is not memoized: the next call builds again.
+    """
+
+    @functools.wraps(build)
+    def memoized(ch, *args):
+        key = (build, *args)
+        try:
+            return ch._memo[key]
+        except KeyError:
+            value = build(ch, *args)
+            _read_only(value)
+            return ch._memo.setdefault(key, value)
+
+    return memoized
+
+
+@_memoized
+def _g0(ch: ChannelSet) -> np.ndarray:
+    """G0 = H0^H H0, the direct link's Gram matrix."""
+    return conj_transpose(ch.h0) @ ch.h0
+
+
+@_memoized
+def _h1_gram(ch: ChannelSet) -> np.ndarray:
+    """The Hermitian part of H1 H1^H: opt2's gain matrix and the core of
+    the shaping matrix C."""
+    return hermitian_part(ch.h1 @ conj_transpose(ch.h1))
 
 
 @dataclass(frozen=True)

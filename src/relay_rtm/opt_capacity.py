@@ -29,7 +29,10 @@ powers are bit-identical whatever stack it is solved in.  Members with
 fewer servable modes than the widest member are padded with zero-gain
 modes, which never receive power.
 
-All functions are pure; a solver call owns all of its intermediates.
+All functions are pure.  What a solver builds from the network alone is
+memoized, read-only, on the ``ChannelSet`` (``network._memoized``) and
+shared with every other solver and metric called on it; a solver call
+owns all of its other intermediates.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
 from .matalg import DEFAULT_RANK_TOL, _any, _count, _figure, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
-from .network import ChannelSet, Dims, PowerBudget, validate
+from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _memoized, _read_only, validate
 
 __all__ = [
     "SpectraBundle",
@@ -128,20 +131,24 @@ class RtmSolution:
     kind: str
 
 
+@_memoized
 def _shaping_matrix(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> np.ndarray:
     """The relay input shaping matrix C = I + (p1/t) H1 H1^H.
 
     It is the covariance of the relay's received signal, so a transform X
     spends relay power tr(X C X^H).
     """
-    return np.eye(dims.s) + (pb.p1 / dims.t) * hermitian_part(ch.h1 @ conj_transpose(ch.h1))
+    return np.eye(dims.s) + (pb.p1 / dims.t) * _h1_gram(ch)
 
 
+@_memoized
 def _relay_side(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> tuple:
     """What both criteria build from the network alone, before their gain
     matrices differ: the validated network's thin diagonalization of
-    B = H2^H H2 and the shaping matrix C.  A sweep builds it once per
-    chunk and hands it to every kind.
+    B = H2^H H2 and the shaping matrix C.  It is memoized on ``ch``, so
+    the network is validated and B factorized once for every kind solved
+    on it, be it one realization or a sweep chunk; NAF asks for C alone
+    and so never needs B.
 
     Raises DeadRelayError when H2 has rank 0 (no mode can be served).
     """
@@ -151,6 +158,7 @@ def _relay_side(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> tuple:
         raise DeadRelayError(
             "relay path dead: the relay-to-destination channel has rank 0"
         )
+    _read_only(ud_b.u_thin, ud_b.lam_thin, ud_b.rank)
     return ud_b, _shaping_matrix(ch, pb, dims)
 
 
@@ -204,9 +212,7 @@ def _spectra_from_parts(variant: str, a: np.ndarray, relay: tuple, dims: Dims) -
     )
 
 
-def build_capacity_spectra(
-    ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None
-) -> SpectraBundle:
+def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
     """Reduce a network (or a stack of networks) to the capacity-criterion
     mode spectra.
 
@@ -218,12 +224,10 @@ def build_capacity_spectra(
 
     Raises DeadRelayError when H2 has rank 0 (no mode can be served).
     """
-    relay = _relay_side(ch, pb, dims) if _relay is None else _relay
-    h0, h1 = ch.h0, ch.h1
+    relay = _relay_side(ch, pb, dims)
+    h1 = ch.h1
     h1_h = conj_transpose(h1)
-    g = hermitian_part(
-        (dims.t / pb.p1) * np.eye(dims.t) + conj_transpose(h0) @ h0 + h1_h @ h1
-    )
+    g = hermitian_part((dims.t / pb.p1) * np.eye(dims.t) + _g0(ch) + h1_h @ h1)
     a = hermitian_part(h1 @ np.linalg.solve(g, h1_h))
     return _spectra_from_parts("capacity", a, relay, dims)
 
@@ -378,9 +382,9 @@ def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
     )
 
 
-def optimize_capacity_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> RtmSolution:
+def optimize_capacity_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
     """End-to-end capacity-optimal relay transform for one realization, or
     for each realization of a stacked ``ChannelSet``."""
-    spectra = build_capacity_spectra(ch, pb, dims, _relay=_relay)
+    spectra = build_capacity_spectra(ch, pb, dims)
     wf = waterfill_capacity(spectra.alpha, spectra.beta, pb.p2)
     return assemble_rtm(spectra, wf)

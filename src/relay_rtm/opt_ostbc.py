@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matalg import conj_transpose, hermitian_part
-from .network import ChannelSet, Dims, PowerBudget
+from .network import ChannelSet, Dims, PowerBudget, _h1_gram
 from .opt_capacity import (
     RtmSolution,
     SpectraBundle,
@@ -41,16 +40,14 @@ __all__ = [
 ]
 
 
-def build_ostbc_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> SpectraBundle:
+def build_ostbc_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
     """Reduce a network (or a stack of networks) to the OSTBC-criterion
     mode spectra.
 
     The gain matrix is H1 H1^H; second hop and shaping matrix are the same
     as for the capacity criterion.
     """
-    relay = _relay_side(ch, pb, dims) if _relay is None else _relay
-    a = hermitian_part(ch.h1 @ conj_transpose(ch.h1))
-    return _spectra_from_parts("ostbc", a, relay, dims)
+    return _spectra_from_parts("ostbc", _h1_gram(ch), _relay_side(ch, pb, dims), dims)
 
 
 def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -89,14 +86,14 @@ def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterfill
     return _solution(x, xi, wet, lowest, beta)
 
 
-def optimize_ostbc_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims, *, _relay=None) -> RtmSolution:
+def optimize_ostbc_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
     """End-to-end OSTBC-capacity-optimal relay transform for one
     realization, or for each realization of a stacked ``ChannelSet``.
 
     The same matrix maximizes the OSTBC capacity for every symbol rate
     simultaneously (the trace argument does not involve the rate).
     """
-    spectra = build_ostbc_spectra(ch, pb, dims, _relay=_relay)
+    spectra = build_ostbc_spectra(ch, pb, dims)
     wf = waterfill_ostbc(spectra.alpha, spectra.beta, pb.p2)
     return assemble_rtm(spectra, wf)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from relay_rtm import evaluate, matalg, montecarlo, network, opt_capacity, opt_ostbc
 from relay_rtm.montecarlo import sample_channels
 from relay_rtm.network import ChannelSet, Dims, PowerBudget
 
@@ -44,6 +45,22 @@ def edited_sampler(edit):
         return edit(trial_index, sample_channels(dims, seed, trial_index))
 
     return channels
+
+
+def count_calls(monkeypatch, fn):
+    """Replace ``fn`` wherever a package module holds it by a wrapper that
+    counts its calls; returns the list of calls."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (montecarlo, network, matalg, opt_capacity, opt_ostbc, evaluate):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def canonical_budget(dims: Dims) -> PowerBudget:

@@ -85,6 +85,21 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(doc))
         assert cfg.spec.scenario.direct_link_enabled
 
+    def test_rho0_axis_with_link_off_is_config_error(self, tmp_path, capsys):
+        # an explicit "direct_link": false is not overridden: the sweep
+        # would scale nothing, so it is refused naming the axis
+        doc = make_config(
+            sweep={"axis": "rho0", "points_db": [0, 10]}, rho2_db=10.0, direct_link=False,
+            output=str(tmp_path / "out.csv"),
+        )
+        with pytest.raises(ConfigError, match="sweep_axis 'rho0'"):
+            parse_config(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 1
+        assert "sweep_axis 'rho0'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_unsorted_points_rejected(self):
         doc = make_config(sweep={"axis": "rho2", "points_db": [10, 0]})
         with pytest.raises(ConfigError, match="sorted"):

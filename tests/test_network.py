@@ -1,9 +1,15 @@
+import copy
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from helpers import canonical_budget, crandn, db_to_lin, scaled_channels
+from helpers import canonical_budget, count_calls, crandn, db_to_lin, scaled_channels
+from relay_rtm import matalg, network
 from relay_rtm.errors import DeadRelayWarning, ValidationError
-from relay_rtm.evaluate import capacity
+from relay_rtm.evaluate import capacity, naf_rtm, ostbc_capacity
 from relay_rtm.network import (
     ChannelSet,
     Dims,
@@ -13,6 +19,7 @@ from relay_rtm.network import (
     validate,
 )
 from relay_rtm.opt_capacity import optimize_capacity_rtm
+from relay_rtm.opt_ostbc import optimize_ostbc_rtm
 
 
 def _raw(rng, dims):
@@ -36,6 +43,11 @@ class TestTypes:
     def test_channelset_rejects_vectors(self):
         with pytest.raises(ValidationError):
             ChannelSet(h0=np.ones(2), h1=np.eye(2), h2=np.eye(2))
+
+    @pytest.mark.parametrize("bad", ["a", [[1, "x"]], [[object()]], [[1.0], [1.0, 2.0]]])
+    def test_channelset_rejects_non_numeric_entries(self, bad):
+        with pytest.raises(ValidationError, match="^h1 must hold numbers"):
+            ChannelSet(h0=np.eye(2), h1=bad, h2=np.eye(2))
 
     @pytest.mark.parametrize("p1,p2", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (np.inf, 1.0)])
     def test_power_budget_bounds(self, p1, p2):
@@ -211,3 +223,91 @@ def test_helpers_consistent_with_translate():
     np.testing.assert_allclose(ch_a.h1, ch_b.h1)
     np.testing.assert_allclose(ch_a.h2, ch_b.h2)
     assert canonical_budget(dims).p2 == pb.p2
+
+
+_SOLVERS = {"opt1": optimize_capacity_rtm, "opt2": optimize_ostbc_rtm, "naf": naf_rtm}
+
+
+def _figures(ch, pb, dims, kind):
+    """X, relay power and both metrics' bits of one kind on one network."""
+    sol = _SOLVERS[kind](ch, pb, dims)
+    x = sol.x_matrix
+    return x, sol.relay_power_used, capacity(ch, pb, dims, x).bits, ostbc_capacity(ch, pb, dims, x).bits
+
+
+def _same(a, b):
+    return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+class TestSharedFactors:
+    """A ChannelSet builds its network-only factors once, for every solver
+    and metric called on it, and figures do not depend on what ran first."""
+
+    @pytest.mark.parametrize(
+        "order", [("opt1", "opt2", "naf"), ("opt2", "opt1", "naf"), ("naf", "opt2", "opt1")]
+    )
+    def test_realization_factorizes_its_network_once(self, monkeypatch, order):
+        dims = Dims(4, 4, 4, 4)
+        ch = scaled_channels(np.random.default_rng(9), dims, rho0_db=5.0)
+        pb = canonical_budget(dims)
+        fresh = {kind: _figures(ChannelSet(ch.h0, ch.h1, ch.h2), pb, dims, kind) for kind in order}
+        calls = [count_calls(monkeypatch, fn) for fn in (network.validate, matalg.thin_ud, matalg.herm_eig)]
+        shared = {kind: _figures(ch, pb, dims, kind) for kind in order}
+        assert [len(c) for c in calls] == [1, 1, 3]
+        for kind in order:
+            assert _same(shared[kind], fresh[kind]), kind
+
+    def test_matrices_are_read_only_copies(self):
+        rng = np.random.default_rng(10)
+        dims = Dims(3, 3, 3, 3)
+        given = [crandn(rng, (3, 3)) for _ in range(3)]
+        kept = [m.copy() for m in given]
+        ch = ChannelSet(*given)
+        pb = canonical_budget(dims)
+        before = {kind: _figures(ch, pb, dims, kind) for kind in _SOLVERS}
+        with pytest.raises(ValueError):
+            ch.h0[0, 0] = 1.0
+        for m in given:
+            m *= 2.0  # the caller's arrays stay theirs to change
+        assert all(np.array_equal(getattr(ch, name), m) for name, m in zip(("h0", "h1", "h2"), kept))
+        for kind in _SOLVERS:
+            assert _same(_figures(ch, pb, dims, kind), before[kind]), kind
+            assert _same(_figures(ChannelSet(*kept), pb, dims, kind), before[kind]), kind
+
+    @pytest.mark.parametrize("solver", [optimize_capacity_rtm, optimize_ostbc_rtm])
+    def test_shared_factors_come_back_read_only(self, solver):
+        dims = Dims(3, 3, 3, 3)
+        ch = scaled_channels(np.random.default_rng(11), dims)
+        spectra = solver(ch, canonical_budget(dims), dims).spectra
+        for arr in (spectra.u_b_thin, spectra.c_matrix):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_concurrent_first_calls_agree(self):
+        # the memo takes no lock: callers racing on a fresh instance may
+        # each build a factor, and every one gets the lone call's figures
+        dims = Dims(4, 4, 4, 4)
+        raw = scaled_channels(np.random.default_rng(13), dims, rho0_db=5.0)
+        pb = canonical_budget(dims)
+        expected = {kind: _figures(raw, pb, dims, kind) for kind in _SOLVERS}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(10):
+                    ch = ChannelSet(raw.h0, raw.h1, raw.h2)
+                    kinds = 2 * list(_SOLVERS)
+                    futures = [pool.submit(_figures, ch, pb, dims, kind) for kind in kinds]
+                    for kind, future in zip(kinds, futures):
+                        assert _same(future.result(timeout=60), expected[kind]), kind
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda ch: pickle.loads(pickle.dumps(ch))])
+    def test_a_copy_is_built_anew(self, clone):
+        dims = Dims(2, 2, 2, 2)
+        ch = scaled_channels(np.random.default_rng(12), dims)
+        x = optimize_capacity_rtm(ch, canonical_budget(dims), dims).x_matrix
+        twin = clone(ch)
+        assert not twin.h1.flags.writeable
+        assert np.array_equal(optimize_capacity_rtm(twin, canonical_budget(dims), dims).x_matrix, x)
