@@ -16,7 +16,6 @@ from .evaluate import (
     KktReport,
     capacity,
     capacity_forms,
-    direct_link_capacity,
     naf_rtm,
     ostbc_capacity,
     verify_kkt_capacity,
@@ -77,7 +76,6 @@ __all__ = [
     "capacity",
     "capacity_forms",
     "ostbc_capacity",
-    "direct_link_capacity",
     "naf_rtm",
     "verify_kkt_capacity",
     "SweepSpec",

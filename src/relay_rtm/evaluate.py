@@ -4,9 +4,14 @@ Capacity is computed in bit/s/Hz through two algebraically equivalent
 log-det forms (the direct whitened-channel form and the matrix-inversion
 identity form); both are evaluated on every call and a disagreement above
 1e-9 bits raises, turning the underlying identity into a permanent
-regression guard.  Also here: the OSTBC (trace) capacity, the bare
-direct-link capacity, the naive scaled-identity relay baseline, and KKT
-residual reporting for the capacity water-filler.
+regression guard.  Also here: the OSTBC (trace) capacity, the naive
+scaled-identity relay baseline, and KKT residual reporting for the
+capacity water-filler.
+
+Both metrics are read off one relay-path information matrix per transform
+X.  A ``ChannelSet`` remembers that matrix, with K = H2 X, for the last
+transform evaluated on it, so ``capacity`` and then ``ostbc_capacity`` of
+one X build it once.
 
 ``capacity``, ``capacity_forms``, ``ostbc_capacity`` and ``naf_rtm`` also
 take a stacked ``ChannelSet`` (and a stack of transforms): each member is
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .matalg import _any, _figure, conj_transpose, hermitian_part
-from .network import ChannelSet, Dims, PowerBudget, _g0
+from .network import ChannelSet, Dims, PowerBudget, _g0, _is_number, _read_only
 from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix
 
 __all__ = [
@@ -31,7 +36,6 @@ __all__ = [
     "capacity",
     "capacity_forms",
     "ostbc_capacity",
-    "direct_link_capacity",
     "naf_rtm",
     "verify_kkt_capacity",
 ]
@@ -63,7 +67,10 @@ class KktReport:
 
 
 def _check_x_shape(dims: Dims, x_matrix: np.ndarray) -> np.ndarray:
-    x_matrix = np.asarray(x_matrix, dtype=complex)
+    try:
+        x_matrix = np.asarray(x_matrix, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"relay transform must hold numbers: {exc}") from None
     if x_matrix.shape[-2:] != (dims.u, dims.s):
         raise ValidationError(
             f"relay transform must have shape {(dims.u, dims.s)}, got {x_matrix.shape}"
@@ -87,29 +94,45 @@ def _logdet_bits(m: np.ndarray) -> np.ndarray:
     return logdet / math.log(2.0)
 
 
-def _whitened_inner(ch: ChannelSet, x_matrix: np.ndarray) -> np.ndarray:
-    """The t x t relay-path information matrix
-    H1^H X^H H2^H (I + H2 X X^H H2^H)^-1 H2 X H1, of one network or of
-    each in a stack.  Both capacity forms and the OSTBC capacity use it;
-    it is Hermitian up to rounding, and they use its Hermitian part (the
-    log-det argument is symmetrized, and a trace reads the real diagonal,
-    which symmetrizing leaves as it is)."""
+def _build_relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K = H2 X and the t x t relay-path information matrix
+    H1^H K^H (I + K K^H)^-1 K H1, of one network or of each in a stack.
+    Both capacity forms and the OSTBC capacity use the matrix; it is
+    Hermitian up to rounding, and they use its Hermitian part (the log-det
+    argument is symmetrized, and a trace reads the real diagonal, which
+    symmetrizing leaves as it is)."""
     k = ch.h2 @ x_matrix
     kh1 = k @ ch.h1
     gram = np.eye(k.shape[-2]) + k @ conj_transpose(k)
-    return conj_transpose(kh1) @ np.linalg.solve(gram, kh1)
+    return k, conj_transpose(kh1) @ np.linalg.solve(gram, kh1)
 
 
-def _forms(ch, pb, dims, x_matrix, inner):
+def _relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_build_relay_path(ch, X)``, which ``ch`` remembers, read-only, for
+    the last X only, keyed by X's bytes: memory stays bounded over many X,
+    and a changed X is rebuilt.  The slot is written as one tuple with no
+    lock, so a race between threads only rebuilds the pair."""
+    key = (x_matrix.shape, x_matrix.tobytes())
+    last = ch._memo.get("relay_path")
+    if last is not None and last[0] == key:
+        return last[1]
+    path = _build_relay_path(ch, x_matrix)
+    _read_only(*path)
+    ch._memo["relay_path"] = key, path
+    return path
+
+
+def _forms(ch, pb, dims, x_matrix, inner=None):
     x_matrix = _check_x_shape(dims, x_matrix)
     if inner is None:
-        inner = _whitened_inner(ch, x_matrix)
+        k, inner = _relay_path(ch, x_matrix)
+    else:
+        k = ch.h2 @ x_matrix
     eye = np.eye(dims.t)
     scale = pb.p1 / dims.t
     g0 = _g0(ch)
     direct = _logdet_bits(eye + scale * (g0 + inner))
 
-    k = ch.h2 @ x_matrix
     z = hermitian_part(conj_transpose(k) @ k)
     relay_side = np.linalg.solve(np.eye(dims.s) + z, z)
     ident = _logdet_bits(eye + scale * (g0 + conj_transpose(ch.h1) @ relay_side @ ch.h1))
@@ -129,13 +152,13 @@ def capacity_forms(
     their accuracy when one term dominates at high SNR.  For a stacked
     ``ChannelSet`` and X both forms are arrays.
     """
+    # _inner= serves only the worst-member replay in ``capacity``; it goes
+    # once the benchmark's tracer reduces stacked form pairs itself
     direct, ident = _forms(ch, pb, dims, x_matrix, _inner)
     return _figure(direct), _figure(ident)
 
 
-def capacity(
-    ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray, *, _inner=None
-) -> CapacityReport:
+def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) -> CapacityReport:
     """Network capacity achieved with a given relay transform matrix.
 
     Both capacity forms are evaluated and must agree to 1e-9 bits; this
@@ -146,15 +169,15 @@ def capacity(
     """
     x_matrix = _check_x_shape(dims, x_matrix)
     if x_matrix.ndim == ch.h0.ndim == ch.h1.ndim == ch.h2.ndim == 2:
-        direct, ident = capacity_forms(ch, pb, dims, x_matrix, _inner=_inner)
+        direct, ident = capacity_forms(ch, pb, dims, x_matrix)
         bits = direct
     else:
         # The gate is decided on the member whose forms differ most, and
         # that member goes through capacity_forms on its own: it comes out
         # bit-identical there, and the largest gap of every evaluation is
         # seen by whoever watches capacity_forms (the benchmark's tracer).
-        inner = _whitened_inner(ch, x_matrix) if _inner is None else _inner
-        bits, ident = _forms(ch, pb, dims, x_matrix, inner)
+        bits, ident = _forms(ch, pb, dims, x_matrix)
+        inner = _relay_path(ch, x_matrix)[1]
         worst = np.unravel_index(np.argmax(np.abs(bits - ident)), bits.shape)
 
         def pick(m):
@@ -175,22 +198,20 @@ def ostbc_capacity(
     dims: Dims,
     x_matrix: np.ndarray,
     symbol_rate: float = 1.0,
-    *,
-    _inner=None,
 ) -> CapacityReport:
     """OSTBC capacity with symbol rate R:
     R * log2(1 + p1/(t R) * tr[H0^H H0 + relay-path information matrix]).
 
-    The trace argument reuses the same whitened inner matrix as the
-    log-det capacity.  A stack gives an array of bits.
+    The trace argument reads the same relay-path matrix as the log-det
+    capacity, which ``ch`` remembers for X.  A stack gives an array of
+    bits.
     """
-    if not (0.0 < symbol_rate <= 1.0):
-        raise ValidationError(f"symbol rate must lie in (0, 1], got {symbol_rate}")
+    if not (_is_number(symbol_rate) and 0.0 < symbol_rate <= 1.0):
+        raise ValidationError(f"symbol rate must lie in (0, 1], got {symbol_rate!r}")
     x_matrix = _check_x_shape(dims, x_matrix)
-    if _inner is None:
-        _inner = _whitened_inner(ch, x_matrix)
+    inner = _relay_path(ch, x_matrix)[1]
     g0_trace = _g0(ch).trace(axis1=-2, axis2=-1).real
-    trace_arg = g0_trace + _inner.trace(axis1=-2, axis2=-1).real
+    trace_arg = g0_trace + inner.trace(axis1=-2, axis2=-1).real
     bits = symbol_rate * np.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
     bad = ~np.isfinite(bits)
     if _any(bad):
@@ -202,27 +223,14 @@ def _metric_bits(
     ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray, metrics, symbol_rate: float
 ) -> list:
     """Bits of each of ``metrics`` ("capacity", "ostbc") for one transform,
-    or for a stack: the relay-path information matrix of X is computed
-    once and serves every metric."""
-    x_matrix = _check_x_shape(dims, x_matrix)
-    inner = _whitened_inner(ch, x_matrix)
+    or for a stack: the relay-path information matrix that ``ch``
+    remembers for X serves every metric."""
     return [
-        capacity(ch, pb, dims, x_matrix, _inner=inner).bits
+        capacity(ch, pb, dims, x_matrix).bits
         if metric == "capacity"
-        else ostbc_capacity(ch, pb, dims, x_matrix, symbol_rate, _inner=inner).bits
+        else ostbc_capacity(ch, pb, dims, x_matrix, symbol_rate).bits
         for metric in metrics
     ]
-
-
-def direct_link_capacity(h0: np.ndarray, pb: PowerBudget, dims: Dims) -> CapacityReport:
-    """Capacity of the bare source-to-destination link (no relay)."""
-    h0 = np.asarray(h0, dtype=complex)
-    if h0.shape != (dims.r, dims.t):
-        raise ValidationError(
-            f"h0 must have shape {(dims.r, dims.t)}, got {h0.shape}"
-        )
-    bits = _logdet_bits(np.eye(dims.t) + (pb.p1 / dims.t) * (h0.conj().T @ h0))
-    return CapacityReport(bits=float(bits), variant="capacity", symbol_rate=1.0)
 
 
 def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:

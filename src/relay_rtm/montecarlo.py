@@ -33,7 +33,6 @@ trial order, as the inline run would have.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import RelayRtmError, ValidationError
 from .evaluate import _metric_bits, naf_rtm
-from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, translate_scenario
+from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _is_number, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
@@ -58,10 +57,6 @@ METRICS = ("capacity", "ostbc")
 #: spread numpy's per-call cost over hundreds of problems, few enough that a
 #: sweep of thousands of trials holds one chunk's arrays at a time.
 _CHUNK_TRIALS = 64
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
 def _check_count(name: str, val, minimum: int) -> None:

@@ -20,13 +20,15 @@ it is given.  So what is built from the network alone (the Gram matrices
 G0 = H0^H H0 and H1 H1^H here, the second hop's factorization and the
 shaping matrix in ``opt_capacity``) is built by ``_memoized`` functions
 once per instance, on first use, and shared by every solver and metric
-called on it.
+called on it.  ``evaluate`` keeps one more slot in the same memo: the
+relay-path matrix of the last transform evaluated on the instance.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +45,10 @@ __all__ = [
     "translate_scenario",
     "validate",
 ]
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@
 that only ever evaluates the raw objectives, so it is independent of the
 water-filling closed forms it verifies.  ``rearrangement_bounds`` is the
 sorted-sequence product-sum inequality behind the mode-pairing argument,
-and ``check_kk_identity`` the matrix identity behind the equivalence of the
-two network-capacity forms.
+``check_kk_identity`` the matrix identity behind the equivalence of the
+two network-capacity forms, and ``direct_link_capacity`` the capacity of
+the bare direct link that the relay network is measured against.
 """
 
 import math
@@ -13,6 +14,14 @@ import math
 import numpy as np
 
 from relay_rtm.errors import ValidationError
+
+
+def direct_link_capacity(h0: np.ndarray, pb, dims) -> float:
+    """Capacity in bits of the bare source-to-destination link (no relay),
+    log2 det(I + p1/t H0^H H0)."""
+    h0 = np.asarray(h0, dtype=complex)
+    logdet = np.linalg.slogdet(np.eye(dims.t) + (pb.p1 / dims.t) * (h0.conj().T @ h0))[1]
+    return float(logdet / math.log(2.0))
 
 
 def check_kk_identity(k: np.ndarray) -> float:

@@ -1,13 +1,17 @@
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from helpers import canonical_budget, crandn, scaled_channels, scalar_network
-from oracles import oracle_solve
+from helpers import canonical_budget, count_calls, crandn, scaled_channels, scalar_network
+from oracles import direct_link_capacity, oracle_solve
+from relay_rtm import evaluate
 from relay_rtm.errors import ValidationError
 from relay_rtm.evaluate import (
     capacity,
     capacity_forms,
-    direct_link_capacity,
     naf_rtm,
     ostbc_capacity,
     verify_kkt_capacity,
@@ -87,6 +91,13 @@ class TestCapacity:
         with pytest.raises(ValidationError, match="shape"):
             capacity(ch, PowerBudget(2.0, 2.0), dims, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("x", [[["a", "b"], ["c", "d"]], [[object(), 0], [0, 0]]])
+    def test_rejects_non_number_transform(self, x):
+        dims = Dims(2, 2, 2, 2)
+        ch = ChannelSet(h0=np.zeros((2, 2)), h1=np.eye(2), h2=np.eye(2))
+        with pytest.raises(ValidationError, match="relay transform"):
+            capacity(ch, PowerBudget(2.0, 2.0), dims, x)
+
 
 class TestOstbcCapacity:
     @pytest.mark.parametrize("rate", [1.0, 0.75, 0.5])
@@ -114,32 +125,106 @@ class TestOstbcCapacity:
             x = _random_feasible_x(rng, ch, pb, dims)
             assert ostbc_capacity(ch, pb, dims, x).bits <= capacity(ch, pb, dims, x).bits + 1e-9
 
-    @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5, "1", None, True])
     def test_rejects_bad_rate(self, rate):
         dims, ch = scalar_network()
-        with pytest.raises(ValidationError, match="rate"):
+        with pytest.raises(ValidationError, match=rf"rate.*got {re.escape(repr(rate))}"):
             ostbc_capacity(ch, PowerBudget(1.0, 1.0), dims, np.ones((1, 1)), rate)
 
 
 class TestDirectLink:
     def test_zero_channel(self):
         dims = Dims(2, 2, 2, 2)
-        rep = direct_link_capacity(np.zeros((2, 2)), PowerBudget(2.0, 2.0), dims)
-        assert rep.bits == 0.0
+        assert direct_link_capacity(np.zeros((2, 2)), PowerBudget(2.0, 2.0), dims) == 0.0
 
     def test_identity_channel(self):
         dims = Dims(2, 2, 2, 2)
-        rep = direct_link_capacity(np.eye(2), PowerBudget(2.0, 2.0), dims)
-        assert rep.bits == pytest.approx(2.0, abs=1e-12)
+        bits = direct_link_capacity(np.eye(2), PowerBudget(2.0, 2.0), dims)
+        assert bits == pytest.approx(2.0, abs=1e-12)
 
     def test_equals_capacity_with_zero_transform(self):
         rng = np.random.default_rng(4)
         dims = Dims(3, 2, 2, 3)
         ch = scaled_channels(rng, dims, rho0_db=7.0, rho1_db=3.0, rho2_db=12.0)
         pb = canonical_budget(dims)
-        a = direct_link_capacity(ch.h0, pb, dims).bits
+        a = direct_link_capacity(ch.h0, pb, dims)
         b = capacity(ch, pb, dims, np.zeros((dims.u, dims.s))).bits
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def _both_bits(ch, pb, dims, x):
+    return capacity(ch, pb, dims, x).bits, ostbc_capacity(ch, pb, dims, x).bits
+
+
+def _fresh(ch):
+    return ChannelSet(ch.h0, ch.h1, ch.h2)
+
+
+class TestRelayPathMemo:
+    """A ChannelSet remembers the relay-path matrix of the last transform
+    evaluated on it, so both metrics of one X build it once."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_both_metrics_build_it_once(self, monkeypatch, stacked):
+        rng = np.random.default_rng(31)
+        dims = Dims(3, 2, 3, 2)
+        pb = canonical_budget(dims)
+        if stacked:
+            # h0 carries a point axis, h1 and h2 broadcast along it
+            ch = ChannelSet(crandn(rng, (4, 3, 2, 3)), crandn(rng, (4, 1, 3, 3)), crandn(rng, (4, 1, 2, 2)))
+        else:
+            ch = scaled_channels(rng, dims, rho0_db=5.0)
+        x = naf_rtm(ch, pb, dims).x_matrix
+        expected = _both_bits(_fresh(ch), pb, dims, x)
+        builds = count_calls(monkeypatch, evaluate._build_relay_path)
+        bits = _both_bits(ch, pb, dims, x)
+        assert len(builds) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(bits, expected))
+
+    def test_another_or_mutated_transform_is_rebuilt(self):
+        rng = np.random.default_rng(32)
+        dims = Dims(3, 3, 3, 3)
+        pb = canonical_budget(dims)
+        ch = scaled_channels(rng, dims, rho0_db=5.0)
+        x = _random_feasible_x(rng, ch, pb, dims)
+        _both_bits(ch, pb, dims, x)
+        other = _random_feasible_x(rng, ch, pb, dims)
+        assert _both_bits(ch, pb, dims, other) == _both_bits(_fresh(ch), pb, dims, other)
+        x[0, 0] *= 0.5
+        assert _both_bits(ch, pb, dims, x) == _both_bits(_fresh(ch), pb, dims, x)
+
+    def test_holds_one_relay_path(self):
+        rng = np.random.default_rng(33)
+        dims = Dims(2, 2, 2, 2)
+        pb = canonical_budget(dims)
+        ch = scaled_channels(rng, dims, rho0_db=5.0)
+        _both_bits(ch, pb, dims, _random_feasible_x(rng, ch, pb, dims))
+        entries = len(ch._memo)
+        for _ in range(50):
+            _both_bits(ch, pb, dims, _random_feasible_x(rng, ch, pb, dims))
+        assert len(ch._memo) == entries
+
+    def test_concurrent_evaluations_agree(self):
+        # the slot takes no lock: threads evaluating their own X on one
+        # ChannelSet overwrite each other's entry, and each still gets the
+        # lone evaluation's bits
+        rng = np.random.default_rng(34)
+        dims = Dims(4, 4, 4, 4)
+        pb = canonical_budget(dims)
+        raw = scaled_channels(rng, dims, rho0_db=5.0)
+        xs = [_random_feasible_x(rng, raw, pb, dims) for _ in range(4)]
+        expected = [_both_bits(_fresh(raw), pb, dims, x) for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(10):
+                    ch = _fresh(raw)
+                    futures = [pool.submit(lambda x: [_both_bits(ch, pb, dims, x) for _ in range(5)], x) for x in xs]
+                    for want, future in zip(expected, futures):
+                        assert future.result(timeout=60) == 5 * [want]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNaf:
@@ -282,7 +367,7 @@ class TestOptimalityCrossChecks:
             ch = scaled_channels(rng, dims, rho0_db=8.0)
             sol = optimize_capacity_rtm(ch, pb, dims)
             assert capacity(ch, pb, dims, sol.x_matrix).bits >= (
-                direct_link_capacity(ch.h0, pb, dims).bits - 1e-9
+                direct_link_capacity(ch.h0, pb, dims) - 1e-9
             )
 
     @pytest.mark.parametrize("dims", [Dims(4, 4, 4, 4), Dims(4, 2, 4, 2)])
