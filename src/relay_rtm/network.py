@@ -150,10 +150,10 @@ class PowerBudget:
     p2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p1) and self.p1 > 0.0):
-            raise ValidationError(f"source power p1 must be finite and > 0, got {self.p1}")
-        if not (math.isfinite(self.p2) and self.p2 >= 0.0):
-            raise ValidationError(f"relay power p2 must be finite and >= 0, got {self.p2}")
+        if not (_is_number(self.p1) and math.isfinite(self.p1) and self.p1 > 0.0):
+            raise ValidationError(f"source power p1 must be a finite number > 0, got {self.p1!r}")
+        if not (_is_number(self.p2) and math.isfinite(self.p2) and self.p2 >= 0.0):
+            raise ValidationError(f"relay power p2 must be a finite number >= 0, got {self.p2!r}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ class SnrScenario:
     def __post_init__(self):
         for name in ("rho0_db", "rho1_db", "rho2_db"):
             val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValidationError(f"{name} must be finite, got {val!r}")
+            if not (_is_number(val) and math.isfinite(val)):
+                raise ValidationError(f"{name} must be a finite number, got {val!r}")
 
 
 def _check_shapes(dims: Dims, ch: ChannelSet) -> None:

@@ -29,6 +29,14 @@ powers are bit-identical whatever stack it is solved in.  Members with
 fewer servable modes than the widest member are padded with zero-gain
 modes, which never receive power.
 
+A lone problem (1-d ``alpha``) takes the same threshold scan but climbs
+on Python floats: ``_phi`` takes a float level and lists, and sums add in
+index order, so each step makes the IEEE operations of the array loop in
+its order and the solve is bit-identical to a stack member's.  numpy
+costs about a microsecond per call whatever the size, and a step on <= 8
+modes makes ~30 calls; a stack shares that cost among its members, so it
+keeps the array loop.
+
 All functions are pure.  What a solver builds from the network alone is
 memoized, read-only, on the ``ChannelSet`` (``network._memoized``) and
 shared with every other solver and metric called on it; a solver call
@@ -45,7 +53,7 @@ import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
 from .matalg import DEFAULT_RANK_TOL, _any, _count, _figure, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
-from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _memoized, _read_only, validate
+from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _is_number, _memoized, _read_only, validate
 
 __all__ = [
     "SpectraBundle",
@@ -237,10 +245,13 @@ def _phi_terms(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     return alpha / beta, 1.0 - alpha, 1.0 - alpha / 2.0, alpha ** 2 / 4.0
 
 
-def _phi(terms: tuple, xi: np.ndarray) -> np.ndarray:
+def _phi(terms: tuple, xi):
     # alpha/2 - 1 + sqrt(alpha^2/4 + q) with q = alpha/beta * xi, in
     # rationalized form, which does not cancel near the threshold
-    # q = 1 - alpha; zero-gain modes give 0 / 1.
+    # q = 1 - alpha; zero-gain modes give 0 / 1.  A float level with terms
+    # as lists gives a list, by the same operations in the same order.
+    if isinstance(xi, float):
+        return [max(r * xi - m, 0.0) / (b + math.sqrt(s + r * xi)) for r, m, b, s in zip(*terms)]
     ratio, one_minus, base, square = terms
     q = ratio * xi
     return np.maximum(q - one_minus, 0.0) / (base + np.sqrt(square + q))
@@ -252,7 +263,7 @@ def _mode_sum(v: np.ndarray) -> np.ndarray:
     bit-identical, so a padded member of a stack sums as it would alone."""
     if v.shape[-1] == 0:
         return np.zeros(v.shape[:-1], dtype=v.dtype)
-    return np.cumsum(v, axis=-1)[..., -1]
+    return np.add.accumulate(v, axis=-1)[..., -1]
 
 
 def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -282,7 +293,7 @@ def _solution(x, xi, wet, lowest, beta) -> WaterfillSolution:
         lowest = lowest[..., 0]
         xi = np.where(wet, xi, np.where(np.isfinite(lowest), lowest, np.nan))
     if x.ndim == 1:
-        xi = None if np.isnan(xi) else float(xi)
+        xi = None if math.isnan(xi) else float(xi)
     return WaterfillSolution(x=x, xi=xi, active=x > 0.0, achieved_budget=_figure(_mode_sum(beta * x)))
 
 
@@ -291,15 +302,43 @@ def _validate_wf_inputs(alpha, beta, p2, *, alpha_below_one: bool):
     beta = np.asarray(beta, dtype=float)
     if alpha.ndim < 1 or alpha.shape != beta.shape:
         raise ValidationError("alpha and beta must be vectors (or stacks of vectors) of equal shape")
-    if not math.isfinite(p2) or p2 < 0.0:
-        raise ValidationError(f"relay power budget must be finite and >= 0, got {p2}")
-    if (alpha < 0.0).any():
-        raise ValidationError("mode gains must be nonnegative")
-    if alpha_below_one and (alpha >= 1.0).any():
-        raise ValidationError("capacity mode gains must lie in [0, 1)")
-    if (beta <= 0.0).any() or not np.isfinite(beta).all():
+    if not (_is_number(p2) and math.isfinite(p2) and p2 >= 0.0):
+        raise ValidationError(f"relay power budget must be a finite number >= 0, got {p2!r}")
+    # a NaN makes min and max NaN, which fails every comparison
+    top = 1.0 if alpha_below_one else np.inf
+    if not (alpha.min(initial=0.0) >= 0.0 and alpha.max(initial=0.0) < top):
+        raise ValidationError(f"mode gains must be finite and lie in [0, {top})")
+    if not (beta.min(initial=1.0) > 0.0 and beta.max(initial=1.0) < np.inf):
         raise ValidationError("mode power costs must be finite and strictly positive")
     return alpha, beta
+
+
+def _climb_lone(terms, alpha, beta, thresholds, xi: float, p2: float, wet: bool) -> tuple:
+    """The Newton climb of ``waterfill_capacity`` for one problem, on
+    Python floats: each step makes the IEEE operations of the array loop
+    in its order, so the result is bit-identical to a stack member's, but
+    without numpy's cost per call, which dominates on <= 8 modes."""
+    terms = tuple(v.tolist() for v in terms)
+    modes = list(zip(alpha.tolist(), beta.tolist(), thresholds.tolist()))
+    x = _phi(terms, xi)
+    for _ in range(_MAX_ITER):
+        # Both sums add in index order, as ``_mode_sum`` does; the built-in
+        # ``sum`` compensates its rounding on Python 3.12 and later.
+        budget = slope = 0.0
+        for (a, b, th), v in zip(modes, x):
+            budget += b * v
+            if th <= xi:
+                slope += a / (2.0 - a + 2.0 * v)
+        resid = p2 - budget
+        if not (wet and resid > _BUDGET_RTOL * p2):
+            break
+        # numpy divides a positive residual by a zero slope to +inf
+        xi_next = xi + resid / slope if slope else math.inf
+        if xi_next == xi:
+            break
+        xi = xi_next
+        x = _phi(terms, xi)
+    return np.array(x), xi
 
 
 def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> WaterfillSolution:
@@ -311,7 +350,9 @@ def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterf
     some gain is positive and p2 > 0; with all gains zero the "no water"
     solution is returned.  ``alpha`` and ``beta`` may be stacks
     ``(..., modes)`` of problems sharing ``p2``; each is solved as alone,
-    and a stack's water levels are an array with NaN for "no water".
+    and a stack's water levels are an array with NaN for "no water".  One
+    problem climbs on Python floats (see the module docstring),
+    bit-identical to its solve as a stack member.
     """
     alpha, beta = _validate_wf_inputs(alpha, beta, p2, alpha_below_one=True)
     thresholds = activation_thresholds(alpha, beta)
@@ -332,6 +373,9 @@ def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterf
     # closest it can get.  A problem stops when its residual is within
     # tolerance or its step no longer moves xi, and the loop when every
     # problem has stopped, so each ends where it would alone.
+    if alpha.ndim == 1:
+        x, xi = _climb_lone(terms, alpha, beta, thresholds, float(xi), float(p2), bool(wet))
+        return _solution(x, xi, wet, lowest, beta)
     x = _phi(terms, xi[..., None])
     dry = ~wet
     two_minus = 2.0 - alpha

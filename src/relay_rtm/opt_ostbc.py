@@ -11,10 +11,20 @@ water level, with kinks at the activation thresholds
 ``sqrt(beta_i / alpha_i)``, so the constraint is solved exactly: the
 linear equation of the segment that holds the root.  No iteration, no
 tolerance.
-Like the capacity pipeline, every stage takes a stack of problems.
+Like the capacity pipeline, every stage takes a stack of problems.  A
+lone problem (1-d ``alpha``) whose thresholds are nondecreasing is
+scanned and poured on Python floats in one pass, by the operations of the
+array code in their order: bit-identical to a stack member, without
+numpy's per-call cost.  A network's spectra always qualify up to
+rounding: along the modes the gains alpha_i and the second-hop
+eigenvalues lam_b_i fall, so beta_i / alpha_i = (1/alpha_i + p1/t) /
+lam_b_i rises.  Any other problem takes the array scan.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -59,8 +69,30 @@ def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _psi(alpha: np.ndarray, beta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _psi(alpha, beta, xi):
+    # a float level with gains and costs as lists gives a list, by the
+    # same operations
+    if isinstance(xi, float):
+        return [max(xi * math.sqrt(a / b) - 1.0, 0.0) for a, b in zip(alpha, beta)]
     return np.maximum(xi * np.sqrt(alpha / beta) - 1.0, 0.0)
+
+
+def _scan_sorted(thresholds: list, alpha: list, beta: list, p2: float, wet: bool) -> float:
+    """The candidate-set scan of ``waterfill_ostbc`` on Python floats, for
+    one problem whose thresholds are nondecreasing.  Each set
+    {i : threshold_i <= threshold_j} is then the modes up to the last one
+    tied with j, so the array scan's index-order sums over it are running
+    sums, and one pass gives the level bit-identical to a stack member's."""
+    dry = 0.0 if wet else 1.0
+    xi, slope, budget = math.inf, 0.0, 0.0
+    for t, t_next, a, b in zip(thresholds, thresholds[1:] + [math.nan], alpha, beta):
+        slope += math.sqrt(a * b)
+        budget += b
+        if t_next != t:
+            divisor = slope + dry
+            # numpy divides a positive budget by a zero slope to +inf
+            xi = min(xi, (p2 + budget) / divisor if divisor else math.inf)
+    return xi
 
 
 def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> WaterfillSolution:
@@ -73,11 +105,19 @@ def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterfill
     the root it is the budget curve there.  The root is therefore the
     smallest such solution over the sets {i : threshold_i <= threshold_j},
     one per mode j, among which the active set is.  ``alpha`` and ``beta``
-    may be stacks ``(..., modes)``, as for ``waterfill_capacity``.
+    may be stacks ``(..., modes)``, as for ``waterfill_capacity``; one
+    problem with nondecreasing thresholds is scanned on Python floats,
+    bit-identical to a stack member (see the module docstring).
     """
     alpha, beta = _validate_wf_inputs(alpha, beta, p2, alpha_below_one=False)
     thresholds = activation_thresholds(alpha, beta)
     lowest, wet = _wet(thresholds, p2)
+    if alpha.ndim == 1:
+        th, alpha_list, beta_list = thresholds.tolist(), alpha.tolist(), beta.tolist()
+        if all(map(operator.le, th, th[1:])):
+            xi = _scan_sorted(th, alpha_list, beta_list, float(p2), bool(wet))
+            x = np.array(_psi(alpha_list, beta_list, xi * bool(wet)))
+            return _solution(x, xi, wet, lowest, beta)
     sets = thresholds[..., None, :] <= thresholds[..., :, None]  # (..., set j, mode i)
     # a problem without servable modes gets a unit slope, so nothing divides by 0
     slope = _mode_sum(sets * np.sqrt(alpha * beta)[..., None, :]) + ~wet[..., None]

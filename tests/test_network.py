@@ -58,6 +58,23 @@ class TestTypes:
         with pytest.raises(ValidationError):
             SnrScenario(np.nan, 0.0, 0.0, Dims(1, 1, 1, 1))
 
+    @pytest.mark.parametrize("field,p1,p2", [("p1", "1", 2.0), ("p1", True, 2.0), ("p2", 1.0, True), ("p2", 1.0, None)])
+    def test_power_budget_rejects_non_numbers(self, field, p1, p2):
+        bad = p1 if field == "p1" else p2
+        with pytest.raises(ValidationError, match=rf"power {field} must be a finite number .* got {bad!r}$"):
+            PowerBudget(p1, p2)
+
+    @pytest.mark.parametrize("field", ["rho0_db", "rho1_db", "rho2_db"])
+    @pytest.mark.parametrize("bad", ["1", True, None])
+    def test_snr_scenario_rejects_non_numbers(self, field, bad):
+        snrs = {"rho0_db": 0.0, "rho1_db": 0.0, "rho2_db": 0.0, field: bad}
+        with pytest.raises(ValidationError, match=rf"^{field} must be a finite number, got {bad!r}$"):
+            SnrScenario(**snrs, dims=Dims(1, 1, 1, 1))
+
+    def test_numpy_scalars_are_numbers(self):
+        assert PowerBudget(np.float64(1.0), np.int64(2)).p2 == 2
+        assert SnrScenario(np.float64(3.0), np.int64(0), 0, Dims(1, 1, 1, 1)).rho0_db == 3.0
+
 
 class TestValidate:
     def test_consistent_set_ok(self):

@@ -124,6 +124,11 @@ class TestWaterfill:
             ([1.0], [1.0], 1.0),
             ([-0.1], [1.0], 1.0),
             ([0.5], [0.0], 1.0),
+            ([np.nan, 0.5], [1.0, 1.0], 2.0),
+            ([[0.5, 0.2], [np.nan, 0.1]], [[1.0, 1.0], [1.0, 1.0]], 2.0),
+            ([0.5], [1.0], True),
+            ([0.5], [1.0], "1"),
+            ([0.5], [1.0], None),
         ],
     )
     def test_input_validation(self, alpha, beta, p2):

@@ -117,10 +117,19 @@ class TestWaterfill:
             assert np.all(np.diff(wf.x) <= 1e-9 * max(float(wf.x.max()), 1.0))
 
     def test_input_validation(self):
-        with pytest.raises(ValidationError):
-            waterfill_ostbc(np.array([1.0]), np.array([1.0]), -2.0)
-        with pytest.raises(ValidationError):
-            waterfill_ostbc(np.array([-1.0]), np.array([1.0]), 2.0)
+        cases = [
+            ([1.0], [1.0], -2.0),
+            ([-1.0], [1.0], 2.0),
+            ([np.nan, 0.5], [1.0, 1.0], 2.0),
+            ([np.inf, 0.5], [1.0, 1.0], 2.0),
+            ([[1.0, 0.5], [np.inf, 0.5]], [[1.0, 1.0], [1.0, 1.0]], 2.0),
+            ([1.0], [np.inf], 2.0),
+            ([1.0], [1.0], True),
+            ([1.0], [1.0], "2"),
+        ]
+        for alpha, beta, p2 in cases:
+            with pytest.raises(ValidationError):
+                waterfill_ostbc(np.array(alpha), np.array(beta), p2)
 
 
 class TestOptimize:
