@@ -26,6 +26,7 @@ Exit codes: 0 success, 1 config error, 2 numerical error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -196,14 +197,23 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     The sweep's chunks are spread over every available CPU; the CSV is the
     same for any number of them.  An unwritable output path fails before
     the sweep starts, but the CSV is written only once the sweep has
-    returned: a failed run leaves an existing CSV as it was.
+    returned: a failed run leaves an existing CSV as it was, and no CSV
+    where there was none.
     """
     path = output_override or cfg.output_path
+    created = not os.path.exists(path)
     try:
         open(path, "a").close()
     except OSError as exc:
         raise ConfigError(f"output path {path!r} is not writable: {exc}") from exc
-    points = run_sweep(cfg.spec, workers=_available_cpus())
+    try:
+        points = run_sweep(cfg.spec, workers=_available_cpus())
+    except BaseException:
+        # the probe made the file; a failed run leaves none behind
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     with open(path, "w", newline="") as out:
         write_csv(points, out)
 

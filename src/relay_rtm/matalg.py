@@ -8,7 +8,9 @@ having.  All functions are pure: safe to call concurrently.
 matrices (any leading batch axes, ``(..., n, n)``) as well as a single
 matrix; numpy's batched ``eigh`` factorizes each member exactly as it
 would factorize it alone, so a member's result does not depend on the
-stack it is in.
+stack it is in.  For one matrix, ``thin_ud`` makes its PSD check and rank
+cut on the eigenvalue list with the comparisons of the stack path, which
+skips numpy's cost per call.
 """
 
 from __future__ import annotations
@@ -70,11 +72,6 @@ def _any(mask) -> bool:
     return bool(mask.any() if mask.ndim else mask)
 
 
-def _count(n: np.ndarray):
-    """A count: an int for one problem, an int array for a stack."""
-    return int(n) if n.ndim == 0 else n
-
-
 def _figure(v):
     """A float for one problem, the array itself for a stack."""
     return v if isinstance(v, np.ndarray) and v.ndim else float(v)
@@ -133,6 +130,16 @@ def thin_ud(m: np.ndarray) -> ThinUd:
     """
     eig = herm_eig(m)
     w = eig.eigenvalues
+    if w.ndim == 1:
+        # one matrix: the same comparisons on Python floats, which skip
+        # numpy's cost per call
+        w = w.tolist()
+        floor = max(w[0], 1.0)
+        if w[-1] < -1e-10 * floor:
+            raise ValidationError(f"matrix is not positive semidefinite: smallest eigenvalue {w[-1]:.3e}")
+        cut = DEFAULT_RANK_TOL * floor
+        rank = sum(v > cut for v in w)
+        return ThinUd(eig.eigenvectors[:, :rank], np.array([v if v > cut else 0.0 for v in w[:rank]]), rank)
     floor = np.maximum(w[..., :1], 1.0)
     bad = w[..., -1:] < -1e-10 * floor
     if _any(bad):
@@ -145,7 +152,7 @@ def thin_ud(m: np.ndarray) -> ThinUd:
     return ThinUd(
         u_thin=eig.eigenvectors[..., :width],
         lam_thin=np.where(keep, w, 0.0)[..., :width],
-        rank=_count(rank),
+        rank=rank,
     )
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import RelayRtmError, ValidationError
 from .evaluate import _metric_bits, naf_rtm
-from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _is_number, translate_scenario
+from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _is_number, _owned, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
@@ -132,11 +132,14 @@ def sample_channels(dims: Dims, seed: int, trial_index: int | range) -> ChannelS
     yields the same matrices under any scheduling or chunking.  A trial
     takes all its normals in one draw, the real then the imaginary parts
     of h0, h1 and h2 in turn; the draws of a stack are then made complex
-    in one pass.
+    in one pass.  ``seed`` and every trial must be integers >= 0.
     """
     shapes = ((dims.r, dims.t), (dims.s, dims.t), (dims.r, dims.u))
     stacked = isinstance(trial_index, range)
     trials = trial_index if stacked else (trial_index,)
+    _check_count("seed", seed, 0)
+    for trial in trials:
+        _check_count("trial_index", trial, 0)
     edges = list(accumulate((rows * cols for rows, cols in shapes), initial=0))
     spans = list(zip(edges, edges[1:]))
     z = np.empty((len(trials), 2 * edges[-1]))
@@ -194,10 +197,11 @@ def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
     raw = sample_channels(spec.scenario.dims, spec.seed, trials)
     swept = "h" + spec.sweep_axis[-1]
     try:
-        ch, pb = translate_scenario(spec.scenario, ChannelSet(raw.h0[:, None], raw.h1[:, None], raw.h2[:, None]))
+        ch, pb = translate_scenario(spec.scenario, _owned(raw.h0[:, None], raw.h1[:, None], raw.h2[:, None]))
         # only the matrix the swept SNR scales varies along the point axis
         gains = np.array([_amplitude(point) for point in spec.sweep_points_db])
-        ch = replace(ch, **{swept: gains[:, None, None] * getattr(raw, swept)[:, None]})
+        scaled = gains[:, None, None] * getattr(raw, swept)[:, None]
+        ch = _owned(**{"h0": ch.h0, "h1": ch.h1, "h2": ch.h2, swept: scaled})
         return _values(spec, ch, pb)
     except RelayRtmError:
         for i, trial in enumerate(trials):

@@ -16,12 +16,15 @@ point axis).  ``validate`` and ``translate_scenario`` take such stacks,
 and so do the solvers and metrics downstream.
 
 A ``ChannelSet`` is immutable: it holds read-only copies of the matrices
-it is given.  So what is built from the network alone (the Gram matrices
-G0 = H0^H H0 and H1 H1^H here, the second hop's factorization and the
-shaping matrix in ``opt_capacity``) is built by ``_memoized`` functions
-once per instance, on first use, and shared by every solver and metric
-called on it.  ``evaluate`` keeps one more slot in the same memo: the
-relay-path matrix of the last transform evaluated on the instance.
+it is given; the arrays the package builds itself, such as
+``translate_scenario``'s scaled matrices, are made read-only in place
+instead of copied.  So what is built from the network alone (the Gram
+matrices G0 = H0^H H0 and H1 H1^H here, the second hop's factorization
+and the shaping matrix in ``opt_capacity``) is built by ``_memoized``
+functions once per instance, on first use, and shared by every solver
+and metric called on it.  ``evaluate`` keeps one more slot in the same
+memo: the relay-path matrix of the last transform evaluated on the
+instance.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ class ChannelSet:
     (checked by ``validate`` and ``translate_scenario``).
 
     The matrices are read-only copies of the arrays given, so the memo of
-    ``_memoized`` stays valid for the life of the instance."""
+    ``_memoized`` stays valid for the life of the instance (``_owned``
+    skips the copy for arrays the package has just built)."""
 
     h0: np.ndarray  # (..., r, t) source -> destination
     h1: np.ndarray  # (..., s, t) source -> relay
@@ -91,13 +95,30 @@ class ChannelSet:
                 raise ValidationError(f"{name} must hold numbers: {exc}") from None
             if arr.ndim < 2:
                 raise ValidationError(f"{name} must be a matrix or a stack of matrices, got ndim {arr.ndim}")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_memo", {})
+        _seal(self)
 
     def __reduce__(self):
         # a copy or an unpickled instance is built anew: read-only, no memo
         return ChannelSet, (self.h0, self.h1, self.h2)
+
+
+def _seal(ch: ChannelSet) -> None:
+    """Make the matrices of ``ch`` read-only and give it an empty memo."""
+    ch.h0.flags.writeable = ch.h1.flags.writeable = ch.h2.flags.writeable = False
+    object.__setattr__(ch, "_memo", {})
+
+
+def _owned(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> ChannelSet:
+    """A ChannelSet of complex matrices (or stacks) that the package has
+    just built and shares with no caller: they are made read-only in place
+    rather than copied a second time.  Pickling still goes through
+    ``ChannelSet(...)``."""
+    ch = object.__new__(ChannelSet)
+    for name, arr in (("h0", h0), ("h1", h1), ("h2", h2)):
+        object.__setattr__(ch, name, arr)
+    _seal(ch)
+    return ch
 
 
 def _read_only(*values) -> None:
@@ -237,5 +258,5 @@ def translate_scenario(scn: SnrScenario, raw: ChannelSet) -> tuple[ChannelSet, P
     dims = scn.dims
     _check_shapes(dims, raw)
     h0 = _amplitude(scn.rho0_db) * raw.h0 if scn.direct_link_enabled else np.zeros_like(raw.h0)
-    ch = ChannelSet(h0=h0, h1=_amplitude(scn.rho1_db) * raw.h1, h2=_amplitude(scn.rho2_db) * raw.h2)
+    ch = _owned(h0, _amplitude(scn.rho1_db) * raw.h1, _amplitude(scn.rho2_db) * raw.h2)
     return ch, PowerBudget(p1=float(dims.t), p2=float(dims.u))

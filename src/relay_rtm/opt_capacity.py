@@ -29,13 +29,19 @@ powers are bit-identical whatever stack it is solved in.  Members with
 fewer servable modes than the widest member are padded with zero-gain
 modes, which never receive power.
 
-A lone problem (1-d ``alpha``) takes the same threshold scan but climbs
-on Python floats: ``_phi`` takes a float level and lists, and sums add in
-index order, so each step makes the IEEE operations of the array loop in
-its order and the solve is bit-identical to a stack member's.  numpy
-costs about a microsecond per call whatever the size, and a step on <= 8
-modes makes ~30 calls; a stack shares that cost among its members, so it
-keeps the array loop.
+One problem keeps its bookkeeping on Python floats.  A lone network's
+spectra make the rank cut, capacity clamp and mode counts on the
+eigenvalue lists; a lone water-filling problem (1-d ``alpha``) makes its
+input checks, activation thresholds, segment choice, Newton climb and
+``WaterfillSolution`` on lists, and only its threshold scan stays one
+array ``_phi`` call.  Every float step makes the IEEE operations of the
+array code in its order (``_phi`` takes a float level and lists, and sums
+add in index order), and every eigendecomposition, solve and product is
+the numpy call a stack makes, so a lone solve is bit-identical to a stack
+member's.  numpy costs about a microsecond per call whatever the size,
+and a Newton step on <= 8 modes makes ~30 calls; a stack shares that cost
+among its members, so it keeps the arrays, and the helpers it uses
+(``_validate_wf_inputs``, ``_wet``, ``_solution``) see only stacks.
 
 All functions are pure.  What a solver builds from the network alone is
 memoized, read-only, on the ``ChannelSet`` (``network._memoized``) and
@@ -52,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, _any, _count, _figure, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
+from .matalg import DEFAULT_RANK_TOL, _any, _figure, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
 from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _is_number, _memoized, _read_only, validate
 
 __all__ = [
@@ -69,6 +75,8 @@ __all__ = [
 #: Relative budget tolerance and iteration cap of ``waterfill_capacity``.
 _BUDGET_RTOL = 1e-12
 _MAX_ITER = 200
+#: Capacity mode gains are clamped just below 1, the water-filler's bound.
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -175,49 +183,73 @@ def _spectra_from_parts(variant: str, a: np.ndarray, relay: tuple, dims: Dims) -
     criterion's gain matrix ``a`` (one matrix or a stack) and the
     network's ``_relay_side``."""
     ud_b, c = relay
-    rho = np.minimum(dims.s, ud_b.rank)
-    width = min(dims.s, ud_b.lam_thin.shape[-1])
-    # Modes past a stack member's own count are padded with zero gain and
-    # unit second-hop eigenvalue: they never receive power.
-    has_b = ud_b.lam_thin > 0.0
-    servable = has_b[..., :width]
-    lam_b = np.where(has_b, ud_b.lam_thin, 1.0)
-
     eig_a = herm_eig(a)
-    lam_a = eig_a.eigenvalues
-    kept = lam_a > DEFAULT_RANK_TOL * np.maximum(lam_a[..., :1], 1.0)
-    lam_a = np.where(kept, lam_a, 0.0)
-
-    alpha = np.where(servable, lam_a[..., :width], 0.0)
-    alpha_tail = lam_a[..., width:]
-    if variant == "capacity":
-        top = float(alpha.max(initial=0.0))
-        if top >= 1.0 + 1e-12:
-            raise NumericalError(
-                f"capacity mode gain {top} exceeds 1; the first-hop reduction is "
-                "contractive by construction, so the inputs are inconsistent"
-            )
-        np.minimum(alpha, np.nextafter(1.0, 0.0), out=alpha)
-        np.minimum(alpha_tail, np.nextafter(1.0, 0.0), out=alpha_tail)
-
+    width = min(dims.s, ud_b.lam_thin.shape[-1])
     # Every product here has shapes fixed by ``dims``, not by the mode
     # count: BLAS may round a column differently in a product of another
     # width, and a padded member must come out as it would alone.
     u_a = eig_a.eigenvectors
     cost = (u_a.conj() * (c @ u_a)).real.sum(axis=-2)[..., :width]
+    modes = _lone_modes if a.ndim == ud_b.u_thin.ndim == 2 else _stacked_modes
+    alpha, beta, lam_b, alpha_tail, rho, rho_a = modes(variant, eig_a.eigenvalues, cost, ud_b, width)
     return SpectraBundle(
         variant=variant,
         alpha=alpha,
-        beta=cost / lam_b[..., :width],
+        beta=beta,
         u_a_thin=u_a[..., :width],
         u_b_thin=ud_b.u_thin,
         lam_b_thin=lam_b,
-        rho=_count(rho),
-        rho_a=_count(kept.sum(axis=-1)),
+        rho=rho,
+        rho_a=rho_a,
         rho_b=ud_b.rank,
         alpha_tail=alpha_tail,
         c_matrix=c,
     )
+
+
+def _stacked_modes(variant: str, lam_a, cost, ud_b, width: int) -> tuple:
+    """A stack's mode gains, costs, second-hop eigenvalues, gain tail and
+    mode counts ``rho`` and ``rho_a``, from the eigenvalues of its gain
+    matrices, its mode costs times lam_b and its second hop's thin
+    diagonalization; ``width`` is the widest member's ``rho``."""
+    # Modes past a stack member's own count are padded with zero gain and
+    # unit second-hop eigenvalue: they never receive power.
+    lam_b = np.where(ud_b.lam_thin > 0.0, ud_b.lam_thin, 1.0)
+    kept = lam_a > DEFAULT_RANK_TOL * np.maximum(lam_a[..., :1], 1.0)
+    lam_a = np.where(kept, lam_a, 0.0)
+    alpha = np.where(ud_b.lam_thin[..., :width] > 0.0, lam_a[..., :width], 0.0)
+    alpha_tail = lam_a[..., width:]
+    if variant == "capacity":
+        _check_capacity_gain(float(alpha.max(initial=0.0)))
+        np.minimum(alpha, _BELOW_ONE, out=alpha)
+        np.minimum(alpha_tail, _BELOW_ONE, out=alpha_tail)
+    return alpha, cost / lam_b[..., :width], lam_b, alpha_tail, np.minimum(width, ud_b.rank), kept.sum(axis=-1)
+
+
+def _lone_modes(variant: str, lam_a, cost, ud_b, width: int) -> tuple:
+    """``_stacked_modes`` for one network: the same rank cut, clamp and
+    counts on the eigenvalue lists, by the same comparisons, so the result
+    is bit-identical to a stack member's.  A lone thin diagonalization
+    keeps positive eigenvalues only, so no mode is padded."""
+    lam_a, cost = lam_a.tolist(), cost.tolist()
+    cut = DEFAULT_RANK_TOL * max(lam_a[0], 1.0)
+    lam_a = [v if v > cut else 0.0 for v in lam_a]
+    alpha, alpha_tail = lam_a[:width], lam_a[width:]
+    if variant == "capacity":
+        _check_capacity_gain(max(alpha, default=0.0))
+        alpha = [min(v, _BELOW_ONE) for v in alpha]
+        alpha_tail = [min(v, _BELOW_ONE) for v in alpha_tail]
+    beta = [k / b for k, b in zip(cost, ud_b.lam_thin.tolist())]
+    # rho_a counts the kept gains, which lie above the cut, so are never 0
+    return np.array(alpha), np.array(beta), ud_b.lam_thin, np.array(alpha_tail), int(width), len(lam_a) - lam_a.count(0.0)
+
+
+def _check_capacity_gain(top: float) -> None:
+    if top >= 1.0 + 1e-12:
+        raise NumericalError(
+            f"capacity mode gain {top} exceeds 1; the first-hop reduction is "
+            "contractive by construction, so the inputs are inconsistent"
+        )
 
 
 def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
@@ -285,47 +317,89 @@ def _wet(thresholds: np.ndarray, p2: float) -> tuple:
 
 
 def _solution(x, xi, wet, lowest, beta) -> WaterfillSolution:
-    """Mode powers and water levels as a ``WaterfillSolution``.  A problem
-    that takes no power reports the just-dry level, its lowest threshold,
-    or NaN ("no water") when no mode is servable; for one problem (1-d
-    ``x``) the level is a float, or None for NaN."""
+    """Mode powers and water levels of a stack as a ``WaterfillSolution``.
+    A problem that takes no power reports the just-dry level, its lowest
+    threshold, or NaN ("no water") when no mode is servable."""
     if _any(~wet):
         lowest = lowest[..., 0]
         xi = np.where(wet, xi, np.where(np.isfinite(lowest), lowest, np.nan))
-    if x.ndim == 1:
-        xi = None if math.isnan(xi) else float(xi)
-    return WaterfillSolution(x=x, xi=xi, active=x > 0.0, achieved_budget=_figure(_mode_sum(beta * x)))
+    return WaterfillSolution(x=x, xi=xi, active=x > 0.0, achieved_budget=_mode_sum(beta * x))
 
 
-def _validate_wf_inputs(alpha, beta, p2, *, alpha_below_one: bool):
+def _lone_solution(x: list, xi: float, wet: bool, lowest: float, beta: list) -> WaterfillSolution:
+    """``_solution`` for one problem on Python floats: its level is a
+    float, or None for "no water", and its budget adds in index order, as
+    ``_mode_sum`` does."""
+    # a dry problem reports its just-dry level, or NaN with no servable mode
+    xi = xi if wet else lowest if lowest < math.inf else math.nan
+    budget = 0.0
+    for b, v in zip(beta, x):
+        budget += b * v
+    x = np.array(x, dtype=float)
+    return WaterfillSolution(x=x, xi=None if math.isnan(xi) else xi, active=x > 0.0, achieved_budget=budget)
+
+
+def _wf_arrays(alpha, beta, p2) -> tuple:
+    """``alpha`` and ``beta`` as float arrays of one shape, ``p2`` checked."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if alpha.ndim < 1 or alpha.shape != beta.shape:
         raise ValidationError("alpha and beta must be vectors (or stacks of vectors) of equal shape")
     if not (_is_number(p2) and math.isfinite(p2) and p2 >= 0.0):
         raise ValidationError(f"relay power budget must be a finite number >= 0, got {p2!r}")
-    # a NaN makes min and max NaN, which fails every comparison
-    top = 1.0 if alpha_below_one else np.inf
-    if not (alpha.min(initial=0.0) >= 0.0 and alpha.max(initial=0.0) < top):
-        raise ValidationError(f"mode gains must be finite and lie in [0, {top})")
-    if not (beta.min(initial=1.0) > 0.0 and beta.max(initial=1.0) < np.inf):
-        raise ValidationError("mode power costs must be finite and strictly positive")
     return alpha, beta
 
 
-def _climb_lone(terms, alpha, beta, thresholds, xi: float, p2: float, wet: bool) -> tuple:
-    """The Newton climb of ``waterfill_capacity`` for one problem, on
-    Python floats: each step makes the IEEE operations of the array loop
-    in its order, so the result is bit-identical to a stack member's, but
-    without numpy's cost per call, which dominates on <= 8 modes."""
+def _check_modes(gains_ok: bool, costs_ok: bool, top: float) -> None:
+    if not gains_ok:
+        raise ValidationError(f"mode gains must be finite and lie in [0, {top})")
+    if not costs_ok:
+        raise ValidationError("mode power costs must be finite and strictly positive")
+
+
+def _validate_wf_inputs(alpha: np.ndarray, beta: np.ndarray, top: float) -> None:
+    # a NaN makes min and max NaN, which fails every comparison
+    gains_ok = alpha.min(initial=0.0) >= 0.0 and alpha.max(initial=0.0) < top
+    _check_modes(gains_ok, beta.min(initial=1.0) > 0.0 and beta.max(initial=1.0) < np.inf, top)
+
+
+def _lone_problem(alpha: np.ndarray, beta: np.ndarray, p2: float, top: float, threshold) -> tuple:
+    """One problem's gains, costs and activation thresholds (``threshold``
+    of each servable mode) as lists, its budget as a float, its lowest
+    threshold and whether it takes power.  The gains and costs are checked
+    as a stack's are; Python's min and max let a NaN through or not by
+    where it sits, so every entry is compared, and a NaN fails."""
+    alpha, beta = alpha.tolist(), beta.tolist()
+    _check_modes(all(0.0 <= a < top for a in alpha), all(0.0 < b < math.inf for b in beta), top)
+    thresholds = [threshold(a, b) if a > 0.0 else math.inf for a, b in zip(alpha, beta)]
+    lowest = min(thresholds, default=math.inf)
+    return alpha, beta, float(p2), thresholds, lowest, lowest < math.inf and p2 > 0.0
+
+
+def _lone_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> WaterfillSolution:
+    """``waterfill_capacity`` for one problem, on Python floats.  Its
+    checks, thresholds, segment choice, Newton climb and solution make the
+    IEEE operations of the stack path in its order, so the result is
+    bit-identical to a stack member's, without numpy's cost per call,
+    which dominates on <= 8 modes.  The threshold scan stays one array
+    ``_phi`` call, so the budget curve is evaluated as often as for a
+    one-member stack."""
+    gains, costs, p2, thresholds, lowest, wet = _lone_problem(alpha, beta, p2, 1.0, lambda a, b: (1.0 - a) * b / a)
+    # the stack path's segment choice: the highest threshold at which the
+    # budget is still below p2, or the lowest threshold
+    terms = _phi_terms(alpha, beta)
+    t = [v if v < math.inf else 0.0 for v in thresholds]
+    scan = _phi(tuple(v[None, :] for v in terms), np.array(t)[:, None])
+    below = (_mode_sum(beta * scan) < p2).tolist()
+    xi = max([tv for v, tv, b in zip(thresholds, t, below) if wet and v < math.inf and (b or v == lowest)], default=0.0)
+
     terms = tuple(v.tolist() for v in terms)
-    modes = list(zip(alpha.tolist(), beta.tolist(), thresholds.tolist()))
     x = _phi(terms, xi)
     for _ in range(_MAX_ITER):
         # Both sums add in index order, as ``_mode_sum`` does; the built-in
         # ``sum`` compensates its rounding on Python 3.12 and later.
         budget = slope = 0.0
-        for (a, b, th), v in zip(modes, x):
+        for a, b, th, v in zip(gains, costs, thresholds, x):
             budget += b * v
             if th <= xi:
                 slope += a / (2.0 - a + 2.0 * v)
@@ -338,7 +412,7 @@ def _climb_lone(terms, alpha, beta, thresholds, xi: float, p2: float, wet: bool)
             break
         xi = xi_next
         x = _phi(terms, xi)
-    return np.array(x), xi
+    return _lone_solution(x, xi, wet, lowest, costs)
 
 
 def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> WaterfillSolution:
@@ -351,10 +425,13 @@ def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterf
     solution is returned.  ``alpha`` and ``beta`` may be stacks
     ``(..., modes)`` of problems sharing ``p2``; each is solved as alone,
     and a stack's water levels are an array with NaN for "no water".  One
-    problem climbs on Python floats (see the module docstring),
+    problem is solved on Python floats (see the module docstring),
     bit-identical to its solve as a stack member.
     """
-    alpha, beta = _validate_wf_inputs(alpha, beta, p2, alpha_below_one=True)
+    alpha, beta = _wf_arrays(alpha, beta, p2)
+    if alpha.ndim == 1:
+        return _lone_capacity(alpha, beta, p2)
+    _validate_wf_inputs(alpha, beta, 1.0)
     thresholds = activation_thresholds(alpha, beta)
     finite = np.isfinite(thresholds)
     lowest, wet = _wet(thresholds, p2)
@@ -373,9 +450,6 @@ def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterf
     # closest it can get.  A problem stops when its residual is within
     # tolerance or its step no longer moves xi, and the loop when every
     # problem has stopped, so each ends where it would alone.
-    if alpha.ndim == 1:
-        x, xi = _climb_lone(terms, alpha, beta, thresholds, float(xi), float(p2), bool(wet))
-        return _solution(x, xi, wet, lowest, beta)
     x = _phi(terms, xi[..., None])
     dry = ~wet
     two_minus = 2.0 - alpha

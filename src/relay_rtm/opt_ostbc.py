@@ -12,13 +12,15 @@ water level, with kinks at the activation thresholds
 linear equation of the segment that holds the root.  No iteration, no
 tolerance.
 Like the capacity pipeline, every stage takes a stack of problems.  A
-lone problem (1-d ``alpha``) whose thresholds are nondecreasing is
-scanned and poured on Python floats in one pass, by the operations of the
-array code in their order: bit-identical to a stack member, without
-numpy's per-call cost.  A network's spectra always qualify up to
-rounding: along the modes the gains alpha_i and the second-hop
-eigenvalues lam_b_i fall, so beta_i / alpha_i = (1/alpha_i + p1/t) /
-lam_b_i rises.  Any other problem takes the array scan.
+lone problem (1-d ``alpha``) is checked, thresholded and poured on Python
+floats, and its ``WaterfillSolution`` built from them; when its
+thresholds are nondecreasing it is also scanned on floats, in one pass.
+Each makes the operations of the array code in their order: bit-identical
+to a stack member, without numpy's per-call cost.  A network's spectra
+always qualify up to rounding: along the modes the gains alpha_i and the
+second-hop eigenvalues lam_b_i fall, so beta_i / alpha_i =
+(1/alpha_i + p1/t) / lam_b_i rises.  Any other lone problem takes the
+array scan.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ from .opt_capacity import (
     RtmSolution,
     SpectraBundle,
     WaterfillSolution,
+    _lone_problem,
+    _lone_solution,
     _mode_sum,
     _relay_side,
     _solution,
     _spectra_from_parts,
     _validate_wf_inputs,
     _wet,
+    _wf_arrays,
     assemble_rtm,
 )
 
@@ -77,6 +82,15 @@ def _psi(alpha, beta, xi):
     return np.maximum(xi * np.sqrt(alpha / beta) - 1.0, 0.0)
 
 
+def _scan(thresholds: np.ndarray, alpha: np.ndarray, beta: np.ndarray, p2: float, dry) -> np.ndarray:
+    """The candidate-set scan of ``waterfill_ostbc`` on arrays.  ``dry``
+    is 1 for a problem without servable modes, which then gets a unit
+    slope, so nothing divides by 0."""
+    sets = thresholds[..., None, :] <= thresholds[..., :, None]  # (..., set j, mode i)
+    slope = _mode_sum(sets * np.sqrt(alpha * beta)[..., None, :]) + dry
+    return ((p2 + _mode_sum(sets * beta[..., None, :])) / slope).min(axis=-1, initial=np.inf)
+
+
 def _scan_sorted(thresholds: list, alpha: list, beta: list, p2: float, wet: bool) -> float:
     """The candidate-set scan of ``waterfill_ostbc`` on Python floats, for
     one problem whose thresholds are nondecreasing.  Each set
@@ -106,22 +120,23 @@ def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterfill
     smallest such solution over the sets {i : threshold_i <= threshold_j},
     one per mode j, among which the active set is.  ``alpha`` and ``beta``
     may be stacks ``(..., modes)``, as for ``waterfill_capacity``; one
-    problem with nondecreasing thresholds is scanned on Python floats,
-    bit-identical to a stack member (see the module docstring).
+    problem is solved on Python floats, bit-identical to a stack member
+    (see the module docstring).
     """
-    alpha, beta = _validate_wf_inputs(alpha, beta, p2, alpha_below_one=False)
+    alpha, beta = _wf_arrays(alpha, beta, p2)
+    if alpha.ndim == 1:
+        # one problem: checks, thresholds, scan, pour and solution on Python
+        # floats; one whose thresholds are not nondecreasing takes the array scan
+        gains, costs, p2, thresholds, lowest, wet = _lone_problem(alpha, beta, p2, math.inf, lambda a, b: math.sqrt(b / a))
+        if all(map(operator.le, thresholds, thresholds[1:])):
+            xi = _scan_sorted(thresholds, gains, costs, p2, wet)
+        else:
+            xi = float(_scan(np.array(thresholds), alpha, beta, p2, 0.0 if wet else 1.0))
+        return _lone_solution(_psi(gains, costs, xi * wet), xi, wet, lowest, costs)
+    _validate_wf_inputs(alpha, beta, np.inf)
     thresholds = activation_thresholds(alpha, beta)
     lowest, wet = _wet(thresholds, p2)
-    if alpha.ndim == 1:
-        th, alpha_list, beta_list = thresholds.tolist(), alpha.tolist(), beta.tolist()
-        if all(map(operator.le, th, th[1:])):
-            xi = _scan_sorted(th, alpha_list, beta_list, float(p2), bool(wet))
-            x = np.array(_psi(alpha_list, beta_list, xi * bool(wet)))
-            return _solution(x, xi, wet, lowest, beta)
-    sets = thresholds[..., None, :] <= thresholds[..., :, None]  # (..., set j, mode i)
-    # a problem without servable modes gets a unit slope, so nothing divides by 0
-    slope = _mode_sum(sets * np.sqrt(alpha * beta)[..., None, :]) + ~wet[..., None]
-    xi = ((p2 + _mode_sum(sets * beta[..., None, :])) / slope).min(axis=-1, initial=np.inf)
+    xi = _scan(thresholds, alpha, beta, p2, ~wet[..., None])
     x = _psi(alpha, beta, (xi * wet)[..., None])
     return _solution(x, xi, wet, lowest, beta)
 

@@ -372,6 +372,31 @@ class TestMain:
         with open(doc["output"], "rb") as fh:
             assert fh.read() == previous
 
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_run_leaves_the_output_as_it_was(self, tmp_path, capsys, monkeypatch, existed):
+        # the writability probe creates a missing file; a failed sweep
+        # removes it again and keeps an existing one byte for byte
+        path, doc = _small_config(tmp_path)
+        previous = b"sweep_db,rtm,metric,mean_bits,stderr_bits,trials\n"
+        if existed:
+            with open(doc["output"], "wb") as fh:
+                fh.write(previous)
+
+        def boom(spec, workers=1):
+            assert os.path.exists(doc["output"])
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr("relay_rtm.cli.run_sweep", boom)
+        with pytest.raises(NumericalError, match="synthetic failure"):
+            run(parse_config(path.read_text()))
+        if existed:
+            with open(doc["output"], "rb") as fh:
+                assert fh.read() == previous
+        else:
+            assert not os.path.exists(doc["output"])
+        assert main(["run", str(path)]) == 2
+        assert os.path.exists(doc["output"]) == existed
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         path, _ = _small_config(tmp_path, output=str(tmp_path / "no_dir" / "x.csv"))
         assert main(["run", str(path)]) == 1

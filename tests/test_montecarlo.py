@@ -96,6 +96,32 @@ class TestSampleChannels:
             entry = getattr(ch, name)[i, j]
             assert (entry.real, entry.imag) == (float.fromhex(re), float.fromhex(im))
 
+    @pytest.mark.parametrize(
+        "seed,trial_index,named",
+        [
+            (7.5, 0, "seed"),
+            (True, 0, "seed"),
+            (-1, 0, "seed"),
+            ("7", 0, "seed"),
+            (7, 2.0, "trial_index"),
+            (7, False, "trial_index"),
+            (7, -3, "trial_index"),
+            (7, range(-1, 2), "trial_index"),
+        ],
+    )
+    def test_rejects_bad_seed_and_trials(self, seed, trial_index, named):
+        # 7.5 and True used to run as seeds 7 and 1, and a negative value
+        # raised numpy's bare ValueError
+        bad = seed if named == "seed" else (trial_index.start if isinstance(trial_index, range) else trial_index)
+        with pytest.raises(ValidationError, match=f"{named} must be an integer >= 0, got {re.escape(repr(bad))}"):
+            sample_channels(Dims(2, 2, 2, 2), seed, trial_index)
+
+    def test_numpy_integers_are_counts(self):
+        dims = Dims(2, 2, 2, 2)
+        a = sample_channels(dims, np.int64(3), np.int32(1))
+        b = sample_channels(dims, 3, 1)
+        assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in ("h0", "h1", "h2"))
+
     def test_stack_members_match_single_draws(self):
         dims = Dims(2, 3, 4, 5)
         stack = sample_channels(dims, 7, range(5, 9))

@@ -320,6 +320,29 @@ class TestSharedFactors:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("link", [True, False])
+    def test_translated_matrices_are_read_only_and_the_raw_ones_untouched(self, link):
+        # translate_scenario hands over the arrays it builds without a copy;
+        # they must still be read-only, share nothing with the raw draw, and
+        # pickle and solve as a ChannelSet built by hand does
+        dims = Dims(3, 2, 3, 2)
+        raw = scaled_channels(np.random.default_rng(14), dims, rho0_db=0.0, rho1_db=0.0, rho2_db=0.0)
+        kept = [m.copy() for m in (raw.h0, raw.h1, raw.h2)]
+        ch, pb = translate_scenario(SnrScenario(3.0, 7.0, -2.0, dims, direct_link_enabled=link), raw)
+        for name, m in zip(("h0", "h1", "h2"), kept):
+            arr = getattr(ch, name)
+            assert arr.dtype == complex and not arr.flags.writeable
+            assert not np.shares_memory(arr, getattr(raw, name))
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+            assert np.array_equal(getattr(raw, name), m)
+        by_hand = ChannelSet(ch.h0, ch.h1, ch.h2)
+        twin = pickle.loads(pickle.dumps(ch))
+        for kind in _SOLVERS:
+            expected = _figures(by_hand, pb, dims, kind)
+            assert _same(_figures(ch, pb, dims, kind), expected), kind
+            assert _same(_figures(twin, pb, dims, kind), expected), kind
+
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda ch: pickle.loads(pickle.dumps(ch))])
     def test_a_copy_is_built_anew(self, clone):
         dims = Dims(2, 2, 2, 2)
