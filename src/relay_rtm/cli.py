@@ -106,7 +106,8 @@ def parse_config(text: str) -> RunConfig:
     _require_keys(doc, "", allowed, {"dims", "sweep", "rtms", "metrics", "trials", "seed"})
 
     version = doc.get("format_version", 1)
-    if version != 1:
+    # true == 1 and 1.0 == 1 in Python; only the JSON integer 1 is version 1
+    if type(version) is not int or version != 1:
         _fail("format_version", f"unsupported value {version!r} (this tool writes version 1)")
 
     dims_doc = _section(doc, "dims", ("t", "r", "s", "u"))

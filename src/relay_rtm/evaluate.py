@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .matalg import _any, _figure, conj_transpose, hermitian_part
+from .matalg import _any, _figure, _slogdet, _solve, conj_transpose, hermitian_part
 from .network import ChannelSet, Dims, PowerBudget, _g0, _is_number, _read_only
 from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix
 
@@ -87,7 +87,7 @@ def _first(values, bad):
 
 
 def _logdet_bits(m: np.ndarray) -> np.ndarray:
-    sign, logdet = np.linalg.slogdet(hermitian_part(m))
+    sign, logdet = _slogdet(hermitian_part(m))
     # One matrix that passes is checked on Python floats (numpy orders
     # complex numbers by real, then imaginary part); any other takes the
     # array check, which words the error.
@@ -112,7 +112,7 @@ def _build_relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray,
     k = ch.h2 @ x_matrix
     kh1 = k @ ch.h1
     gram = np.eye(k.shape[-2]) + k @ conj_transpose(k)
-    return k, conj_transpose(kh1) @ np.linalg.solve(gram, kh1)
+    return k, conj_transpose(kh1) @ _solve(gram, kh1)
 
 
 def _relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +142,7 @@ def _forms(ch, pb, dims, x_matrix, inner=None):
     direct = _logdet_bits(eye + scale * (g0 + inner))
 
     z = hermitian_part(conj_transpose(k) @ k)
-    relay_side = np.linalg.solve(np.eye(dims.s) + z, z)
+    relay_side = _solve(np.eye(dims.s) + z, z)
     ident = _logdet_bits(eye + scale * (g0 + conj_transpose(ch.h1) @ relay_side @ ch.h1))
     return direct, ident
 

@@ -11,6 +11,20 @@ would factorize it alone, so a member's result does not depend on the
 stack it is in.  For one matrix, ``thin_ud`` makes its PSD check and rank
 cut on the eigenvalue list with the comparisons of the stack path, which
 skips numpy's cost per call.
+
+Every LAPACK call of the package goes through ``_solve``, ``_slogdet``
+and ``_eigh`` here.  Each calls the gufunc of
+``numpy.linalg._umath_linalg``, numpy's own backend for ``numpy.linalg``,
+with the complex signature ``numpy.linalg`` picks for complex128 input.
+At a handful of antennas the LAPACK work is a few microseconds, and
+``numpy.linalg``'s Python wrapper (array conversion, type resolution, the
+square check, result casts) costs about as much again on every call.
+Every input is already complex128, so a kernel makes the wrapper's LAPACK
+call on the same bytes and returns the same result.  ``_solve`` and
+``_eigh`` run under the wrapper's ``np.errstate``, so a singular system or
+a failed eigensolve raises ``LinAlgError`` with numpy's message, and
+``_slogdet`` of a singular matrix gives numpy's ``(0, -inf)``.  Tested on
+numpy 2.4; ``_umath_linalg`` is private to numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ValidationError
 
@@ -77,6 +92,35 @@ def _figure(v):
     return v if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _raise_nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 B of complex128 matrices, or of each pair in broadcast stacks:
+    ``np.linalg.solve`` without its wrapper."""
+    return _umath_linalg.solve(a, b, signature="DD->D")
+
+
+def _slogdet(a: np.ndarray) -> tuple:
+    """Sign and log |det| of a complex128 matrix, or of each in a stack:
+    ``np.linalg.slogdet`` without its wrapper."""
+    return _umath_linalg.slogdet(a, signature="D->Dd")
+
+
+@np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _eigh(a: np.ndarray) -> tuple:
+    """Ascending eigenvalues and eigenvectors of a complex128 Hermitian
+    matrix from its lower triangle, or of each in a stack:
+    ``np.linalg.eigh`` without its wrapper."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD")
+
+
 def conj_transpose(m: np.ndarray) -> np.ndarray:
     """M^H of a matrix, or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -116,7 +160,7 @@ def herm_eig(m: np.ndarray) -> HermEig:
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {_HERM_ATOL:.3e}"
         )
-    w, v = np.linalg.eigh(m)
+    w, v = _eigh(m)
     return HermEig(eigenvalues=w[..., ::-1], eigenvectors=_fix_phases(v[..., ::-1]))
 
 

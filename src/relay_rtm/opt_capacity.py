@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, _any, _figure, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
+from .matalg import DEFAULT_RANK_TOL, _any, _figure, _solve, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
 from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _is_number, _memoized, _read_only, validate
 
 __all__ = [
@@ -268,7 +268,7 @@ def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> Spect
     h1 = ch.h1
     h1_h = conj_transpose(h1)
     g = hermitian_part((dims.t / pb.p1) * np.eye(dims.t) + _g0(ch) + h1_h @ h1)
-    a = hermitian_part(h1 @ np.linalg.solve(g, h1_h))
+    a = hermitian_part(h1 @ _solve(g, h1_h))
     return _spectra_from_parts("capacity", a, relay, dims)
 
 
@@ -350,17 +350,25 @@ def _wf_arrays(alpha, beta, p2) -> tuple:
     return alpha, beta
 
 
-def _check_modes(gains_ok: bool, costs_ok: bool, top: float) -> None:
+def _check_modes(gains_ok: bool, costs_ok: bool, products_ok: bool, top: float) -> None:
+    # The OSTBC scan weighs each mode by sqrt(alpha * beta), so an
+    # overflowing product is rejected too; a non-finite entry fails the
+    # checks before it.
     if not gains_ok:
         raise ValidationError(f"mode gains must be finite and lie in [0, {top})")
     if not costs_ok:
         raise ValidationError("mode power costs must be finite and strictly positive")
+    if not products_ok:
+        raise ValidationError("each mode's gain times its power cost must be finite")
 
 
 def _validate_wf_inputs(alpha: np.ndarray, beta: np.ndarray, top: float) -> None:
     # a NaN makes min and max NaN, which fails every comparison
     gains_ok = alpha.min(initial=0.0) >= 0.0 and alpha.max(initial=0.0) < top
-    _check_modes(gains_ok, beta.min(initial=1.0) > 0.0 and beta.max(initial=1.0) < np.inf, top)
+    costs_ok = beta.min(initial=1.0) > 0.0 and beta.max(initial=1.0) < np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        products_ok = (alpha * beta).max(initial=0.0) < np.inf
+    _check_modes(gains_ok, costs_ok, products_ok, top)
 
 
 def _lone_problem(alpha: np.ndarray, beta: np.ndarray, p2: float, top: float, threshold) -> tuple:
@@ -370,7 +378,8 @@ def _lone_problem(alpha: np.ndarray, beta: np.ndarray, p2: float, top: float, th
     as a stack's are; Python's min and max let a NaN through or not by
     where it sits, so every entry is compared, and a NaN fails."""
     alpha, beta = alpha.tolist(), beta.tolist()
-    _check_modes(all(0.0 <= a < top for a in alpha), all(0.0 < b < math.inf for b in beta), top)
+    _check_modes(all(0.0 <= a < top for a in alpha), all(0.0 < b < math.inf for b in beta),
+                 all(a * b < math.inf for a, b in zip(alpha, beta)), top)
     thresholds = [threshold(a, b) if a > 0.0 else math.inf for a, b in zip(alpha, beta)]
     lowest = min(thresholds, default=math.inf)
     return alpha, beta, float(p2), thresholds, lowest, lowest < math.inf and p2 > 0.0

@@ -110,8 +110,13 @@ class TestParseConfig:
             parse_config("{not json")
 
     def test_format_version_checked(self):
-        with pytest.raises(ConfigError, match="format_version"):
-            parse_config(json.dumps(make_config(format_version=2)))
+        # true and 1.0 compare equal to 1 in Python, but are not the JSON integer 1
+        for version in (2, True, 1.0, "1", None):
+            with pytest.raises(ConfigError, match="format_version"):
+                parse_config(json.dumps(make_config(format_version=version)))
+
+    def test_format_version_one_accepted(self):
+        assert parse_config(json.dumps(make_config(format_version=1))) == parse_config(json.dumps(make_config()))
 
     def test_explain_section(self):
         cfg = parse_config(json.dumps(make_config(explain={"seed": 3, "trial": 9})))

@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import relay_rtm
 from helpers import crandn
 from oracles import check_kk_identity
 from relay_rtm.errors import ValidationError
-from relay_rtm.matalg import herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
+from relay_rtm.matalg import _eigh, _slogdet, _solve, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
 
 
 class TestHermEig:
@@ -141,3 +145,133 @@ class TestKkIdentity:
             im = rng.uniform(-7.0, 7.0, (n, m))
             k = re + 1j * im  # entry magnitude <= sqrt(98) < 10
             assert check_kk_identity(k) < 1e-10
+
+
+def _spd(rng, shape):
+    """Well-conditioned Hermitian positive definite complex matrices."""
+    g = crandn(rng, shape)
+    return g @ g.conj().swapaxes(-1, -2) + np.eye(shape[-1])
+
+
+def _assert_same_bytes(got, want):
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_bytes(g, w)
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLapackKernels:
+    """Each kernel makes ``numpy.linalg``'s LAPACK call on complex128
+    input, so its result has the wrapper's bytes: lone, stacked and with
+    broadcast batch axes."""
+
+    @pytest.mark.parametrize(
+        "a_batch, b_batch, n, k",
+        [((), (), 4, 4), ((), (), 5, 3), ((7,), (7,), 4, 4), ((8, 1), (8, 7), 4, 4), ((8, 7), (1,), 4, 2)],
+    )
+    def test_solve_matches_numpy(self, a_batch, b_batch, n, k):
+        rng = np.random.default_rng(51)
+        a = _spd(rng, a_batch + (n, n))
+        b = crandn(rng, b_batch + (n, k))
+        _assert_same_bytes(_solve(a, b), np.linalg.solve(a, b))
+        g = crandn(rng, a_batch + (n, n))  # a general, non-Hermitian system
+        _assert_same_bytes(_solve(g, b), np.linalg.solve(g, b))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 6), (7, 4, 4), (8, 7, 3, 3)])
+    def test_slogdet_matches_numpy(self, shape):
+        rng = np.random.default_rng(52)
+        for m in (_spd(rng, shape), crandn(rng, shape)):
+            _assert_same_bytes(_slogdet(m), tuple(np.linalg.slogdet(m)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 6), (7, 4, 4), (8, 7, 3, 3)])
+    def test_eigh_matches_numpy(self, shape):
+        rng = np.random.default_rng(53)
+        m = hermitian_part(crandn(rng, shape))
+        _assert_same_bytes(_eigh(m), tuple(np.linalg.eigh(m)))
+        # like numpy's, the kernel reads only the lower triangle
+        skewed = m + np.triu(crandn(rng, shape), 1)
+        _assert_same_bytes(_eigh(skewed), tuple(np.linalg.eigh(skewed)))
+
+    def test_broadcast_batch_axes(self):
+        rng = np.random.default_rng(54)
+        a = _spd(rng, (8, 1, 4, 4))
+        b = crandn(rng, (8, 7, 4, 4))
+        got = _solve(a, b)
+        assert got.shape == (8, 7, 4, 4)
+        _assert_same_bytes(got, np.linalg.solve(a, b))
+        # each member is the lone solve of its pair
+        for i, j in np.ndindex(8, 7):
+            _assert_same_bytes(got[i, j], _solve(a[i, 0], b[i, j]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 3)])
+    def test_singular_solve_raises_numpys_error(self, shape):
+        a = np.zeros(shape, dtype=complex)
+        b = np.ones(shape, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.solve(a, b)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _solve(a, b)
+        assert str(got.value) == str(want.value) == "Singular matrix"
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 3)])
+    def test_nan_eigh_raises_numpys_error(self, shape):
+        m = np.full(shape, np.nan, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.eigh(m)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _eigh(m)
+        assert str(got.value) == str(want.value) == "Eigenvalues did not converge"
+
+    def test_singular_slogdet_is_numpys_zero_and_minus_inf(self):
+        m = np.zeros((3, 3), dtype=complex)
+        sign, logdet = _slogdet(m)
+        assert (sign, logdet) == (0.0, -np.inf)
+        _assert_same_bytes((sign, logdet), tuple(np.linalg.slogdet(m)))
+
+    def test_errors_leave_the_callers_error_state_alone(self):
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex))
+        assert np.geterr() == before
+
+
+def _linalg_uses(tree):
+    """Line numbers of ``np.linalg``/``numpy.linalg`` references and of
+    imports from ``numpy.linalg`` in a module's syntax tree."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.linalg") or (
+                node.module == "numpy" and any(a.name == "linalg" for a in node.names)
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.linalg") for a in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_guard_sees_every_spelling():
+    src = "import numpy.linalg\nfrom numpy import linalg\nfrom numpy.linalg import solve\nnp.linalg.eigh(m)\nnumpy.linalg.slogdet(m)\n"
+    assert _linalg_uses(ast.parse(src)) == [1, 2, 3, 4, 5]
+
+
+def test_only_matalg_calls_numpy_linalg():
+    """LAPACK goes through ``matalg``'s kernels, so no other module of the
+    package may call ``numpy.linalg`` and its per-call wrapper."""
+    package = Path(relay_rtm.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert package / "matalg.py" in modules
+    offenders = {
+        str(path.relative_to(package)): lines
+        for path in modules
+        if path != package / "matalg.py" and (lines := _linalg_uses(ast.parse(path.read_text())))
+    }
+    assert offenders == {}

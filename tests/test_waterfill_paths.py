@@ -242,6 +242,17 @@ def test_non_finite_entries_fail_alike_lone_and_stacked(solver, which, position,
     assert ("mode gains" if which == "alpha" else "mode power costs") in str(lone.value)
 
 
+def test_overflowing_gain_cost_product_fails_alike_lone_and_stacked():
+    # sqrt(alpha * beta) of the second mode overflows: a lone solve used to
+    # pour nothing and a stack to give NaN
+    alpha, beta = np.array([1.0, 1e150]), np.array([1.0, 1e160])
+    with pytest.raises(ValidationError) as lone:
+        waterfill_ostbc(alpha, beta, 1.0)
+    with pytest.raises(ValidationError) as stacked:
+        waterfill_ostbc(np.stack([np.ones(2), alpha]), np.stack([np.ones(2), beta]), 1.0)
+    assert str(lone.value) == str(stacked.value) == "each mode's gain times its power cost must be finite"
+
+
 _MIX_SHAPES = [(4, 4, 4, 4), (2, 2, 4, 4), (4, 4, 2, 2), (8, 8, 8, 8)]
 _STACK_ONLY = (opt_capacity._validate_wf_inputs, opt_capacity._wet, opt_capacity._solution)
 
