@@ -2,7 +2,10 @@
 
 Problem sizes are a handful of antennas, so everything is dense
 double-precision complex and LAPACK (via numpy) is the only backend worth
-having.  All functions are pure: safe to call concurrently.
+having.  All functions are pure: safe to call concurrently, though
+threads add no throughput (numpy holds the GIL outside LAPACK, so caller
+threads mostly wait on each other; ``run_sweep(workers=...)`` runs
+processes).
 
 ``hermitian_part``, ``herm_eig`` and ``thin_ud`` accept a stack of
 matrices (any leading batch axes, ``(..., n, n)``) as well as a single
@@ -29,6 +32,7 @@ numpy 2.4; ``_umath_linalg`` is private to numpy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,21 +125,44 @@ def _eigh(a: np.ndarray) -> tuple:
     return _umath_linalg.eigh_lo(a, signature="D->dD")
 
 
+@functools.lru_cache(maxsize=64)
+def _eye(n: int) -> np.ndarray:
+    """The n x n float identity, built once per n and shared read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@functools.lru_cache(maxsize=64)
+def _arange(n: int) -> np.ndarray:
+    """``np.arange(n)``, built once per n and shared read-only."""
+    index = np.arange(n)
+    index.flags.writeable = False
+    return index
+
+
 def conj_transpose(m: np.ndarray) -> np.ndarray:
     """M^H of a matrix, or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Return (M + M^H)/2, which is exactly Hermitian in floating point."""
-    return 0.5 * (m + conj_transpose(m))
+    """Return (M + M^H)/2 of a float or complex M (or of each matrix in a
+    stack) as a new array, exactly Hermitian in floating point."""
+    out = m + conj_transpose(m)
+    out *= 0.5
+    return out
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     # Reproducible eigenvector representatives: rotate each column so its
     # largest-magnitude entry (first such index on ties) is real positive.
-    # Eigenvectors have unit norm, so that entry is never zero.
+    # Eigenvectors have unit norm, so that entry is never zero.  One matrix
+    # picks its entries in place; a stack is flattened to one batch axis.
     n = v.shape[-1]
+    if v.ndim == 2:
+        lead = v[np.abs(v).argmax(axis=0), _arange(n)]
+        return v / (lead / np.abs(lead))
     flat = v.reshape(-1, n, n)
     lead = flat[np.arange(len(flat))[:, None], np.abs(flat).argmax(axis=1), np.arange(n)]
     lead = lead.reshape(v.shape[:-2] + (1, n))

@@ -19,12 +19,12 @@ A ``ChannelSet`` is immutable: it holds read-only copies of the matrices
 it is given; the arrays the package builds itself, such as
 ``translate_scenario``'s scaled matrices, are made read-only in place
 instead of copied.  So what is built from the network alone (the Gram
-matrices G0 = H0^H H0 and H1 H1^H here, the second hop's factorization
-and the shaping matrix in ``opt_capacity``) is built by ``_memoized``
-functions once per instance, on first use, and shared by every solver
-and metric called on it.  ``evaluate`` keeps one more slot in the same
-memo: the relay-path matrix of the last transform evaluated on the
-instance.
+matrices G0 = H0^H H0 and H1 H1^H, Re tr G0 and H1^H here, the second
+hop's factorization and the shaping matrix in ``opt_capacity``) is built
+by ``_memoized`` functions once per instance, on first use, and shared by
+every solver and metric called on it.  ``evaluate`` keeps one more slot
+in the same memo: the relay-path matrix of the last transform evaluated
+on the instance.
 """
 
 from __future__ import annotations
@@ -154,6 +154,18 @@ def _memoized(build):
 def _g0(ch: ChannelSet) -> np.ndarray:
     """G0 = H0^H H0, the direct link's Gram matrix."""
     return conj_transpose(ch.h0) @ ch.h0
+
+
+@_memoized
+def _g0_trace(ch: ChannelSet):
+    """Re tr G0, the direct link's term of the OSTBC capacity."""
+    return _g0(ch).trace(axis1=-2, axis2=-1).real
+
+
+@_memoized
+def _h1_h(ch: ChannelSet) -> np.ndarray:
+    """H1^H, which the capacity spectra and the identity form share."""
+    return conj_transpose(ch.h1)
 
 
 @_memoized

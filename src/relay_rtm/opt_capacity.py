@@ -58,8 +58,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, _any, _figure, _solve, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
-from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _is_number, _memoized, _read_only, validate
+from .matalg import DEFAULT_RANK_TOL, _any, _eye, _figure, _solve, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
+from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _h1_h, _is_number, _memoized, _read_only, validate
 
 __all__ = [
     "SpectraBundle",
@@ -154,7 +154,7 @@ def _shaping_matrix(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> np.ndarray:
     It is the covariance of the relay's received signal, so a transform X
     spends relay power tr(X C X^H).
     """
-    return np.eye(dims.s) + (pb.p1 / dims.t) * _h1_gram(ch)
+    return _eye(dims.s) + (pb.p1 / dims.t) * _h1_gram(ch)
 
 
 @_memoized
@@ -265,9 +265,8 @@ def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> Spect
     Raises DeadRelayError when H2 has rank 0 (no mode can be served).
     """
     relay = _relay_side(ch, pb, dims)
-    h1 = ch.h1
-    h1_h = conj_transpose(h1)
-    g = hermitian_part((dims.t / pb.p1) * np.eye(dims.t) + _g0(ch) + h1_h @ h1)
+    h1, h1_h = ch.h1, _h1_h(ch)
+    g = hermitian_part((dims.t / pb.p1) * _eye(dims.t) + _g0(ch) + h1_h @ h1)
     a = hermitian_part(h1 @ _solve(g, h1_h))
     return _spectra_from_parts("capacity", a, relay, dims)
 
@@ -350,25 +349,28 @@ def _wf_arrays(alpha, beta, p2) -> tuple:
     return alpha, beta
 
 
-def _check_modes(gains_ok: bool, costs_ok: bool, products_ok: bool, top: float) -> None:
-    # The OSTBC scan weighs each mode by sqrt(alpha * beta), so an
-    # overflowing product is rejected too; a non-finite entry fails the
-    # checks before it.
+def _check_modes(gains_ok: bool, costs_ok: bool, products_ok: bool, ratios_ok: bool, top: float) -> None:
+    # The OSTBC scan weighs each mode by sqrt(alpha * beta), and both pours
+    # scale the level by alpha / beta, so an overflowing product or ratio
+    # is rejected too; a non-finite entry fails the checks before them.
     if not gains_ok:
         raise ValidationError(f"mode gains must be finite and lie in [0, {top})")
     if not costs_ok:
         raise ValidationError("mode power costs must be finite and strictly positive")
     if not products_ok:
         raise ValidationError("each mode's gain times its power cost must be finite")
+    if not ratios_ok:
+        raise ValidationError("each mode's gain over its power cost must be finite")
 
 
 def _validate_wf_inputs(alpha: np.ndarray, beta: np.ndarray, top: float) -> None:
     # a NaN makes min and max NaN, which fails every comparison
     gains_ok = alpha.min(initial=0.0) >= 0.0 and alpha.max(initial=0.0) < top
     costs_ok = beta.min(initial=1.0) > 0.0 and beta.max(initial=1.0) < np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         products_ok = (alpha * beta).max(initial=0.0) < np.inf
-    _check_modes(gains_ok, costs_ok, products_ok, top)
+        ratios_ok = (alpha / beta).max(initial=0.0) < np.inf
+    _check_modes(gains_ok, costs_ok, products_ok, ratios_ok, top)
 
 
 def _lone_problem(alpha: np.ndarray, beta: np.ndarray, p2: float, top: float, threshold) -> tuple:
@@ -378,8 +380,11 @@ def _lone_problem(alpha: np.ndarray, beta: np.ndarray, p2: float, top: float, th
     as a stack's are; Python's min and max let a NaN through or not by
     where it sits, so every entry is compared, and a NaN fails."""
     alpha, beta = alpha.tolist(), beta.tolist()
-    _check_modes(all(0.0 <= a < top for a in alpha), all(0.0 < b < math.inf for b in beta),
-                 all(a * b < math.inf for a, b in zip(alpha, beta)), top)
+    costs_ok = all(0.0 < b < math.inf for b in beta)
+    # a zero cost fails its check before a ratio divides by it
+    _check_modes(all(0.0 <= a < top for a in alpha), costs_ok,
+                 all(a * b < math.inf for a, b in zip(alpha, beta)),
+                 costs_ok and all(a / b < math.inf for a, b in zip(alpha, beta)), top)
     thresholds = [threshold(a, b) if a > 0.0 else math.inf for a, b in zip(alpha, beta)]
     lowest = min(thresholds, default=math.inf)
     return alpha, beta, float(p2), thresholds, lowest, lowest < math.inf and p2 > 0.0

@@ -1,0 +1,59 @@
+import importlib.util
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+_spec = importlib.util.spec_from_file_location("code_lines", _TOOL)
+code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(code_lines)
+
+_MODULE = '''"""Module docstring,
+on two lines."""
+
+import math  # a trailing comment keeps the line
+
+# a comment line
+
+
+class Box:
+    """Class docstring."""
+
+    size = 2
+
+    def area(self):
+        """Method docstring
+        on two lines.
+        """
+        text = """a multi-line string
+        that is not a docstring"""
+        return math.pi * self.size ** 2, text
+
+
+def f(x):
+    "A one-line docstring in plain quotes."
+    y = (x +
+         1)
+    return y
+'''
+
+
+def test_counts_a_synthetic_module():
+    # code: import, class, size, def area, text (2 lines), return,
+    # def f, y (2 lines), return
+    assert code_lines.count(_MODULE) == (11, len(_MODULE.splitlines()))
+
+
+def test_docstring_free_source_counts_every_nonblank_line():
+    assert code_lines.count("x = 1\n\ny = 2\n") == (2, 3)
+
+
+def test_prints_modules_and_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(_MODULE)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert code_lines.main(["code_lines.py", str(tmp_path)]) == 0
+    raw = len(_MODULE.splitlines())
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["a.py", "11", "code", str(raw), "raw"],
+        ["b.py", "1", "code", "1", "raw"],
+        ["total", "12", "code", str(raw + 1), "raw"],
+    ]

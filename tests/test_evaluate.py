@@ -256,6 +256,20 @@ class TestNaf:
         np.testing.assert_allclose(sol.x_matrix[:2, :2], gain * np.eye(2))
         assert not np.any(sol.x_matrix[2:, :])
 
+    @pytest.mark.parametrize("s, u", [(2, 4), (3, 3), (4, 2)])
+    def test_transform_is_zeros_with_the_gain_on_the_diagonal(self, s, u):
+        rng = np.random.default_rng(15)
+        dims = Dims(3, 2, s, u)
+        pb = canonical_budget(dims)
+        members = [scaled_channels(rng, dims, rho0_db=0.0) for _ in range(4)]
+        stack = ChannelSet(*(np.stack([getattr(m, name) for m in members]) for name in ("h0", "h1", "h2")))
+        k = min(s, u)
+        for ch in members + [stack]:
+            x = naf_rtm(ch, pb, dims).x_matrix
+            want = np.zeros(x.shape, dtype=complex)
+            want[..., np.arange(k), np.arange(k)] = x[..., :1, 0].real
+            assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+
     def test_never_beats_optimizer(self):
         rng = np.random.default_rng(13)
         dims = Dims(4, 4, 4, 4)

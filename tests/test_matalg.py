@@ -8,7 +8,18 @@ import relay_rtm
 from helpers import crandn
 from oracles import check_kk_identity
 from relay_rtm.errors import ValidationError
-from relay_rtm.matalg import _eigh, _slogdet, _solve, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
+from relay_rtm.matalg import (
+    _arange,
+    _eigh,
+    _eye,
+    _fix_phases,
+    _slogdet,
+    _solve,
+    herm_eig,
+    hermitian_part,
+    inv_sqrt_diag,
+    thin_ud,
+)
 
 
 class TestHermEig:
@@ -162,6 +173,56 @@ def _assert_same_bytes(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _phase_inputs(rng, n):
+    """Inputs like ``_fix_phases`` gets: unit-norm columns from ``_eigh``
+    of a complex, a real and a diagonal Hermitian matrix, and columns whose
+    entries all tie in magnitude (a DFT matrix with random column phases)."""
+    real = rng.standard_normal((n, n))
+    yield _eigh(hermitian_part(crandn(rng, (n, n))))[1]
+    yield _eigh((real + real.T).astype(complex))[1]
+    yield _eigh(np.diag(rng.standard_normal(n)).astype(complex))[1]
+    dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    yield dft * np.exp(2j * np.pi * rng.random(n))
+
+
+class TestLoneBuilds:
+    """The single-matrix shortcuts of ``matalg`` give the bytes of the
+    general code: ``_fix_phases`` of one matrix those of its stack path,
+    ``hermitian_part`` those of (M + M^H) * 0.5 as a new array, and the
+    cached ``_eye`` and ``_arange`` those of a fresh build."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lone_fix_phases_equals_its_stack_member(self, n):
+        rng = np.random.default_rng(60 + n)
+        inputs = [v for _ in range(10) for v in _phase_inputs(rng, n)]
+        # herm_eig hands over the reversed view of eigh's eigenvectors
+        stacked = _fix_phases(np.stack(inputs)[..., ::-1])
+        for i, v in enumerate(inputs):
+            lone = _fix_phases(v[..., ::-1])
+            _assert_same_bytes(lone, _fix_phases(v[None, :, ::-1])[0])
+            _assert_same_bytes(lone, stacked[i])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (8, 8), (7, 3, 3), (2, 5, 4, 4)])
+    def test_hermitian_part_is_a_new_exactly_hermitian_array(self, shape):
+        m = crandn(np.random.default_rng(70), shape)
+        kept = m.copy()
+        m.flags.writeable = False
+        h = hermitian_part(m)
+        assert h.flags.writeable and not np.shares_memory(h, m)
+        _assert_same_bytes(h, 0.5 * (kept + kept.conj().swapaxes(-1, -2)))
+        assert np.array_equal(h, h.conj().swapaxes(-1, -2))  # by value: conj flips a zero's sign
+        _assert_same_bytes(m, kept)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_cached_identity_and_range_are_read_only_fresh_builds(self, n):
+        for cached, fresh in ((_eye, np.eye), (_arange, np.arange)):
+            got = cached(n)
+            assert cached(n) is got
+            _assert_same_bytes(got, fresh(n))
+            with pytest.raises(ValueError):
+                got[...] = 0
 
 
 class TestLapackKernels:

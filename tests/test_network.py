@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import canonical_budget, count_calls, crandn, db_to_lin, scaled_channels
-from relay_rtm import matalg, network
+from relay_rtm import evaluate, matalg, network
 from relay_rtm.errors import DeadRelayWarning, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm, ostbc_capacity
 from relay_rtm.network import (
@@ -20,6 +20,7 @@ from relay_rtm.network import (
 )
 from relay_rtm.opt_capacity import optimize_capacity_rtm
 from relay_rtm.opt_ostbc import optimize_ostbc_rtm
+from test_waterfill_paths import _MIX_SHAPES
 
 
 def _raw(rng, dims):
@@ -260,19 +261,38 @@ class TestSharedFactors:
     """A ChannelSet builds its network-only factors once, for every solver
     and metric called on it, and figures do not depend on what ran first."""
 
+    @pytest.mark.parametrize("shape", _MIX_SHAPES)
     @pytest.mark.parametrize(
         "order", [("opt1", "opt2", "naf"), ("opt2", "opt1", "naf"), ("naf", "opt2", "opt1")]
     )
-    def test_realization_factorizes_its_network_once(self, monkeypatch, order):
-        dims = Dims(4, 4, 4, 4)
+    def test_realization_factorizes_its_network_once(self, monkeypatch, order, shape):
+        # the counts the benchmark's per-layer metrics read through these
+        # module attributes, for every shape of its realization mix
+        dims = Dims(*shape)
         ch = scaled_channels(np.random.default_rng(9), dims, rho0_db=5.0)
         pb = canonical_budget(dims)
         fresh = {kind: _figures(ChannelSet(ch.h0, ch.h1, ch.h2), pb, dims, kind) for kind in order}
-        calls = [count_calls(monkeypatch, fn) for fn in (network.validate, matalg.thin_ud, matalg.herm_eig)]
+        traced = (network.validate, matalg.thin_ud, matalg.herm_eig, evaluate.capacity_forms)
+        calls = [count_calls(monkeypatch, fn) for fn in traced]
         shared = {kind: _figures(ch, pb, dims, kind) for kind in order}
-        assert [len(c) for c in calls] == [1, 1, 3]
+        assert [len(c) for c in calls] == [1, 1, 3, 3]
         for kind in order:
             assert _same(shared[kind], fresh[kind]), kind
+
+    def test_memoized_factors_are_read_only_fresh_builds(self):
+        rng = np.random.default_rng(12)
+        lone = scaled_channels(rng, Dims(3, 2, 4, 3), rho0_db=5.0)
+        stack = ChannelSet(*(np.stack([m, 2.0 * m]) for m in (lone.h0, lone.h1, lone.h2)))
+        for ch in (lone, stack):
+            h1_h = ch.h1.conj().swapaxes(-1, -2)
+            g0_trace = (ch.h0.conj().swapaxes(-1, -2) @ ch.h0).trace(axis1=-2, axis2=-1).real
+            for factor, want in ((network._h1_h, h1_h), (network._g0_trace, g0_trace)):
+                got = factor(ch)
+                assert factor(ch) is got
+                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+                if isinstance(got, np.ndarray):
+                    with pytest.raises(ValueError):
+                        got[...] = 0.0
 
     def test_matrices_are_read_only_copies(self):
         rng = np.random.default_rng(10)

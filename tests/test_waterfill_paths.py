@@ -253,6 +253,28 @@ def test_overflowing_gain_cost_product_fails_alike_lone_and_stacked():
     assert str(lone.value) == str(stacked.value) == "each mode's gain times its power cost must be finite"
 
 
+@pytest.mark.parametrize(
+    "solver, alpha, beta",
+    [(waterfill_ostbc, [1e300], [1e-300]), (waterfill_capacity, [0.5], [1e-310])],
+)
+def test_overflowing_gain_over_cost_fails_alike_lone_and_stacked(solver, alpha, beta):
+    # alpha / beta overflows: the OSTBC pour used to return x = [inf], the
+    # capacity pour x = [nan], lone and stacked alike
+    alpha, beta = np.array(alpha), np.array(beta)
+    with pytest.raises(ValidationError) as lone:
+        solver(alpha, beta, 1.0)
+    with pytest.raises(ValidationError) as stacked:
+        solver(np.stack([np.full(1, 0.5), alpha]), np.stack([np.ones(1), beta]), 1.0)
+    assert str(lone.value) == str(stacked.value) == "each mode's gain over its power cost must be finite"
+
+
+def test_zero_cost_fails_its_own_check_before_any_ratio():
+    for alpha, beta in (([0.5, 0.5], [1.0, 0.0]), ([0.0], [0.0])):
+        for solver in (waterfill_capacity, waterfill_ostbc):
+            with pytest.raises(ValidationError, match="^mode power costs must be finite and strictly positive$"):
+                solver(np.array(alpha), np.array(beta), 1.0)
+
+
 _MIX_SHAPES = [(4, 4, 4, 4), (2, 2, 4, 4), (4, 4, 2, 2), (8, 8, 8, 8)]
 _STACK_ONLY = (opt_capacity._validate_wf_inputs, opt_capacity._wet, opt_capacity._solution)
 
