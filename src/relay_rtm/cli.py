@@ -129,7 +129,8 @@ def parse_config(text: str) -> RunConfig:
     def snr(key: str) -> float:
         swept = axis == key[:-3]
         if key in doc:
-            return float(_typed(doc[key], "number", key))
+            # not float(): SnrScenario rejects an integer too large for one
+            return _typed(doc[key], "number", key)
         if swept or (key == "rho0_db" and not direct_link):
             return 0.0  # placeholder, never used
         _fail("", f"missing required key {key!r} (not the swept axis)")
@@ -155,7 +156,7 @@ def parse_config(text: str) -> RunConfig:
             metrics=_typed(doc["metrics"], "list", "metrics"),
             trials=doc["trials"],
             seed=doc["seed"],
-            symbol_rate=float(_typed(doc.get("symbol_rate", 1.0), "number", "symbol_rate")),
+            symbol_rate=_typed(doc.get("symbol_rate", 1.0), "number", "symbol_rate"),
         )
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
@@ -293,8 +294,7 @@ def explain(cfg: RunConfig) -> str:
         else:
             sol = naf_rtm(ch, pb, dims)
             lines.append(f"[{sol.kind}] scaled-identity relay transform")
-            gain = float(np.sqrt(sol.wf.x[0])) if sol.wf.x.size else 0.0
-            lines.append(f"  diagonal gain:           {gain:.12g}")
+            lines.append(f"  diagonal gain:           {sol.x_matrix[0, 0].real:.12g}")
 
         lines.append(f"  relay power used:        {sol.relay_power_used:.12g} of budget {pb.p2:.12g}")
         direct, ident = capacity_forms(ch, pb, dims, sol.x_matrix)

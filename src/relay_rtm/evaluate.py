@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .matalg import _any, _eye, _figure, _slogdet, _solve, conj_transpose, hermitian_part
+from .matalg import _any, _eye, _slogdet, _solve, conj_transpose, hermitian_part
 from .network import ChannelSet, Dims, PowerBudget, _g0, _g0_trace, _h1_h, _is_number, _read_only
 from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix
 
@@ -48,11 +48,10 @@ _FORM_AGREEMENT_BITS = 1e-9
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """A capacity figure in bit/s/Hz with its context."""
+    """A capacity figure in bit/s/Hz: a float for one network, an array
+    for a stack."""
 
     bits: float
-    variant: str          # "capacity" | "ostbc"
-    symbol_rate: float    # meaningful for the ostbc variant, 1.0 otherwise
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) 
         direct, ident = capacity_forms(member, pb, dims, pick(x_matrix), _inner=pick(inner))
     if abs(direct - ident) > _FORM_AGREEMENT_BITS:
         raise NumericalError(f"capacity forms disagree: {direct!r} vs {ident!r} bits")
-    return CapacityReport(bits=bits, variant="capacity", symbol_rate=1.0)
+    return CapacityReport(bits=bits)
 
 
 def ostbc_capacity(
@@ -225,11 +224,11 @@ def ostbc_capacity(
     # one network's figure is checked as a Python float; any other figure,
     # and a lone one that fails, take the array check
     if bits.ndim == 0 and math.isfinite(bits):
-        return CapacityReport(bits=float(bits), variant="ostbc", symbol_rate=float(symbol_rate))
+        return CapacityReport(bits=float(bits))
     bad = ~np.isfinite(bits)
     if _any(bad):
         raise NumericalError(f"OSTBC capacity is not finite (trace {_first(trace_arg, bad)})")
-    return CapacityReport(bits=bits, variant="ostbc", symbol_rate=float(symbol_rate))
+    return CapacityReport(bits=bits)
 
 
 def _metric_bits(
@@ -251,25 +250,19 @@ def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
 
     The gain is chosen so that tr(X C X^H) meets the relay budget exactly.
     For s != u the identity pattern is rectangular (ones on the main
-    diagonal) and the solution is flagged "naf-rect".  A stacked
-    ``ChannelSet`` gives a stack of transforms.
+    diagonal) and the solution is flagged "naf-rect".  No water-filling
+    solve or spectra go into it, so ``wf`` and ``spectra`` are None.  A
+    stacked ``ChannelSet`` gives a stack of transforms.
     """
     s, u = dims.s, dims.u
     c = _shaping_matrix(ch, pb, dims)
     k = min(s, u)
     gain = np.sqrt(pb.p2 / c[..., :k, :k].trace(axis1=-2, axis2=-1).real)
     x_matrix = np.eye(u, s, dtype=complex) * gain[..., None, None]
-    power = _figure((x_matrix @ c @ conj_transpose(x_matrix)).trace(axis1=-2, axis2=-1).real)
-    mode_gain = np.repeat(gain[..., None], k, axis=-1)
-    wf = WaterfillSolution(
-        x=mode_gain ** 2,
-        xi=None,
-        active=mode_gain > 0.0,
-        achieved_budget=power,
-    )
+    power = (x_matrix @ c @ conj_transpose(x_matrix)).trace(axis1=-2, axis2=-1).real
     return RtmSolution(
         x_matrix=x_matrix,
-        wf=wf,
+        wf=None,
         spectra=None,
         relay_power_used=power,
         kind="naf" if s == u else "naf-rect",

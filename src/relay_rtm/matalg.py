@@ -91,11 +91,6 @@ def _any(mask) -> bool:
     return bool(mask.any() if mask.ndim else mask)
 
 
-def _figure(v):
-    """A float for one problem, the array itself for a stack."""
-    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
-
-
 def _raise_singular(err, flag):
     raise LinAlgError("Singular matrix")
 
@@ -176,14 +171,18 @@ def herm_eig(m: np.ndarray) -> HermEig:
     by the underlying LAPACK factorization (which is deterministic for
     identical input), and every eigenvector is re-phased so that its
     largest-magnitude component is real positive, making repeated calls
-    bit-reproducible.  The maximum elementwise asymmetry |m - m^H| must
-    not exceed 1e-12.  ``m`` may be a stack ``(..., n, n)``.
+    bit-reproducible.  Every entry must be finite, and the maximum
+    elementwise asymmetry |m - m^H| must not exceed 1e-12.  ``m`` may be
+    a stack ``(..., n, n)``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
     asym = float(np.abs(m - conj_transpose(m)).max(initial=0.0))
-    if asym > _HERM_ATOL:
+    # a NaN or inf entry makes the asymmetry NaN or inf, which fails this
+    if not asym <= _HERM_ATOL:
+        if not np.isfinite(m).all():
+            raise ValidationError("matrix has non-finite entries")
         raise ValidationError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {_HERM_ATOL:.3e}"
         )

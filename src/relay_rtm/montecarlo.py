@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import RelayRtmError, ValidationError
 from .evaluate import _metric_bits, naf_rtm
-from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _is_number, _owned, translate_scenario
+from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _check_snr_db, _is_number, _owned, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
@@ -67,7 +67,10 @@ def _check_count(name: str, val, minimum: int) -> None:
 @dataclass(frozen=True)
 class SweepSpec:
     """A full sweep description: scenario template, swept axis, points,
-    transform kinds, metrics, trial count and seed."""
+    transform kinds, metrics, trial count and seed.
+
+    Points must be strictly increasing and kinds and metrics must not
+    repeat, so each (point, kind, metric) of the output appears once."""
 
     scenario: SnrScenario
     sweep_axis: str
@@ -85,6 +88,8 @@ class SweepSpec:
             points = None
         if points is None or not all(_is_number(p) for p in points):
             raise ValidationError(f"sweep_points_db must be a sequence of numbers, got {self.sweep_points_db!r}")
+        for p in points:
+            _check_snr_db("sweep point", p)
         object.__setattr__(self, "sweep_points_db", tuple(float(p) for p in points))
         object.__setattr__(self, "rtm_kinds", tuple(self.rtm_kinds))
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -93,20 +98,19 @@ class SweepSpec:
             raise ValidationError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if not points:
             raise ValidationError(f"sweep_points_db must be nonempty, got {points}")
-        if not all(math.isfinite(p) for p in points):
-            raise ValidationError(f"sweep points must be finite, got {points}")
-        if any(b < a for a, b in zip(points, points[1:])):
-            raise ValidationError(f"sweep points must be sorted nondecreasing, got {points}")
-        if not kinds or any(k not in RTM_KINDS for k in kinds):
-            raise ValidationError(f"rtm_kinds must be a nonempty subset of {RTM_KINDS}, got {kinds}")
-        if not metrics or any(m not in METRICS for m in metrics):
-            raise ValidationError(f"metrics must be a nonempty subset of {METRICS}, got {metrics}")
+        if any(b <= a for a, b in zip(points, points[1:])):
+            raise ValidationError(f"sweep points must be sorted strictly increasing, got {points}")
+        if not kinds or any(k not in RTM_KINDS for k in kinds) or len(set(kinds)) < len(kinds):
+            raise ValidationError(f"rtm_kinds must be a nonempty subset of {RTM_KINDS} without repeats, got {kinds}")
+        if not metrics or any(m not in METRICS for m in metrics) or len(set(metrics)) < len(metrics):
+            raise ValidationError(f"metrics must be a nonempty subset of {METRICS} without repeats, got {metrics}")
         if self.sweep_axis == "rho0" and not self.scenario.direct_link_enabled:
             raise ValidationError("sweep_axis 'rho0' needs the direct link enabled: without it rho0 scales nothing")
         _check_count("trials", self.trials, 1)
         _check_count("seed", self.seed, 0)
         if not (_is_number(self.symbol_rate) and 0.0 < self.symbol_rate <= 1.0):
             raise ValidationError(f"symbol_rate must lie in (0, 1], got {self.symbol_rate!r}")
+        object.__setattr__(self, "symbol_rate", float(self.symbol_rate))
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,22 @@ def _is_number(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
+def _check_snr_db(name: str, val) -> None:
+    """Reject an SNR that is not a finite float64 number of dB, or whose
+    linear power 10^(dB/10) overflows float64 (above about 3082.5 dB):
+    ``_amplitude`` could not scale a channel by it."""
+    try:
+        finite = _is_number(val) and math.isfinite(val)
+    except OverflowError:  # an integer beyond float64's range
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be a finite number, got {val!r}")
+    try:
+        10.0 ** (float(val) / 10.0)
+    except OverflowError:
+        raise ValidationError(f"{name} {val!r} dB overflows float64 as a linear power 10^(dB/10)") from None
+
+
 @dataclass(frozen=True)
 class Dims:
     """Antenna counts: source transmit, destination receive, relay receive,
@@ -205,9 +221,7 @@ class SnrScenario:
 
     def __post_init__(self):
         for name in ("rho0_db", "rho1_db", "rho2_db"):
-            val = getattr(self, name)
-            if not (_is_number(val) and math.isfinite(val)):
-                raise ValidationError(f"{name} must be a finite number, got {val!r}")
+            _check_snr_db(name, getattr(self, name))
 
 
 def _check_shapes(dims: Dims, ch: ChannelSet) -> None:

@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, _any, _eye, _figure, _solve, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
+from .matalg import DEFAULT_RANK_TOL, _any, _eye, _solve, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
 from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _h1_h, _is_number, _memoized, _read_only, validate
 
 __all__ = [
@@ -84,19 +84,15 @@ class SpectraBundle:
     """Per-mode spectra of a relay network plus the factors that rebuild X.
 
     ``alpha``/``beta`` cover the ``rho = min(s, rho_b)`` servable modes
-    (``alpha`` zero-padded past ``rho_a``).  ``alpha_tail`` holds the gain
-    spectrum beyond the servable modes (nonempty only when the first-hop
-    rank exceeds ``rho``); those modes are stuck at zero power but still
-    enter the parametric capacity.  ``variant`` is "capacity" (gains
-    strictly below 1) or "ostbc" (gains unbounded).
+    (``alpha`` zero-padded past ``rho_a``).  ``variant`` is "capacity"
+    (gains strictly below 1) or "ostbc" (gains unbounded).
 
     For a stack, every array gains the leading batch axes of the inputs it
     is built from (broadcast; e.g. ``u_a_thin`` and ``c_matrix`` are
     ``(trials, 1, ...)`` on a stack whose ``h2`` alone has a point axis),
     the counts are int arrays, and the mode axis is as wide as the largest
     ``rho``; a member's modes past its own ``rho`` (or ``rho_b``) have zero
-    gain and unit ``lam_b_thin``, and its first-hop gains there are not
-    kept in ``alpha_tail``.
+    gain and unit ``lam_b_thin``.
     """
 
     variant: str
@@ -108,7 +104,6 @@ class SpectraBundle:
     rho: int
     rho_a: int
     rho_b: int
-    alpha_tail: np.ndarray  # (s - rho,) gains of the unservable modes
     c_matrix: np.ndarray    # (s, s) relay input shaping matrix
 
 
@@ -132,16 +127,16 @@ class RtmSolution:
     """A relay transform matrix with its construction diagnostics.
 
     ``kind`` is one of "opt1" (capacity-optimal), "opt2" (OSTBC-optimal),
-    "naf" / "naf-rect" (scaled identity).  ``spectra`` is None for the
-    NAF kinds, which are not built from an eigenstructure.  For a stack,
-    ``x_matrix`` is a stack of matrices and ``relay_power_used`` an array,
-    both with the broadcast batch axes of the channel matrices the kind is
-    built from: all three for opt1, ``h1`` and ``h2`` for opt2, ``h1`` for
-    NAF.
+    "naf" / "naf-rect" (scaled identity).  ``wf`` and ``spectra`` are None
+    for the NAF kinds, which are built from neither a water-filling solve
+    nor an eigenstructure.  For a stack, ``x_matrix`` is a stack of
+    matrices and ``relay_power_used`` an array, both with the broadcast
+    batch axes of the channel matrices the kind is built from: all three
+    for opt1, ``h1`` and ``h2`` for opt2, ``h1`` for NAF.
     """
 
     x_matrix: np.ndarray
-    wf: WaterfillSolution
+    wf: Optional[WaterfillSolution]
     spectra: Optional[SpectraBundle]
     relay_power_used: float
     kind: str
@@ -191,7 +186,7 @@ def _spectra_from_parts(variant: str, a: np.ndarray, relay: tuple, dims: Dims) -
     u_a = eig_a.eigenvectors
     cost = (u_a.conj() * (c @ u_a)).real.sum(axis=-2)[..., :width]
     modes = _lone_modes if a.ndim == ud_b.u_thin.ndim == 2 else _stacked_modes
-    alpha, beta, lam_b, alpha_tail, rho, rho_a = modes(variant, eig_a.eigenvalues, cost, ud_b, width)
+    alpha, beta, lam_b, rho, rho_a = modes(variant, eig_a.eigenvalues, cost, ud_b, width)
     return SpectraBundle(
         variant=variant,
         alpha=alpha,
@@ -202,14 +197,13 @@ def _spectra_from_parts(variant: str, a: np.ndarray, relay: tuple, dims: Dims) -
         rho=rho,
         rho_a=rho_a,
         rho_b=ud_b.rank,
-        alpha_tail=alpha_tail,
         c_matrix=c,
     )
 
 
 def _stacked_modes(variant: str, lam_a, cost, ud_b, width: int) -> tuple:
-    """A stack's mode gains, costs, second-hop eigenvalues, gain tail and
-    mode counts ``rho`` and ``rho_a``, from the eigenvalues of its gain
+    """A stack's mode gains, costs, second-hop eigenvalues and mode
+    counts ``rho`` and ``rho_a``, from the eigenvalues of its gain
     matrices, its mode costs times lam_b and its second hop's thin
     diagonalization; ``width`` is the widest member's ``rho``."""
     # Modes past a stack member's own count are padded with zero gain and
@@ -218,12 +212,10 @@ def _stacked_modes(variant: str, lam_a, cost, ud_b, width: int) -> tuple:
     kept = lam_a > DEFAULT_RANK_TOL * np.maximum(lam_a[..., :1], 1.0)
     lam_a = np.where(kept, lam_a, 0.0)
     alpha = np.where(ud_b.lam_thin[..., :width] > 0.0, lam_a[..., :width], 0.0)
-    alpha_tail = lam_a[..., width:]
     if variant == "capacity":
         _check_capacity_gain(float(alpha.max(initial=0.0)))
         np.minimum(alpha, _BELOW_ONE, out=alpha)
-        np.minimum(alpha_tail, _BELOW_ONE, out=alpha_tail)
-    return alpha, cost / lam_b[..., :width], lam_b, alpha_tail, np.minimum(width, ud_b.rank), kept.sum(axis=-1)
+    return alpha, cost / lam_b[..., :width], lam_b, np.minimum(width, ud_b.rank), kept.sum(axis=-1)
 
 
 def _lone_modes(variant: str, lam_a, cost, ud_b, width: int) -> tuple:
@@ -234,14 +226,13 @@ def _lone_modes(variant: str, lam_a, cost, ud_b, width: int) -> tuple:
     lam_a, cost = lam_a.tolist(), cost.tolist()
     cut = DEFAULT_RANK_TOL * max(lam_a[0], 1.0)
     lam_a = [v if v > cut else 0.0 for v in lam_a]
-    alpha, alpha_tail = lam_a[:width], lam_a[width:]
+    alpha = lam_a[:width]
     if variant == "capacity":
         _check_capacity_gain(max(alpha, default=0.0))
         alpha = [min(v, _BELOW_ONE) for v in alpha]
-        alpha_tail = [min(v, _BELOW_ONE) for v in alpha_tail]
     beta = [k / b for k, b in zip(cost, ud_b.lam_thin.tolist())]
     # rho_a counts the kept gains, which lie above the cut, so are never 0
-    return np.array(alpha), np.array(beta), ud_b.lam_thin, np.array(alpha_tail), int(width), len(lam_a) - lam_a.count(0.0)
+    return np.array(alpha), np.array(beta), ud_b.lam_thin, int(width), len(lam_a) - lam_a.count(0.0)
 
 
 def _check_capacity_gain(top: float) -> None:
@@ -509,7 +500,7 @@ def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
         x_matrix=x_matrix,
         wf=wf,
         spectra=spectra,
-        relay_power_used=_figure(power),
+        relay_power_used=power,
         kind=kind,
     )
 

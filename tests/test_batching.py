@@ -56,7 +56,7 @@ def _members(rng, dims, low_rank_h2):
     "dims, low_rank_h2",
     [
         (Dims(4, 4, 4, 4), 2),  # padded modes
-        (Dims(2, 2, 4, 4), None),  # nonempty alpha_tail
+        (Dims(2, 2, 4, 4), None),  # fewer servable modes than s
         (Dims(8, 8, 8, 8), 7),  # padded, with 8-mode sums
         (Dims(3, 2, 4, 3), 1),
     ],
@@ -73,7 +73,7 @@ def test_stack_members_match_single_solves(solver, dims, low_rank_h2):
     if low_rank_h2 is not None:
         assert spectra.rho_b.min() < spectra.rho_b.max()
     else:
-        assert spectra.alpha_tail.shape == STACK + (dims.s - dims.r,)
+        assert spectra.alpha.shape == STACK + (dims.r,)
 
     sol = solver(stack, pb, dims)
     cap = capacity(stack, pb, dims, sol.x_matrix).bits
@@ -83,13 +83,16 @@ def test_stack_members_match_single_solves(solver, dims, low_rank_h2):
         alone = solver(member, pb, dims)
         assert np.array_equal(sol.x_matrix[index], alone.x_matrix)
         assert sol.relay_power_used[index] == alone.relay_power_used
-        # mode powers and water level too; padded modes stay dry
-        modes = alone.wf.x.size
-        assert np.array_equal(sol.wf.x[index][:modes], alone.wf.x)
-        assert not np.any(sol.wf.x[index][modes:])
-        assert sol.wf.achieved_budget[index] == alone.wf.achieved_budget
-        if alone.wf.xi is not None:
-            assert sol.wf.xi[index] == alone.wf.xi
+        # mode powers and water level too; padded modes stay dry (NAF
+        # makes no water-filling solve)
+        assert (sol.wf is None) == (alone.wf is None) == (solver is naf_rtm)
+        if alone.wf is not None:
+            modes = alone.wf.x.size
+            assert np.array_equal(sol.wf.x[index][:modes], alone.wf.x)
+            assert not np.any(sol.wf.x[index][modes:])
+            assert sol.wf.achieved_budget[index] == alone.wf.achieved_budget
+            if alone.wf.xi is not None:
+                assert sol.wf.xi[index] == alone.wf.xi
         assert cap[index] == capacity(member, pb, dims, alone.x_matrix).bits
         assert ost[index] == ostbc_capacity(member, pb, dims, alone.x_matrix, 0.5).bits
         assert (direct[index], ident[index]) == capacity_forms(member, pb, dims, alone.x_matrix)
@@ -135,12 +138,14 @@ def test_broadcast_stack_members_match_single_solves(solver, swept, dims, low_ra
         got = (trial, min(point, sol.x_matrix.shape[1] - 1))
         assert np.array_equal(sol.x_matrix[got], alone.x_matrix)
         assert sol.relay_power_used[got] == alone.relay_power_used
-        modes = alone.wf.x.size
-        assert np.array_equal(sol.wf.x[got][:modes], alone.wf.x)
-        assert not np.any(sol.wf.x[got][modes:])
-        assert sol.wf.achieved_budget[got] == alone.wf.achieved_budget
-        if alone.wf.xi is not None:
-            assert sol.wf.xi[got] == alone.wf.xi
+        assert (sol.wf is None) == (alone.wf is None) == (solver is naf_rtm)
+        if alone.wf is not None:
+            modes = alone.wf.x.size
+            assert np.array_equal(sol.wf.x[got][:modes], alone.wf.x)
+            assert not np.any(sol.wf.x[got][modes:])
+            assert sol.wf.achieved_budget[got] == alone.wf.achieved_budget
+            if alone.wf.xi is not None:
+                assert sol.wf.xi[got] == alone.wf.xi
         assert cap[trial, point] == capacity(member, pb, dims, alone.x_matrix).bits
         assert ost[trial, point] == ostbc_capacity(member, pb, dims, alone.x_matrix, 0.5).bits
 

@@ -147,6 +147,16 @@ class TestParseConfig:
             (dict(trials=0), "got 0"),
             (dict(trials=True), "got True"),
             (dict(seed=-1), "got -1"),
+            # repeats would write a (sweep_db, rtm, metric) row twice
+            (dict(rtms=["opt1", "opt1"], metrics=["capacity", "capacity"]), "without repeats, got ('opt1', 'opt1')"),
+            (dict(metrics=["capacity", "ostbc", "capacity"]), "without repeats, got ('capacity', 'ostbc', 'capacity')"),
+            (dict(sweep={"axis": "rho2", "points_db": [0, 5, 5]}), "strictly increasing, got (0.0, 5.0, 5.0)"),
+            # a linear power 10^(dB/10) beyond float64 raised a bare OverflowError
+            (dict(rho1_db=4000), "rho1_db 4000 dB overflows float64"),
+            (dict(rho0_db=3100.5), "rho0_db 3100.5 dB overflows float64"),
+            (dict(sweep={"axis": "rho2", "points_db": [0, 4000]}), "sweep point 4000 dB overflows float64"),
+            (dict(rho1_db=10**400), "rho1_db must be a finite number, got 1000"),
+            (dict(symbol_rate=10**400), "symbol_rate must lie in (0, 1], got 1000"),
         ],
     )
     def test_domain_rule_is_config_error(self, tmp_path, capsys, overrides, named):
@@ -157,6 +167,33 @@ class TestParseConfig:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    # Structure and JSON-type rules live in the parser itself.
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[]", "config must be a JSON object"),
+            ('"config"', "config must be a JSON object"),
+            (json.dumps(make_config(rtms="opt1")), "rtms: must be a JSON list, got 'opt1'"),
+            (json.dumps(make_config(dims=[4, 4, 4, 4])), "dims: must be a JSON object, got [4, 4, 4, 4]"),
+            (json.dumps(make_config(sweep={"axis": "rho2", "points_db": [0, "5"]})), "sweep.points_db[1]: must be a JSON number, got '5'"),
+            (json.dumps(make_config(rho1_db=True)), "rho1_db: must be a JSON number, got True"),
+            (json.dumps(make_config(sweep={"axis": "rho9", "points_db": [0]})), "sweep.axis: must be one of ['rho0', 'rho1', 'rho2'], got 'rho9'"),
+            (json.dumps(make_config(direct_link=1)), "direct_link: must be true or false, got 1"),
+            (json.dumps(make_config(direct_link="yes")), "direct_link: must be true or false, got 'yes'"),
+            (json.dumps(make_config(explain={"seed": -1, "trial": 0})), "explain.seed: must be a nonnegative integer, got -1"),
+            (json.dumps(make_config(explain={"seed": 0, "trial": 1.5})), "explain.trial: must be a nonnegative integer, got 1.5"),
+        ],
+    )
+    def test_structure_error_is_config_error(self, tmp_path, capsys, text, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            parse_config(text)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        for command in ("run", "explain"):
+            assert main([command, str(path)]) == 1
+            assert f"relay-rtm: config error: {named}" in capsys.readouterr().err
 
 
 def _small_config(tmp_path, **overrides):
@@ -401,6 +438,17 @@ class TestMain:
             assert not os.path.exists(doc["output"])
         assert main(["run", str(path)]) == 2
         assert os.path.exists(doc["output"]) == existed
+
+    def test_os_error_after_the_sweep_maps_to_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the output passed the writability probe, but writing the CSV fails
+        path, _ = _small_config(tmp_path)
+
+        def full_disk(points, stream):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("relay_rtm.cli.write_csv", full_disk)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "relay-rtm: error: [Errno 28] No space left on device\n"
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         path, _ = _small_config(tmp_path, output=str(tmp_path / "no_dir" / "x.csv"))

@@ -8,7 +8,7 @@ import pytest
 from helpers import canonical_budget, count_calls, crandn, scaled_channels, scalar_network
 from oracles import direct_link_capacity, oracle_solve
 from relay_rtm import evaluate
-from relay_rtm.errors import ValidationError
+from relay_rtm.errors import NumericalError, ValidationError
 from relay_rtm.evaluate import (
     capacity,
     capacity_forms,
@@ -106,7 +106,6 @@ class TestOstbcCapacity:
         ch = ChannelSet(h0=np.zeros((2, 2)), h1=np.eye(2), h2=np.eye(2))
         rep = ostbc_capacity(ch, PowerBudget(2.0, 2.0), dims, np.zeros((2, 2)), rate)
         assert rep.bits == 0.0
-        assert rep.symbol_rate == rate
 
     def test_scalar_coincides_with_capacity(self):
         dims, ch = scalar_network()
@@ -158,6 +157,75 @@ def _both_bits(ch, pb, dims, x):
 
 def _fresh(ch):
     return ChannelSet(ch.h0, ch.h1, ch.h2)
+
+
+def _skew_identity_form(monkeypatch, h1_entry, gap_bits):
+    """Have the identity form read ``gap_bits`` above its value for every
+    network whose h1[0, 0] is ``h1_entry``, as a true disagreement of the
+    two forms would: wherever that network is evaluated, in a stack or on
+    its own."""
+    forms = evaluate._forms
+
+    def skewed(ch, pb, dims, x_matrix, inner=None):
+        direct, ident = forms(ch, pb, dims, x_matrix, inner)
+        hit = np.broadcast_to(ch.h1[..., 0, 0] == h1_entry, np.shape(ident))
+        return direct, ident + gap_bits * hit
+
+    monkeypatch.setattr(evaluate, "_forms", skewed)
+
+
+def _mix_stack(dims, trials):
+    """A stack of sampled networks, with the member drawn alone beside it."""
+    scenario = SnrScenario(5.0, 10.0, 10.0, dims)
+    ch, pb = translate_scenario(scenario, sample_channels(dims, 17, range(trials)))
+    members = [translate_scenario(scenario, sample_channels(dims, 17, k))[0] for k in range(trials)]
+    return ch, pb, members
+
+
+class TestFormGate:
+    """The two capacity forms must agree to 1e-9 bits; a larger gap raises."""
+
+    @pytest.mark.parametrize("gap, fails", [(2e-9, True), (-2e-9, True), (0.5e-9, False), (-0.5e-9, False)])
+    def test_one_network(self, monkeypatch, gap, fails):
+        dims = Dims(3, 3, 3, 3)
+        _, pb, (ch, *_) = _mix_stack(dims, 1)
+        x = optimize_capacity_rtm(ch, pb, dims).x_matrix
+        honest = capacity(ch, pb, dims, x).bits
+        _skew_identity_form(monkeypatch, ch.h1[0, 0], gap)
+        if fails:
+            with pytest.raises(NumericalError, match="^capacity forms disagree: "):
+                capacity(ch, pb, dims, x)
+        else:
+            assert capacity(ch, pb, dims, x).bits == honest
+
+    @pytest.mark.parametrize("gap, fails", [(2e-9, True), (0.5e-9, False)])
+    @pytest.mark.parametrize("member", [0, 2, 4])
+    def test_one_member_of_a_stack(self, monkeypatch, gap, fails, member):
+        dims = Dims(2, 3, 3, 2)
+        ch, pb, members = _mix_stack(dims, 5)
+        x = optimize_capacity_rtm(ch, pb, dims).x_matrix
+        honest = capacity(ch, pb, dims, x).bits
+        _skew_identity_form(monkeypatch, members[member].h1[0, 0], gap)
+        if fails:
+            with pytest.raises(NumericalError, match="^capacity forms disagree: "):
+                capacity(ch, pb, dims, x)
+        else:
+            assert np.array_equal(capacity(ch, pb, dims, x).bits, honest)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("metric", [capacity, ostbc_capacity])
+    def test_non_finite_transform(self, entry, stacked, metric):
+        dims = Dims(2, 2, 3, 3)
+        ch, pb, members = _mix_stack(dims, 3)
+        x = naf_rtm(ch, pb, dims).x_matrix.copy()
+        if stacked:
+            x[1, 0, 1] = entry
+        else:
+            ch, x = members[0], x[0]
+            x[0, 1] = entry
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalError, match="not (positive definite|finite)"):
+            metric(ch, pb, dims, x)
 
 
 class TestRelayPathMemo:
@@ -250,7 +318,8 @@ class TestNaf:
         assert sol.kind == "naf-rect"
         assert sol.x_matrix.shape == (4, 2)
         assert sol.relay_power_used == pytest.approx(pb.p2, rel=1e-12)
-        assert sol.relay_power_used == pytest.approx(sol.wf.achieved_budget, rel=1e-12)
+        # built from no water-filling solve and no spectra
+        assert sol.wf is None and sol.spectra is None
         # scaled rectangular identity: single diagonal gain, nothing else
         gain = sol.x_matrix[0, 0]
         np.testing.assert_allclose(sol.x_matrix[:2, :2], gain * np.eye(2))
@@ -401,8 +470,12 @@ class TestOptimalityCrossChecks:
             )
             base = np.linalg.slogdet(hermitian_part(base_arg))[1] / np.log(2.0)
             served = float(np.sum(np.log2(1.0 - sp.alpha / (1.0 + wf.x))))
-            lost = float(np.sum(np.log2(1.0 - sp.alpha_tail)))
+            # the gains of A = H1 G^-1 H1^H past the servable modes, which
+            # take no power
+            g = (dims.t / pb.p1) * np.eye(dims.t) + ch.h0.conj().T @ ch.h0 + ch.h1.conj().T @ ch.h1
+            tail = np.linalg.eigvalsh(hermitian_part(ch.h1 @ np.linalg.solve(g, ch.h1.conj().T)))[::-1][sp.rho:]
+            lost = float(np.sum(np.log2(1.0 - tail)))
             reported = capacity(ch, pb, dims, sol.x_matrix).bits
             assert reported == pytest.approx(base + served + lost, abs=1e-9)
             if dims.r < dims.t:
-                assert sp.alpha_tail.size > 0
+                assert lost < -1e-3

@@ -74,6 +74,27 @@ class TestHermEig:
         with pytest.raises(ValidationError):
             herm_eig(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("decompose", [herm_eig, thin_ud])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize(
+        "entry, where",
+        [(np.nan, (0, 0)), (np.inf, (0, 0)), (-np.inf, (1, 1)), (np.nan, (0, 1)), (complex(1.0, np.inf), (1, 1))],
+    )
+    def test_rejects_non_finite_entries(self, decompose, stacked, entry, where):
+        # NaN compares false with the asymmetry bound, so it must not pass as
+        # Hermitian; an entry mirrored across the diagonal is non-finite too
+        m = np.diag([1.0, 0.5]).astype(complex)
+        m[where] = entry
+        m[where[::-1]] = np.conj(entry)
+        if stacked:
+            m = np.stack([np.eye(2), m, np.eye(2)])
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+            decompose(m)
+
+    def test_overflowing_asymmetry_of_finite_entries_is_not_hermitian(self):
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="not Hermitian: max asymmetry inf"):
+            herm_eig(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
 
 class TestThinUd:
     def test_identity(self):

@@ -168,6 +168,16 @@ class TestSweepSpecValidation:
             dict(sweep_points_db=("x",)),
             dict(symbol_rate="1"),
             dict(sweep_axis="rho0"),  # with the direct link off
+            # repeats would write a (sweep_db, rtm, metric) row twice
+            dict(sweep_points_db=(0.0, 0.0)),
+            dict(sweep_points_db=(0, 0.0, 10.0)),
+            dict(rtm_kinds=("opt1", "opt1")),
+            dict(rtm_kinds=("opt1", "naf", "opt1")),
+            dict(metrics=("capacity", "capacity")),
+            # a linear power 10^(dB/10) that overflows float64
+            dict(sweep_points_db=(0.0, 4000.0)),
+            dict(sweep_points_db=(10**400,)),
+            dict(rho1_db=4000.0),
         ],
     )
     def test_rejects_bad_fields(self, kw):

@@ -72,6 +72,29 @@ class TestTypes:
         with pytest.raises(ValidationError, match=rf"^{field} must be a finite number, got {bad!r}$"):
             SnrScenario(**snrs, dims=Dims(1, 1, 1, 1))
 
+    @pytest.mark.parametrize("field", ["rho0_db", "rho1_db", "rho2_db"])
+    @pytest.mark.parametrize("bad", [3082.6, 4000, np.float64(4000.0), np.int64(5000)])
+    def test_snr_scenario_rejects_overflowing_linear_power(self, field, bad):
+        # 10^(dB/10) overflows float64 above about 3082.5 dB; _amplitude
+        # raised a bare OverflowError there
+        snrs = {"rho0_db": 0.0, "rho1_db": 0.0, "rho2_db": 0.0, field: bad}
+        with pytest.raises(ValidationError, match=rf"^{field} .* dB overflows float64 as a linear power"):
+            SnrScenario(**snrs, dims=Dims(1, 1, 1, 1))
+
+    @pytest.mark.parametrize("field", ["rho0_db", "rho1_db", "rho2_db"])
+    @pytest.mark.parametrize("bad", [10**400, -(10**400)])
+    def test_snr_scenario_rejects_integers_beyond_float64(self, field, bad):
+        snrs = {"rho0_db": 0.0, "rho1_db": 0.0, "rho2_db": 0.0, field: bad}
+        with pytest.raises(ValidationError, match=rf"^{field} must be a finite number, got -?10+$"):
+            SnrScenario(**snrs, dims=Dims(1, 1, 1, 1))
+
+    @pytest.mark.parametrize("db", [3082.5, 3082, -4000.0])
+    def test_snr_scenario_accepts_every_power_that_fits(self, db):
+        dims = Dims(1, 1, 1, 1)
+        raw = ChannelSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+        ch, _ = translate_scenario(SnrScenario(0.0, db, 0.0, dims), raw)
+        assert np.isfinite(ch.h1).all()
+
     def test_numpy_scalars_are_numbers(self):
         assert PowerBudget(np.float64(1.0), np.int64(2)).p2 == 2
         assert SnrScenario(np.float64(3.0), np.int64(0), 0, Dims(1, 1, 1, 1)).rho0_db == 3.0

@@ -134,7 +134,7 @@ def _networks(dims, rho1_db, link, members=4):
     return translate_scenario(scenario, ChannelSet(raw.h0, raw.h1, h2))
 
 
-_FIELDS = ("alpha", "beta", "u_a_thin", "u_b_thin", "lam_b_thin", "rho", "rho_a", "rho_b", "alpha_tail", "c_matrix")
+_FIELDS = ("alpha", "beta", "u_a_thin", "u_b_thin", "lam_b_thin", "rho", "rho_a", "rho_b", "c_matrix")
 
 
 def _assert_spectra_match(build, ch, pb, dims):
@@ -155,7 +155,6 @@ def _assert_spectra_match(build, ch, pb, dims):
         assert stacked.alpha[k, :n].tolist() == lone.alpha.tolist()
         assert stacked.beta[k, :n].tolist() == lone.beta.tolist()
         assert not stacked.alpha[k, n:].any()
-        assert stacked.alpha_tail[k].tolist() == lone.alpha_tail[width - n:].tolist()
         assert stacked.lam_b_thin[k, :nb].tolist() == lone.lam_b_thin.tolist()
         assert (stacked.lam_b_thin[k, nb:] == 1.0).all()
         assert np.array_equal(stacked.u_a_thin[k, :, :n], lone.u_a_thin)
