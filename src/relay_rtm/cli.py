@@ -20,7 +20,7 @@ Config document (strict: unknown keys are rejected)::
       "explain": {"seed": 1, "trial": 0}    // optional, for the explain command
     }
 
-Exit codes: 0 success, 1 config error, 2 numerical error.
+Exit codes: 0 success, 1 config error, 2 numerical or I/O error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ import contextlib
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -199,8 +201,12 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     The sweep's chunks are spread over every available CPU; the CSV is the
     same for any number of them.  An unwritable output path fails before
     the sweep starts, but the CSV is written only once the sweep has
-    returned: a failed run leaves an existing CSV as it was, and no CSV
-    where there was none.
+    returned.  A regular file in a writable directory is replaced by a
+    temporary file beside it (beside its target, for a symbolic link) that
+    holds the whole CSV and the output's mode.  So a run that fails, in the
+    sweep or in that write, leaves an existing CSV as it was, and no CSV
+    where there was none.  Any other output, such as a device, a pipe or a
+    file in a directory that cannot be written, is written in place.
     """
     path = output_override or cfg.output_path
     created = not os.path.exists(path)
@@ -208,16 +214,30 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
         open(path, "a").close()
     except OSError as exc:
         raise ConfigError(f"output path {path!r} is not writable: {exc}") from exc
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
+    tmp = None
     try:
         points = run_sweep(cfg.spec, workers=_available_cpus())
+        if os.path.isfile(target) and os.access(directory, os.W_OK | os.X_OK):
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(target) + ".", dir=directory)
+            with open(fd, "w", newline="") as out:
+                write_csv(points, out)
+                out.flush()
+                os.fsync(out.fileno())
+            shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        else:
+            with open(path, "w", newline="") as out:
+                write_csv(points, out)
     except BaseException:
-        # the probe made the file; a failed run leaves none behind
-        if created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
+        # neither the temporary file nor a file the probe made outlives a
+        # failed run
+        for made in (tmp, path if created else None):
+            if made is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(made)
         raise
-    with open(path, "w", newline="") as out:
-        write_csv(points, out)
 
     print(f"wrote {len(points)} curve points to {path}")
     print(f"{'sweep_db':>9} {'rtm':>5} {'metric':>9} {'mean_bits':>12} {'stderr':>10} {'trials':>7}")

@@ -259,14 +259,7 @@ def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:
     k = min(s, u)
     gain = np.sqrt(pb.p2 / c[..., :k, :k].trace(axis1=-2, axis2=-1).real)
     x_matrix = np.eye(u, s, dtype=complex) * gain[..., None, None]
-    power = (x_matrix @ c @ conj_transpose(x_matrix)).trace(axis1=-2, axis2=-1).real
-    return RtmSolution(
-        x_matrix=x_matrix,
-        wf=None,
-        spectra=None,
-        relay_power_used=power,
-        kind="naf" if s == u else "naf-rect",
-    )
+    return RtmSolution(x_matrix=x_matrix, wf=None, spectra=None, c_matrix=c, kind="naf" if s == u else "naf-rect")
 
 
 def verify_kkt_capacity(

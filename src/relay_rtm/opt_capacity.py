@@ -129,8 +129,9 @@ class RtmSolution:
     ``kind`` is one of "opt1" (capacity-optimal), "opt2" (OSTBC-optimal),
     "naf" / "naf-rect" (scaled identity).  ``wf`` and ``spectra`` are None
     for the NAF kinds, which are built from neither a water-filling solve
-    nor an eigenstructure.  For a stack, ``x_matrix`` is a stack of
-    matrices and ``relay_power_used`` an array, both with the broadcast
+    nor an eigenstructure.  ``c_matrix`` is the network's relay input
+    shaping matrix C, the read-only array memoized on its ``ChannelSet``.
+    For a stack, ``x_matrix`` is a stack of matrices with the broadcast
     batch axes of the channel matrices the kind is built from: all three
     for opt1, ``h1`` and ``h2`` for opt2, ``h1`` for NAF.
     """
@@ -138,8 +139,16 @@ class RtmSolution:
     x_matrix: np.ndarray
     wf: Optional[WaterfillSolution]
     spectra: Optional[SpectraBundle]
-    relay_power_used: float
+    c_matrix: np.ndarray
     kind: str
+
+    @property
+    def relay_power_used(self):
+        """The relay power tr(X C X^H) X spends, computed when read (a
+        sweep reports metrics of X alone and never reads it): numpy's
+        float64 for one network, an array with X's batch axes for a stack."""
+        x = self.x_matrix
+        return (x @ self.c_matrix @ conj_transpose(x)).trace(axis1=-2, axis2=-1).real
 
 
 @_memoized
@@ -481,8 +490,9 @@ def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
 
     X = U_b diag(sqrt(x_i / lam_b_i)) U_a^H; modes without power add
     nothing, so the returned matrix has rank equal to the active count.
-    ``relay_power_used`` is the exact trace tr(X C X^H).  Stacked spectra
-    and mode powers give a stack of matrices and an array of powers.
+    The solution's ``relay_power_used``, the exact trace tr(X C X^H), is
+    computed when read, not here.  Stacked spectra and mode powers give a
+    stack of matrices.
     """
     width = spectra.alpha.shape[-1]
     if wf.x.shape != spectra.alpha.shape:
@@ -494,15 +504,8 @@ def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
     # modes, so that zero modes padded onto a stack member change nothing
     u_b = spectra.u_b_thin[..., :width] * scale[..., None, :]
     x_matrix = _mode_sum(u_b[..., :, None, :] * spectra.u_a_thin.conj()[..., None, :, :])
-    power = (x_matrix @ spectra.c_matrix @ conj_transpose(x_matrix)).trace(axis1=-2, axis2=-1).real
     kind = "opt1" if spectra.variant == "capacity" else "opt2"
-    return RtmSolution(
-        x_matrix=x_matrix,
-        wf=wf,
-        spectra=spectra,
-        relay_power_used=power,
-        kind=kind,
-    )
+    return RtmSolution(x_matrix=x_matrix, wf=wf, spectra=spectra, c_matrix=spectra.c_matrix, kind=kind)
 
 
 def optimize_capacity_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from helpers import scalar_network
 from relay_rtm.cli import explain, main, parse_config, run
 from relay_rtm.errors import ConfigError, NumericalError
+from relay_rtm.montecarlo import run_sweep
 from relay_rtm.network import ChannelSet, PowerBudget
 
 MINIMAL = {
@@ -449,6 +451,84 @@ class TestMain:
         monkeypatch.setattr("relay_rtm.cli.write_csv", full_disk)
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == "relay-rtm: error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_write_leaves_the_output_as_it_was(self, tmp_path, capsys, monkeypatch, existed):
+        # a write that fails part way, as on a full disk, after the sweep
+        path, doc = _small_config(tmp_path)
+        previous = b"sweep_db,rtm,metric,mean_bits,stderr_bits,trials\n0.0,opt1,capacity,1.0,0.0,3\n"
+        if existed:
+            with open(doc["output"], "wb") as fh:
+                fh.write(previous)
+
+        def full_disk(points, stream):
+            stream.write("sweep_db,rtm")
+            stream.flush()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("relay_rtm.cli.write_csv", full_disk)
+        assert main(["run", str(path)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        if existed:
+            with open(doc["output"], "rb") as fh:
+                assert fh.read() == previous
+        # no temporary file is left beside it, nor a CSV that was not there
+        assert sorted(os.listdir(tmp_path)) == (["config.json", "out.csv"] if existed else ["config.json"])
+
+    def test_csv_has_the_mode_of_a_plain_open(self, tmp_path, capsys):
+        path, doc = _small_config(tmp_path)
+        reference = tmp_path / "reference"
+        open(reference, "w").close()
+        assert main(["run", str(path)]) == 0
+        assert stat.S_IMODE(os.stat(doc["output"]).st_mode) == stat.S_IMODE(os.stat(reference).st_mode)
+        # writing into an existing file keeps its mode
+        os.chmod(doc["output"], 0o640)
+        assert main(["run", str(path)]) == 0
+        assert stat.S_IMODE(os.stat(doc["output"]).st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out.csv", "reference"]
+
+    def test_symbolic_link_output_is_written_through(self, tmp_path, capsys):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "sweep.csv"
+        target.write_text("old\n")
+        link = tmp_path / "out.csv"
+        link.symlink_to(target)
+        path, _ = _small_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("sweep_db,rtm,metric,")
+        assert sorted(os.listdir(tmp_path / "data")) == ["sweep.csv"]
+
+    def test_no_temporary_file_during_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # a run ended by a signal mid-sweep leaves nothing beside the output
+        path, _ = _small_config(tmp_path)
+        seen = []
+
+        def watched(*args, **kwargs):
+            seen.append(sorted(os.listdir(tmp_path)))
+            return run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr("relay_rtm.cli.run_sweep", watched)
+        assert main(["run", str(path)]) == 0
+        assert seen == [["config.json", "out.csv"]]
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out.csv"]
+
+    def test_device_output_is_written_in_place(self, tmp_path, capsys):
+        path, _ = _small_config(tmp_path)
+        assert main(["run", str(path), "--output", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    def test_file_in_unwritable_directory_is_written_in_place(self, tmp_path, capsys, monkeypatch):
+        path, doc = _small_config(tmp_path)
+        with open(doc["output"], "w") as fh:
+            fh.write("old\n")
+        inode = os.stat(doc["output"]).st_ino
+        monkeypatch.setattr("relay_rtm.cli.os.access", lambda *args: False)
+        assert main(["run", str(path)]) == 0
+        assert os.stat(doc["output"]).st_ino == inode
+        with open(doc["output"]) as fh:
+            assert fh.read().startswith("sweep_db,rtm,metric,")
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         path, _ = _small_config(tmp_path, output=str(tmp_path / "no_dir" / "x.csv"))

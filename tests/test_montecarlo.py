@@ -15,9 +15,9 @@ from helpers import edited_sampler
 from relay_rtm.errors import DeadRelayError, DeadRelayWarning, NumericalError, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm
 from relay_rtm.matalg import hermitian_part
-from relay_rtm.montecarlo import _CHUNK_TRIALS, CurvePoint, SweepSpec, run_sweep, sample_channels
+from relay_rtm.montecarlo import _CHUNK_TRIALS, CurvePoint, SweepSpec, _chunk_values, run_sweep, sample_channels
 from relay_rtm.network import ChannelSet, Dims, SnrScenario, translate_scenario
-from relay_rtm.opt_capacity import optimize_capacity_rtm
+from relay_rtm.opt_capacity import RtmSolution, optimize_capacity_rtm
 from relay_rtm.opt_ostbc import optimize_ostbc_rtm
 
 
@@ -241,6 +241,23 @@ class TestRunSweep:
             seen[workers] = points, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
         assert [(c, m) for c, m, _, _ in seen[1][1]] == [(DeadRelayWarning, "relay path dead: h1 is identically zero")]
         assert seen[2] == seen[1]
+
+    @pytest.mark.parametrize("axis", ["rho0", "rho1", "rho2"])
+    def test_sweep_never_reads_relay_power(self, monkeypatch, axis):
+        # a sweep reports metrics of X alone, so it never computes the trace
+        spec = _spec(
+            dims=Dims(3, 2, 4, 3), direct_link=True, sweep_axis=axis, sweep_points_db=(0.0, 10.0, 20.0),
+            rtm_kinds=("opt1", "opt2", "naf"), metrics=("capacity", "ostbc"), trials=3,
+        )
+        expected = _chunk_values(spec, range(3))
+
+        def unread(sol):
+            raise AssertionError("a sweep read relay_power_used")
+
+        monkeypatch.setattr(RtmSolution, "relay_power_used", property(unread))
+        got = _chunk_values(spec, range(3))
+        assert got.shape == (3, 3, 3, 2)
+        assert got.tobytes() == expected.tobytes()
 
     def test_rerun_identical(self):
         spec = _spec(trials=3)

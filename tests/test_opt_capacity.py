@@ -4,15 +4,17 @@ import pytest
 from helpers import canonical_budget, crandn, scaled_channels, scalar_network
 from oracles import oracle_solve
 from relay_rtm.errors import DeadRelayError, ValidationError
-from relay_rtm.evaluate import capacity, verify_kkt_capacity
+from relay_rtm.evaluate import capacity, naf_rtm, verify_kkt_capacity
 from relay_rtm.network import ChannelSet, Dims, PowerBudget
 from relay_rtm.opt_capacity import (
+    _shaping_matrix,
     activation_thresholds,
     assemble_rtm,
     build_capacity_spectra,
     optimize_capacity_rtm,
     waterfill_capacity,
 )
+from relay_rtm.opt_ostbc import optimize_ostbc_rtm
 
 
 class TestBuildSpectra:
@@ -183,6 +185,54 @@ class TestAssemble:
         assert sol.relay_power_used == pytest.approx(pb.p2, rel=1e-8)
         assert sol.relay_power_used == pytest.approx(wf.achieved_budget, rel=1e-8)
         assert np.linalg.matrix_rank(sol.x_matrix) <= sp.rho
+
+
+def _eager_power(x, c):
+    # the trace assemble_rtm and naf_rtm used to compute before returning
+    return (x @ c @ x.conj().swapaxes(-1, -2)).trace(axis1=-2, axis2=-1).real
+
+
+class TestRelayPowerOnRead:
+    """``relay_power_used`` is computed from X and the memoized shaping
+    matrix when read, with the bits of the trace the solvers computed
+    eagerly, for one network, a plain stack and a sweep chunk's broadcast
+    stack."""
+
+    def _check(self, solver, ch, dims):
+        pb = canonical_budget(dims)
+        sol = solver(ch, pb, dims)
+        c = _shaping_matrix(ch, pb, dims)
+        # the solution holds the read-only array memoized on ch, not a copy
+        assert sol.c_matrix is c and not c.flags.writeable
+        power, expected = sol.relay_power_used, _eager_power(sol.x_matrix, c)
+        assert type(power) is type(expected)
+        assert np.shape(power) == np.shape(expected) == sol.x_matrix.shape[:-2]
+        assert np.asarray(power).tobytes() == np.asarray(expected).tobytes()
+        np.testing.assert_allclose(power, pb.p2, rtol=1e-8)
+        return power
+
+    @pytest.mark.parametrize("solver", [optimize_capacity_rtm, optimize_ostbc_rtm, naf_rtm])
+    @pytest.mark.parametrize("dims", [Dims(4, 4, 4, 4), Dims(3, 2, 4, 3)])
+    def test_lone_solve_gives_numpy_float64(self, solver, dims):
+        ch = scaled_channels(np.random.default_rng(5), dims, rho0_db=10.0)
+        assert type(self._check(solver, ch, dims)) is np.float64
+
+    @pytest.mark.parametrize("solver", [optimize_capacity_rtm, optimize_ostbc_rtm, naf_rtm])
+    def test_plain_stack(self, solver):
+        dims, rng = Dims(4, 4, 4, 4), np.random.default_rng(6)
+        ch = ChannelSet(*(crandn(rng, (5, rows, cols)) for rows, cols in ((4, 4), (4, 4), (4, 4))))
+        assert self._check(solver, ch, dims).shape == (5,)
+
+    @pytest.mark.parametrize("solver", [optimize_capacity_rtm, optimize_ostbc_rtm, naf_rtm])
+    @pytest.mark.parametrize("swept", ["h0", "h1", "h2"])
+    def test_broadcast_chunk_stack(self, solver, swept):
+        # the swept matrix is (trials, points, ...), the others (trials, 1, ...)
+        dims, rng = Dims(3, 2, 4, 3), np.random.default_rng(7)
+        shapes = {"h0": (dims.r, dims.t), "h1": (dims.s, dims.t), "h2": (dims.r, dims.u)}
+        ch = ChannelSet(**{
+            name: crandn(rng, (3, 4 if name == swept else 1) + shape) for name, shape in shapes.items()
+        })
+        self._check(solver, ch, dims)
 
 
 class TestOptimize:
