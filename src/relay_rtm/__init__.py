@@ -20,7 +20,7 @@ from .evaluate import (
     ostbc_capacity,
     verify_kkt_capacity,
 )
-from .matalg import HermEig, ThinUd, herm_eig, inv_sqrt_diag, thin_ud
+from .matalg import HermEig, ThinUd, herm_eig, thin_ud
 from .montecarlo import CurvePoint, SweepSpec, run_sweep, sample_channels
 from .network import (
     ChannelSet,
@@ -54,7 +54,6 @@ __all__ = [
     "ThinUd",
     "herm_eig",
     "thin_ud",
-    "inv_sqrt_diag",
     "Dims",
     "ChannelSet",
     "PowerBudget",

@@ -30,6 +30,7 @@ import contextlib
 import csv
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -48,6 +49,8 @@ __all__ = ["RunConfig", "parse_config", "run", "explain", "main"]
 
 CSV_HEADER = ("sweep_db", "rtm", "metric", "mean_bits", "stderr_bits", "trials")
 DEFAULT_OUTPUT = "sweep.csv"
+#: An output path that names one of the process's open descriptors.
+_DESCRIPTOR_PATH = re.compile(r"/dev/std(out|err)|/(?:dev|proc/self)/fd/([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -201,14 +204,19 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     The sweep's chunks are spread over every available CPU; the CSV is the
     same for any number of them.  An unwritable output path fails before
     the sweep starts, but the CSV is written only once the sweep has
-    returned.  A regular file in a writable directory is replaced by a
-    temporary file beside it (beside its target, for a symbolic link) that
-    holds the whole CSV and the output's mode.  So a run that fails, in the
-    sweep or in that write, leaves an existing CSV as it was, and no CSV
-    where there was none.  Any other output, such as a device, a pipe or a
-    file in a directory that cannot be written, is written in place.
+    returned.  An output named by a descriptor (``/dev/stdout``,
+    ``/dev/stderr``, ``/dev/fd/N`` or ``/proc/self/fd/N``) is the caller's
+    open stream: the CSV goes to it at its position, ahead of the summary,
+    and the file behind it is never truncated or replaced.  A regular file
+    in a writable directory is replaced by a temporary file beside it
+    (beside its target, for a symbolic link) that holds the whole CSV and
+    the output's mode.  So a run that fails, in the sweep or in that write,
+    leaves an existing CSV as it was, and no CSV where there was none.  Any
+    other output, such as a device, a pipe or a file in a directory that
+    cannot be written, is written in place.
     """
     path = output_override or cfg.output_path
+    named = _DESCRIPTOR_PATH.fullmatch(path)
     created = not os.path.exists(path)
     try:
         open(path, "a").close()
@@ -219,7 +227,13 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     tmp = None
     try:
         points = run_sweep(cfg.spec, workers=_available_cpus())
-        if os.path.isfile(target) and os.access(directory, os.W_OK | os.X_OK):
+        if named:
+            # what this process printed before goes first
+            sys.stdout.flush()
+            fd = int(named[2]) if named[2] else {"out": 1, "err": 2}[named[1]]
+            with open(os.dup(fd), "w", newline="") as out:
+                write_csv(points, out)
+        elif os.path.isfile(target) and os.access(directory, os.W_OK | os.X_OK):
             fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(target) + ".", dir=directory)
             with open(fd, "w", newline="") as out:
                 write_csv(points, out)
@@ -231,9 +245,9 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
             with open(path, "w", newline="") as out:
                 write_csv(points, out)
     except BaseException:
-        # neither the temporary file nor a file the probe made outlives a
-        # failed run
-        for made in (tmp, path if created else None):
+        # neither the temporary file nor a file the probe made (the target,
+        # for a dangling symbolic link) outlives a failed run
+        for made in (tmp, target if created else None):
             if made is not None:
                 with contextlib.suppress(OSError):
                     os.remove(made)
@@ -264,7 +278,7 @@ def _explain_solution(lines, sol, thresholds):
     else:
         lines.append(f"  water level xi:          {wf.xi:.12g}")
     lines.append(f"  mode powers x:           {_vector(wf.x)}")
-    active = [str(i) for i in np.flatnonzero(wf.active)]
+    active = [str(i) for i in np.flatnonzero(wf.x > 0.0)]
     lines.append(f"  active modes:            {{{', '.join(active)}}} ({len(active)} of {spectra.rho})")
 
 
@@ -358,10 +372,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"relay-rtm: config error: {exc}", file=sys.stderr)
         return 1
-    except RelayRtmError as exc:
-        print(f"relay-rtm: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RelayRtmError, OSError) as exc:
         print(f"relay-rtm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .matalg import _any, _eye, _slogdet, _solve, conj_transpose, hermitian_part
-from .network import ChannelSet, Dims, PowerBudget, _g0, _g0_trace, _h1_h, _is_number, _read_only
+from .network import ChannelSet, Dims, PowerBudget, _g0, _g0_trace, _h1_h, _is_number, _read_only, _validated
 from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix
 
 __all__ = [
@@ -114,15 +114,17 @@ def _build_relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray,
     return k, conj_transpose(kh1) @ _solve(gram, kh1)
 
 
-def _relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _relay_path(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_build_relay_path(ch, X)``, which ``ch`` remembers, read-only, for
     the last X only, keyed by X's bytes: memory stays bounded over many X,
     and a changed X is rebuilt.  The slot is written as one tuple with no
-    lock, so a race between threads only rebuilds the pair."""
+    lock, so a race between threads only rebuilds the pair.  The network
+    is validated before the first build reads it."""
     key = (x_matrix.shape, x_matrix.tobytes())
     last = ch._memo.get("relay_path")
     if last is not None and last[0] == key:
         return last[1]
+    _validated(ch, pb, dims)
     path = _build_relay_path(ch, x_matrix)
     _read_only(*path)
     ch._memo["relay_path"] = key, path
@@ -132,7 +134,7 @@ def _relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray, np.nd
 def _forms(ch, pb, dims, x_matrix, inner=None):
     # x_matrix is checked by the caller
     if inner is None:
-        k, inner = _relay_path(ch, x_matrix)
+        k, inner = _relay_path(ch, pb, dims, x_matrix)
     else:
         k = ch.h2 @ x_matrix
     eye = _eye(dims.t)
@@ -186,7 +188,7 @@ def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) 
         # bit-identical there, and the largest gap of every evaluation is
         # seen by whoever watches capacity_forms (the benchmark's tracer).
         bits, ident = _forms(ch, pb, dims, x_matrix)
-        inner = _relay_path(ch, x_matrix)[1]
+        inner = _relay_path(ch, pb, dims, x_matrix)[1]
         worst = np.unravel_index(np.argmax(np.abs(bits - ident)), bits.shape)
 
         def pick(m):
@@ -218,7 +220,7 @@ def ostbc_capacity(
     if not (_is_number(symbol_rate) and 0.0 < symbol_rate <= 1.0):
         raise ValidationError(f"symbol rate must lie in (0, 1], got {symbol_rate!r}")
     x_matrix = _check_x_shape(dims, x_matrix)
-    inner = _relay_path(ch, x_matrix)[1]
+    inner = _relay_path(ch, pb, dims, x_matrix)[1]
     trace_arg = _g0_trace(ch) + inner.trace(axis1=-2, axis2=-1).real
     bits = symbol_rate * np.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
     # one network's figure is checked as a Python float; any other figure,
@@ -229,20 +231,6 @@ def ostbc_capacity(
     if _any(bad):
         raise NumericalError(f"OSTBC capacity is not finite (trace {_first(trace_arg, bad)})")
     return CapacityReport(bits=bits)
-
-
-def _metric_bits(
-    ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray, metrics, symbol_rate: float
-) -> list:
-    """Bits of each of ``metrics`` ("capacity", "ostbc") for one transform,
-    or for a stack: the relay-path information matrix that ``ch``
-    remembers for X serves every metric."""
-    return [
-        capacity(ch, pb, dims, x_matrix).bits
-        if metric == "capacity"
-        else ostbc_capacity(ch, pb, dims, x_matrix, symbol_rate).bits
-        for metric in metrics
-    ]
 
 
 def naf_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:

@@ -45,7 +45,6 @@ __all__ = [
     "ThinUd",
     "herm_eig",
     "thin_ud",
-    "inv_sqrt_diag",
     "hermitian_part",
     "conj_transpose",
     "DEFAULT_RANK_TOL",
@@ -224,11 +223,3 @@ def thin_ud(m: np.ndarray) -> ThinUd:
         lam_thin=np.where(keep, w, 0.0)[..., :width],
         rank=rank,
     )
-
-
-def inv_sqrt_diag(lam: np.ndarray) -> np.ndarray:
-    """Elementwise lam^(-1/2); entries must be strictly positive."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.size and float(lam.min()) <= 0.0:
-        raise ValidationError("inv_sqrt_diag requires strictly positive entries")
-    return lam ** -0.5

@@ -11,15 +11,15 @@ of a chunk take one pass.  The chunk's channels are sampled by one call
 and translated to the template scenario by one call, and the matrix the
 swept SNR scales is scaled to every point by one multiply.  Each
 transform kind is then solved by one call on the chunk's ``ChannelSet``
-and evaluated by one call for all metrics, with one relay-path
-information matrix serving both.  A sweep reads only the transform X of
-each solve: a solution's relay power is computed when read, so a sweep
-never computes it.  The ``ChannelSet`` builds what the kinds share (the
-validated network, the second hop's factorization, the shaping matrix,
-G0 and H1 H1^H) once, on first use.  The chunk is a
-broadcast stack: the matrix the swept SNR scales is
-``(trials, points, ...)`` and the other two are ``(trials, 1, ...)``, so
-whatever is built from those two alone is computed once per trial.
+and evaluated by one ``evaluate`` call per metric (``_METRIC_BITS``), with
+one relay-path information matrix serving both.  A sweep reads only the
+transform X of each solve: a solution's relay power is computed when
+read, so a sweep never computes it.  The ``ChannelSet`` builds what the
+kinds share (the validated network, the second hop's factorization, the
+shaping matrix, G0 and H1 H1^H) once, on first use.  The chunk is a
+broadcast stack: the matrix the swept SNR scales is ``(trials, points,
+...)`` and the other two are ``(trials, 1, ...)``, so whatever is built
+from those two alone is computed once per trial.
 Every layer treats a member of a stack exactly as it would treat it
 alone, so each problem's figures do not depend on the stack size or the
 worker count: they are bit-identical to those of the per-realization
@@ -43,8 +43,9 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import evaluate
 from .errors import RelayRtmError, ValidationError
-from .evaluate import _metric_bits, naf_rtm
+from .evaluate import naf_rtm
 from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _check_snr_db, _is_number, _owned, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
@@ -167,22 +168,31 @@ _BUILDERS = {
     "naf": naf_rtm,
 }
 
+#: Each metric's bits of a transform X on ``ch``.  The metric is looked up
+#: on the ``evaluate`` module at every call, so that a function replaced
+#: there (by a test's patch or the benchmark's tracer) is the one called.
+_METRIC_BITS = {
+    "capacity": lambda ch, pb, dims, x, rate: evaluate.capacity(ch, pb, dims, x).bits,
+    "ostbc": lambda ch, pb, dims, x, rate: evaluate.ostbc_capacity(ch, pb, dims, x, rate).bits,
+}
+
 
 def _values(spec: SweepSpec, ch: ChannelSet, pb: PowerBudget) -> np.ndarray:
     """(..., kinds, metrics) metric values of one network or of a stack.
 
     Each kind is solved by one call on ``ch``, whose memo shares what the
     kinds build from the network alone (NAF asks for none of the second
-    hop's factorization), then evaluated by each metric.  Kinds are
-    evaluated one by one, so that a kind the swept SNR does not enter
-    keeps its relay-path matrix per trial: one stack of all kinds would
-    rebuild it at every point, which at full chunks costs more than the
-    calls it saves."""
+    hop's factorization), then evaluated by each metric's ``evaluate``
+    call, all of which read the relay-path information matrix that ``ch``
+    remembers for X.  Kinds are evaluated one by one, so that a kind the
+    swept SNR does not enter keeps its relay-path matrix per trial: one
+    stack of all kinds would rebuild it at every point, which at full
+    chunks costs more than the calls it saves."""
     dims = spec.scenario.dims
-    out = [
-        _metric_bits(ch, pb, dims, _BUILDERS[kind](ch, pb, dims).x_matrix, spec.metrics, spec.symbol_rate)
-        for kind in spec.rtm_kinds
-    ]
+    out = []
+    for kind in spec.rtm_kinds:
+        x = _BUILDERS[kind](ch, pb, dims).x_matrix
+        out.append([_METRIC_BITS[metric](ch, pb, dims, x, spec.symbol_rate) for metric in spec.metrics])
     return np.moveaxis(np.array(out), (0, 1), (-2, -1))
 
 

@@ -22,9 +22,10 @@ instead of copied.  So what is built from the network alone (the Gram
 matrices G0 = H0^H H0 and H1 H1^H, Re tr G0 and H1^H here, the second
 hop's factorization and the shaping matrix in ``opt_capacity``) is built
 by ``_memoized`` functions once per instance, on first use, and shared by
-every solver and metric called on it.  ``evaluate`` keeps one more slot
-in the same memo: the relay-path matrix of the last transform evaluated
-on the instance.
+every solver and metric called on it; so is the ``validate`` check
+(``_validated``), which every solver and metric reaches first.
+``evaluate`` keeps one more slot in the same memo: the relay-path matrix
+of the last transform evaluated on the instance.
 """
 
 from __future__ import annotations
@@ -262,6 +263,13 @@ def validate(dims: Dims, ch: ChannelSet, pb: PowerBudget) -> None:
                 DeadRelayWarning,
                 stacklevel=2,
             )
+
+
+@_memoized
+def _validated(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> None:
+    """``validate``, once per ChannelSet: every solver and metric calls it
+    before it reads the matrices, and the first call checks them."""
+    validate(dims, ch, pb)
 
 
 def _amplitude(snr_db: float) -> float:

@@ -58,8 +58,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, _any, _eye, _solve, conj_transpose, herm_eig, hermitian_part, inv_sqrt_diag, thin_ud
-from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _h1_h, _is_number, _memoized, _read_only, validate
+from .matalg import DEFAULT_RANK_TOL, _any, _eye, _solve, conj_transpose, herm_eig, hermitian_part, thin_ud
+from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _h1_h, _is_number, _memoized, _read_only, _validated
 
 __all__ = [
     "SpectraBundle",
@@ -111,15 +111,16 @@ class SpectraBundle:
 class WaterfillSolution:
     """Mode powers from a water-filling solve.
 
-    ``xi`` is the water level; ``None`` is the explicit "no water" state
-    (all gains zero: nothing to pour the budget into).  For a stack, ``xi``
-    and ``achieved_budget`` are arrays and NaN marks "no water".
+    ``x`` holds the power of each mode (a mode is active where it is
+    positive); ``xi`` is the water level, and ``None`` is the explicit "no
+    water" state (all gains zero: nothing to pour the budget into).  For a
+    stack, ``xi`` is an array and NaN marks "no water".  The relay power
+    the modes spend is read off the transform X, as
+    ``RtmSolution.relay_power_used``.
     """
 
     x: np.ndarray
     xi: Optional[float]
-    active: np.ndarray
-    achieved_budget: float
 
 
 @dataclass(frozen=True)
@@ -153,33 +154,36 @@ class RtmSolution:
 
 @_memoized
 def _shaping_matrix(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> np.ndarray:
-    """The relay input shaping matrix C = I + (p1/t) H1 H1^H.
+    """The relay input shaping matrix C = I + (p1/t) H1 H1^H of the
+    validated network.
 
     It is the covariance of the relay's received signal, so a transform X
-    spends relay power tr(X C X^H).
+    spends relay power tr(X C X^H).  Every kind asks for it first, so the
+    network is validated before any kind reads it.
     """
+    _validated(ch, pb, dims)
     return _eye(dims.s) + (pb.p1 / dims.t) * _h1_gram(ch)
 
 
 @_memoized
 def _relay_side(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> tuple:
     """What both criteria build from the network alone, before their gain
-    matrices differ: the validated network's thin diagonalization of
-    B = H2^H H2 and the shaping matrix C.  It is memoized on ``ch``, so
-    the network is validated and B factorized once for every kind solved
-    on it, be it one realization or a sweep chunk; NAF asks for C alone
-    and so never needs B.
+    matrices differ: the shaping matrix C, which validates the network,
+    and the thin diagonalization of B = H2^H H2.  It is memoized on
+    ``ch``, so B is factorized once for every kind solved on it, be it one
+    realization or a sweep chunk; NAF asks for C alone and so never needs
+    B.
 
     Raises DeadRelayError when H2 has rank 0 (no mode can be served).
     """
-    validate(dims, ch, pb)
+    c = _shaping_matrix(ch, pb, dims)
     ud_b = thin_ud(hermitian_part(conj_transpose(ch.h2) @ ch.h2))
     if _any(np.equal(ud_b.rank, 0)):
         raise DeadRelayError(
             "relay path dead: the relay-to-destination channel has rank 0"
         )
     _read_only(ud_b.u_thin, ud_b.lam_thin, ud_b.rank)
-    return ud_b, _shaping_matrix(ch, pb, dims)
+    return ud_b, c
 
 
 def _spectra_from_parts(variant: str, a: np.ndarray, relay: tuple, dims: Dims) -> SpectraBundle:
@@ -315,27 +319,22 @@ def _wet(thresholds: np.ndarray, p2: float) -> tuple:
     return lowest, np.isfinite(lowest[..., 0]) & (p2 > 0.0)
 
 
-def _solution(x, xi, wet, lowest, beta) -> WaterfillSolution:
+def _solution(x, xi, wet, lowest) -> WaterfillSolution:
     """Mode powers and water levels of a stack as a ``WaterfillSolution``.
     A problem that takes no power reports the just-dry level, its lowest
     threshold, or NaN ("no water") when no mode is servable."""
     if _any(~wet):
         lowest = lowest[..., 0]
         xi = np.where(wet, xi, np.where(np.isfinite(lowest), lowest, np.nan))
-    return WaterfillSolution(x=x, xi=xi, active=x > 0.0, achieved_budget=_mode_sum(beta * x))
+    return WaterfillSolution(x=x, xi=xi)
 
 
-def _lone_solution(x: list, xi: float, wet: bool, lowest: float, beta: list) -> WaterfillSolution:
+def _lone_solution(x: list, xi: float, wet: bool, lowest: float) -> WaterfillSolution:
     """``_solution`` for one problem on Python floats: its level is a
-    float, or None for "no water", and its budget adds in index order, as
-    ``_mode_sum`` does."""
+    float, or None for "no water"."""
     # a dry problem reports its just-dry level, or NaN with no servable mode
     xi = xi if wet else lowest if lowest < math.inf else math.nan
-    budget = 0.0
-    for b, v in zip(beta, x):
-        budget += b * v
-    x = np.array(x, dtype=float)
-    return WaterfillSolution(x=x, xi=None if math.isnan(xi) else xi, active=x > 0.0, achieved_budget=budget)
+    return WaterfillSolution(x=np.array(x, dtype=float), xi=None if math.isnan(xi) else xi)
 
 
 def _wf_arrays(alpha, beta, p2) -> tuple:
@@ -426,7 +425,7 @@ def _lone_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> WaterfillS
             break
         xi = xi_next
         x = _phi(terms, xi)
-    return _lone_solution(x, xi, wet, lowest, costs)
+    return _lone_solution(x, xi, wet, lowest)
 
 
 def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> WaterfillSolution:
@@ -482,7 +481,7 @@ def waterfill_capacity(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterf
             break
         xi = xi_next
         x = _phi(terms, xi[..., None])
-    return _solution(x, xi, wet, lowest, beta)
+    return _solution(x, xi, wet, lowest)
 
 
 def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
@@ -490,16 +489,18 @@ def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
 
     X = U_b diag(sqrt(x_i / lam_b_i)) U_a^H; modes without power add
     nothing, so the returned matrix has rank equal to the active count.
-    The solution's ``relay_power_used``, the exact trace tr(X C X^H), is
-    computed when read, not here.  Stacked spectra and mode powers give a
-    stack of matrices.
+    ``lam_b_thin`` is positive by construction (a stack pads it with 1), so
+    ``lam_b_i ** -0.5`` needs no check.  The solution's
+    ``relay_power_used``, the exact trace tr(X C X^H), is computed when
+    read, not here.  Stacked spectra and mode powers give a stack of
+    matrices.
     """
     width = spectra.alpha.shape[-1]
     if wf.x.shape != spectra.alpha.shape:
         raise ValidationError(
             f"water-filling solution has {wf.x.shape[-1]} modes, spectra expect {width}"
         )
-    scale = np.sqrt(wf.x) * inv_sqrt_diag(spectra.lam_b_thin[..., :width])
+    scale = np.sqrt(wf.x) * spectra.lam_b_thin[..., :width] ** -0.5
     # a sum of rank-one terms in mode order rather than a product over the
     # modes, so that zero modes padded onto a stack member change nothing
     u_b = spectra.u_b_thin[..., :width] * scale[..., None, :]

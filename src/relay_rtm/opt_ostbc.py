@@ -132,13 +132,13 @@ def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterfill
             xi = _scan_sorted(thresholds, gains, costs, p2, wet)
         else:
             xi = float(_scan(np.array(thresholds), alpha, beta, p2, 0.0 if wet else 1.0))
-        return _lone_solution(_psi(gains, costs, xi * wet), xi, wet, lowest, costs)
+        return _lone_solution(_psi(gains, costs, xi * wet), xi, wet, lowest)
     _validate_wf_inputs(alpha, beta, np.inf)
     thresholds = activation_thresholds(alpha, beta)
     lowest, wet = _wet(thresholds, p2)
     xi = _scan(thresholds, alpha, beta, p2, ~wet[..., None])
     x = _psi(alpha, beta, (xi * wet)[..., None])
-    return _solution(x, xi, wet, lowest, beta)
+    return _solution(x, xi, wet, lowest)
 
 
 def optimize_ostbc_rtm(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> RtmSolution:

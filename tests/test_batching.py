@@ -90,7 +90,6 @@ def test_stack_members_match_single_solves(solver, dims, low_rank_h2):
             modes = alone.wf.x.size
             assert np.array_equal(sol.wf.x[index][:modes], alone.wf.x)
             assert not np.any(sol.wf.x[index][modes:])
-            assert sol.wf.achieved_budget[index] == alone.wf.achieved_budget
             if alone.wf.xi is not None:
                 assert sol.wf.xi[index] == alone.wf.xi
         assert cap[index] == capacity(member, pb, dims, alone.x_matrix).bits
@@ -143,7 +142,6 @@ def test_broadcast_stack_members_match_single_solves(solver, swept, dims, low_ra
             modes = alone.wf.x.size
             assert np.array_equal(sol.wf.x[got][:modes], alone.wf.x)
             assert not np.any(sol.wf.x[got][modes:])
-            assert sol.wf.achieved_budget[got] == alone.wf.achieved_budget
             if alone.wf.xi is not None:
                 assert sol.wf.xi[got] == alone.wf.xi
         assert cap[trial, point] == capacity(member, pb, dims, alone.x_matrix).bits

@@ -3,10 +3,14 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relay_rtm
 from helpers import scalar_network
 from relay_rtm.cli import explain, main, parse_config, run
 from relay_rtm.errors import ConfigError, NumericalError
@@ -474,6 +478,47 @@ class TestMain:
                 assert fh.read() == previous
         # no temporary file is left beside it, nor a CSV that was not there
         assert sorted(os.listdir(tmp_path)) == (["config.json", "out.csv"] if existed else ["config.json"])
+
+    def test_failed_run_keeps_a_dangling_link(self, tmp_path, capsys, monkeypatch):
+        # the probe creates the link's target; a failed sweep removes that
+        # file, not the link
+        path, doc = _small_config(tmp_path)
+        link, target = Path(doc["output"]), tmp_path / "target.csv"
+        link.symlink_to(target)
+
+        def boom(spec, workers=1):
+            assert target.exists()
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr("relay_rtm.cli.run_sweep", boom)
+        assert main(["run", str(path)]) == 2
+        assert link.is_symlink() and not link.exists()
+        assert not target.exists()
+
+    @pytest.mark.parametrize("output", ["/dev/stdout", "/dev/fd/1"])
+    @pytest.mark.parametrize("append", [True, False])
+    def test_descriptor_output_is_the_open_stream(self, tmp_path, capsys, output, append):
+        # `run --output /dev/stdout >> run.log` keeps the log's earlier lines
+        # and adds the CSV, then the summary; `> run.log` holds the CSV, then
+        # the summary
+        path, doc = _small_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        with open(doc["output"]) as fh:
+            csv_text = fh.read()
+        log = tmp_path / "run.log"
+        log.write_text("earlier line\n")
+        src = str(Path(relay_rtm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        with open(log, "a" if append else "w") as stdout:
+            done = subprocess.run(
+                [sys.executable, "-m", "relay_rtm.cli", "run", str(path), "--output", output],
+                env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+            )
+        assert done.returncode == 0, done.stderr
+        text = log.read_text()
+        earlier = "earlier line\n" if append else ""
+        assert text.startswith(earlier + csv_text + f"wrote 4 curve points to {output}\n")
+        assert len(text[len(earlier + csv_text):].splitlines()) == 2 + 4
 
     def test_csv_has_the_mode_of_a_plain_open(self, tmp_path, capsys):
         path, doc = _small_config(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from helpers import canonical_budget, count_calls, crandn, scaled_channels, scalar_network
 from oracles import direct_link_capacity, oracle_solve
 from relay_rtm import evaluate
-from relay_rtm.errors import NumericalError, ValidationError
+from relay_rtm.errors import DeadRelayWarning, NumericalError, ValidationError
 from relay_rtm.evaluate import (
     capacity,
     capacity_forms,
@@ -299,7 +299,8 @@ class TestNaf:
     def test_identity_when_first_hop_dead(self):
         dims = Dims(2, 2, 2, 2)
         ch = ChannelSet(h0=np.eye(2), h1=np.zeros((2, 2)), h2=np.eye(2))
-        sol = naf_rtm(ch, PowerBudget(2.0, 2.0), dims)
+        with pytest.warns(DeadRelayWarning, match="h1"):
+            sol = naf_rtm(ch, PowerBudget(2.0, 2.0), dims)
         np.testing.assert_allclose(sol.x_matrix, np.eye(2))
         assert sol.kind == "naf"
         assert sol.relay_power_used == pytest.approx(2.0, rel=1e-12)
@@ -350,6 +351,40 @@ class TestNaf:
             assert naf_bits <= opt_bits + 1e-9
 
 
+_CHECKED_CALLS = {
+    "opt1": lambda ch, pb, dims: optimize_capacity_rtm(ch, pb, dims),
+    "opt2": lambda ch, pb, dims: optimize_ostbc_rtm(ch, pb, dims),
+    "naf": lambda ch, pb, dims: naf_rtm(ch, pb, dims),
+    "capacity": lambda ch, pb, dims: capacity(ch, pb, dims, np.eye(dims.u, dims.s)),
+    "capacity_forms": lambda ch, pb, dims: capacity_forms(ch, pb, dims, np.eye(dims.u, dims.s)),
+    "ostbc_capacity": lambda ch, pb, dims: ostbc_capacity(ch, pb, dims, np.eye(dims.u, dims.s)),
+}
+
+
+class TestNetworkValidated:
+    """Every kind and metric validates the network it is given, once per
+    ChannelSet, before it reads the matrices."""
+
+    @pytest.mark.parametrize("call", sorted(_CHECKED_CALLS))
+    @pytest.mark.parametrize(
+        "case,match",
+        [("unbroadcastable", "do not broadcast"), ("nan_h1", "h1 contains non-finite"), ("misshaped_h1", "h1 must have shape")],
+    )
+    def test_bad_network_is_a_validation_error(self, call, case, match):
+        rng = np.random.default_rng(21)
+        dims = Dims(4, 4, 4, 4)
+        h0, h1, h2 = crandn(rng, (3, 4, 4)), crandn(rng, (4, 4)), crandn(rng, (4, 4))
+        if case == "unbroadcastable":
+            h1 = crandn(rng, (2, 4, 4))
+        elif case == "nan_h1":
+            h0 = h0[0]
+            h1[1, 2] = np.nan
+        else:
+            h0, h1 = h0[0], crandn(rng, (3, 4))
+        with pytest.raises(ValidationError, match=match):
+            _CHECKED_CALLS[call](ChannelSet(h0, h1, h2), canonical_budget(dims), dims)
+
+
 class TestVerifyKkt:
     def test_solver_output_clean(self):
         wf = waterfill_capacity(np.array([0.5]), np.array([1.0]), 1.0)
@@ -361,12 +396,7 @@ class TestVerifyKkt:
 
     def test_underfilled_budget_flagged(self):
         wf = waterfill_capacity(np.array([0.5]), np.array([1.0]), 1.0)
-        tampered = WaterfillSolution(
-            x=np.array([0.5]),
-            xi=wf.xi,
-            active=np.array([True]),
-            achieved_budget=0.5,
-        )
+        tampered = WaterfillSolution(x=np.array([0.5]), xi=wf.xi)
         rep = verify_kkt_capacity(np.array([0.5]), np.array([1.0]), 1.0, tampered)
         assert rep.primal_feasibility == pytest.approx(0.5, abs=1e-12)
         assert rep.stationarity_residual > 1e-3

@@ -17,7 +17,6 @@ from relay_rtm.matalg import (
     _solve,
     herm_eig,
     hermitian_part,
-    inv_sqrt_diag,
     thin_ud,
 )
 
@@ -140,20 +139,6 @@ class TestThinUd:
         res = thin_ud(np.diag([1.0, -1e-14]))
         assert res.rank == 1
         np.testing.assert_allclose(res.lam_thin, [1.0])
-
-
-class TestInvSqrtDiag:
-    @pytest.mark.parametrize(
-        "lam,expected",
-        [([1.0], [1.0]), ([4.0], [0.5]), ([9.0, 0.25], [1.0 / 3.0, 2.0])],
-    )
-    def test_values(self, lam, expected):
-        np.testing.assert_allclose(inv_sqrt_diag(np.array(lam)), expected)
-
-    @pytest.mark.parametrize("bad", [[0.0], [-1.0], [1.0, 0.0]])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValidationError):
-            inv_sqrt_diag(np.array(bad))
 
 
 class TestKkIdentity:

@@ -67,19 +67,19 @@ class TestWaterfill:
         wf = waterfill_capacity(np.array([0.5]), np.array([1.0]), 1.0)
         np.testing.assert_allclose(wf.x, [1.0], rtol=1e-10)
         assert wf.xi == pytest.approx(6.0, rel=1e-10)
-        assert wf.achieved_budget == pytest.approx(1.0, rel=1e-12)
+        assert np.array([1.0]) @ wf.x == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_budget(self):
         wf = waterfill_capacity(np.array([0.5, 0.2]), np.array([1.0, 2.0]), 0.0)
         np.testing.assert_array_equal(wf.x, np.zeros(2))
-        assert wf.achieved_budget == 0.0
-        assert not wf.active.any()
+        assert np.array([1.0, 2.0]) @ wf.x == 0.0
+        assert not (wf.x > 0.0).any()
 
     def test_all_zero_gains_no_water(self):
         wf = waterfill_capacity(np.zeros(3), np.ones(3), 5.0)
         assert wf.xi is None
         np.testing.assert_array_equal(wf.x, np.zeros(3))
-        assert wf.achieved_budget == 0.0
+        assert np.ones(3) @ wf.x == 0.0
 
     def test_two_modes_against_grid_oracle(self):
         alpha = np.array([0.5, 0.3])
@@ -104,7 +104,7 @@ class TestWaterfill:
             if not np.any(alpha > 0):
                 continue
             wf = waterfill_capacity(alpha, beta, p2)
-            assert wf.achieved_budget == pytest.approx(p2, rel=1e-8)
+            assert beta @ wf.x == pytest.approx(p2, rel=1e-8)
             assert np.all(wf.x >= 0.0)
             rep = verify_kkt_capacity(alpha, beta, p2, wf)
             assert max(
@@ -117,7 +117,7 @@ class TestWaterfill:
     def test_zero_gain_modes_stay_dry(self):
         wf = waterfill_capacity(np.array([0.6, 0.0]), np.array([1.0, 1e-6]), 3.0)
         assert wf.x[1] == 0.0
-        assert wf.active.tolist() == [True, False]
+        assert (wf.x > 0.0).tolist() == [True, False]
 
     @pytest.mark.parametrize(
         "alpha,beta,p2",
@@ -183,7 +183,7 @@ class TestAssemble:
         rhs = (sp.u_a_thin * wf.x) @ sp.u_a_thin.conj().T
         assert np.linalg.norm(lhs - rhs) < 1e-9 * max(np.linalg.norm(rhs), 1.0)
         assert sol.relay_power_used == pytest.approx(pb.p2, rel=1e-8)
-        assert sol.relay_power_used == pytest.approx(wf.achieved_budget, rel=1e-8)
+        assert sol.relay_power_used == pytest.approx(sp.beta @ wf.x, rel=1e-8)
         assert np.linalg.matrix_rank(sol.x_matrix) <= sp.rho
 
 

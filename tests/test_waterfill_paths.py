@@ -90,10 +90,8 @@ def _assert_members_match_lone_solves(solver, problems, p2):
         lone = solver(alpha[k, :n], beta[k, :n], p2)
         assert stacked.x[k, :n].tolist() == lone.x.tolist()
         assert not stacked.x[k, n:].any()
-        assert stacked.active[k].tolist() == lone.active.tolist() + [False] * (alpha.shape[1] - n)
         xi = float(stacked.xi[k])
         assert (None if np.isnan(xi) else xi) == lone.xi
-        assert float(stacked.achieved_budget[k]) == lone.achieved_budget
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
