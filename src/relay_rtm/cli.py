@@ -43,7 +43,7 @@ from . import opt_capacity, opt_ostbc
 from .errors import ConfigError, RelayRtmError, ValidationError
 from .evaluate import capacity_forms, naf_rtm, ostbc_capacity, verify_kkt_capacity
 from .montecarlo import SWEEP_AXES, SweepSpec, run_sweep, sample_channels
-from .network import Dims, SnrScenario, translate_scenario
+from .network import Dims, SnrScenario, _check_count, translate_scenario
 
 __all__ = ["RunConfig", "parse_config", "run", "explain", "main"]
 
@@ -95,7 +95,9 @@ def parse_config(text: str) -> RunConfig:
 
     This checks the document's structure and JSON types; every value rule
     (ranges, membership, ordering) belongs to the domain type that carries
-    the value, and its ValidationError is reported as a ConfigError.
+    the value, or to the integer-count rule that the domain types share
+    for the explain seed and trial, and its ValidationError is reported as
+    a ConfigError.
     """
     try:
         doc = json.loads(text)
@@ -143,15 +145,12 @@ def parse_config(text: str) -> RunConfig:
     snrs = {key: snr(key) for key in ("rho0_db", "rho1_db", "rho2_db")}
 
     explain_at = None
-    if "explain" in doc:
-        exp = _section(doc, "explain", ("seed", "trial"))
-        for key in ("seed", "trial"):
-            val = exp[key]
-            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-                _fail(f"explain.{key}", f"must be a nonnegative integer, got {val!r}")
-        explain_at = (exp["seed"], exp["trial"])
-
     try:
+        if "explain" in doc:
+            exp = _section(doc, "explain", ("seed", "trial"))
+            for key in ("seed", "trial"):
+                _check_count(f"explain.{key}", exp[key], 0)
+            explain_at = (exp["seed"], exp["trial"])
         dims = Dims(*(dims_doc[k] for k in ("t", "r", "s", "u")))
         spec = SweepSpec(
             scenario=SnrScenario(**snrs, dims=dims, direct_link_enabled=direct_link),
@@ -206,8 +205,10 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     the sweep starts, but the CSV is written only once the sweep has
     returned.  An output named by a descriptor (``/dev/stdout``,
     ``/dev/stderr``, ``/dev/fd/N`` or ``/proc/self/fd/N``) is the caller's
-    open stream: the CSV goes to it at its position, ahead of the summary,
-    and the file behind it is never truncated or replaced.  A regular file
+    open stream, probed through the descriptor and never reopened by name
+    (a socket's name cannot be opened): the CSV goes to it at its
+    position, ahead of the summary, and the file behind it is never
+    truncated or replaced.  A regular file
     in a writable directory is replaced by a temporary file beside it
     (beside its target, for a symbolic link) that holds the whole CSV and
     the output's mode.  So a run that fails, in the sweep or in that write,
@@ -219,8 +220,13 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     named = _DESCRIPTOR_PATH.fullmatch(path)
     created = not os.path.exists(path)
     try:
-        open(path, "a").close()
-    except OSError as exc:
+        if named:
+            # the descriptor itself: a socket's name cannot be reopened
+            fd = int(named[2]) if named[2] else {"out": 1, "err": 2}[named[1]]
+            os.fstat(fd)
+        else:
+            open(path, "a").close()
+    except (OSError, OverflowError) as exc:
         raise ConfigError(f"output path {path!r} is not writable: {exc}") from exc
     target = os.path.realpath(path)
     directory = os.path.dirname(target)
@@ -230,7 +236,6 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
         if named:
             # what this process printed before goes first
             sys.stdout.flush()
-            fd = int(named[2]) if named[2] else {"out": 1, "err": 2}[named[1]]
             with open(os.dup(fd), "w", newline="") as out:
                 write_csv(points, out)
         elif os.path.isfile(target) and os.access(directory, os.W_OK | os.X_OK):

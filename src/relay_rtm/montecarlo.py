@@ -46,7 +46,7 @@ import numpy as np
 from . import evaluate
 from .errors import RelayRtmError, ValidationError
 from .evaluate import naf_rtm
-from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _check_snr_db, _is_number, _owned, translate_scenario
+from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _caller_stacklevel, _check_count, _check_snr_db, _is_number, _owned, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
@@ -60,11 +60,6 @@ METRICS = ("capacity", "ostbc")
 #: spread numpy's per-call cost over hundreds of problems, few enough that a
 #: sweep of thousands of trials holds one chunk's arrays at a time.
 _CHUNK_TRIALS = 64
-
-
-def _check_count(name: str, val, minimum: int) -> None:
-    if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -196,10 +191,6 @@ def _values(spec: SweepSpec, ch: ChannelSet, pb: PowerBudget) -> np.ndarray:
     return np.moveaxis(np.array(out), (0, 1), (-2, -1))
 
 
-def _point_scenario(spec: SweepSpec, point: float) -> SnrScenario:
-    return replace(spec.scenario, **{spec.sweep_axis + "_db": point})
-
-
 def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
     """(trials, points, kinds, metrics) metric values of a chunk of trials,
     solved as one broadcast (trial x point) stack.
@@ -224,7 +215,7 @@ def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
             member = ChannelSet(raw.h0[i], raw.h1[i], raw.h2[i])
             for point in spec.sweep_points_db:
                 try:
-                    _values(spec, *translate_scenario(_point_scenario(spec, point), member))
+                    _values(spec, *translate_scenario(replace(spec.scenario, **{spec.sweep_axis + "_db": point}), member))
                 except RelayRtmError as exc:
                     raise type(exc)(
                         f"trial {trial} (seed {spec.seed}) at {spec.sweep_axis}={point} dB: {exc}"
@@ -245,14 +236,18 @@ def _pooled_chunk(spec: SweepSpec, trials: range) -> tuple:
 
 
 def _reissue(message, category, filename: str, lineno: int) -> None:
-    """Issue a worker's warning in the caller, under the caller's filters
-    and in the registry of the module it names, as ``warnings.warn``
-    would have issued it there."""
+    """Issue a worker's warning in the caller, under the caller's filters,
+    as ``warnings.warn`` would have issued it inline: one that names a
+    frame outside the package was aimed at the code that called into it
+    (``_caller_stacklevel``), and is aimed at that code here; any other
+    goes to the registry of the package module it names."""
     module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
+    if getattr(module, "__package__", None) != __package__:
+        warnings.warn(message, category, stacklevel=_caller_stacklevel())
+        return
     warnings.warn_explicit(
         message, category, filename, lineno,
-        module=module and module.__name__,
-        registry=module and vars(module).setdefault("__warningregistry__", {}),
+        module=module.__name__, registry=vars(module).setdefault("__warningregistry__", {}),
     )
 
 

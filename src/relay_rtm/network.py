@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,6 +54,11 @@ __all__ = [
 
 def _is_number(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
+def _check_count(name: str, val, minimum: int) -> None:
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {val!r}")
 
 
 def _check_snr_db(name: str, val) -> None:
@@ -83,11 +89,7 @@ class Dims:
 
     def __post_init__(self):
         for name in ("t", "r", "s", "u"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
-                raise ValidationError(
-                    f"antenna count {name} must be a positive integer, got {val!r}"
-                )
+            _check_count(f"antenna count {name}", getattr(self, name), 1)
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,8 @@ def validate(dims: Dims, ch: ChannelSet, pb: PowerBudget) -> None:
 
     Raises ValidationError on hard inconsistencies.  All-zero h1 or h2 is
     legal (a degenerate network) and only triggers a DeadRelayWarning, one
-    per matrix for a stack in which some member has it.
+    per matrix for a stack in which some member has it, issued at the first
+    frame outside the package.
     """
     _check_shapes(dims, ch)
     for name in ("h0", "h1", "h2"):
@@ -261,8 +264,19 @@ def validate(dims: Dims, ch: ChannelSet, pb: PowerBudget) -> None:
             warnings.warn(
                 f"relay path dead: {name} is identically zero",
                 DeadRelayWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` at which a warning issued by the function that
+    calls this names the first frame outside the package: the code that
+    called into it, which a filter on its module can match.  Frames are
+    walked only when a warning is issued."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @_memoized

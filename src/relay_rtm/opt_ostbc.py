@@ -12,21 +12,15 @@ water level, with kinks at the activation thresholds
 linear equation of the segment that holds the root.  No iteration, no
 tolerance.
 Like the capacity pipeline, every stage takes a stack of problems.  A
-lone problem (1-d ``alpha``) is checked, thresholded and poured on Python
-floats, and its ``WaterfillSolution`` built from them; when its
-thresholds are nondecreasing it is also scanned on floats, in one pass.
-Each makes the operations of the array code in their order: bit-identical
-to a stack member, without numpy's per-call cost.  A network's spectra
-always qualify up to rounding: along the modes the gains alpha_i and the
-second-hop eigenvalues lam_b_i fall, so beta_i / alpha_i =
-(1/alpha_i + p1/t) / lam_b_i rises.  Any other lone problem takes the
-array scan.
+lone problem (1-d ``alpha``) is checked, thresholded, scanned and poured
+on Python floats, in any order of its modes, and its ``WaterfillSolution``
+built from them.  Each makes the operations of the array code in their
+order: bit-identical to a stack member, without numpy's per-call cost.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -91,21 +85,20 @@ def _scan(thresholds: np.ndarray, alpha: np.ndarray, beta: np.ndarray, p2: float
     return ((p2 + _mode_sum(sets * beta[..., None, :])) / slope).min(axis=-1, initial=np.inf)
 
 
-def _scan_sorted(thresholds: list, alpha: list, beta: list, p2: float, wet: bool) -> float:
+def _lone_scan(thresholds: list, alpha: list, beta: list, p2: float) -> float:
     """The candidate-set scan of ``waterfill_ostbc`` on Python floats, for
-    one problem whose thresholds are nondecreasing.  Each set
-    {i : threshold_i <= threshold_j} is then the modes up to the last one
-    tied with j, so the array scan's index-order sums over it are running
-    sums, and one pass gives the level bit-identical to a stack member's."""
-    dry = 0.0 if wet else 1.0
-    xi, slope, budget = math.inf, 0.0, 0.0
-    for t, t_next, a, b in zip(thresholds, thresholds[1:] + [math.nan], alpha, beta):
-        slope += math.sqrt(a * b)
-        budget += b
-        if t_next != t:
-            divisor = slope + dry
-            # numpy divides a positive budget by a zero slope to +inf
-            xi = min(xi, (p2 + budget) / divisor if divisor else math.inf)
+    one problem that takes power.  Each set {i : threshold_i <= threshold_j}
+    is summed in index order, as the array scan sums it, so the level is
+    bit-identical to a stack member's whatever the order of the modes."""
+    xi = math.inf
+    for level in thresholds:
+        slope = budget = 0.0
+        for t, a, b in zip(thresholds, alpha, beta):
+            if t <= level:
+                slope += math.sqrt(a * b)
+                budget += b
+        # numpy divides a positive budget by a zero slope to +inf
+        xi = min(xi, (p2 + budget) / slope if slope else math.inf)
     return xi
 
 
@@ -126,18 +119,15 @@ def waterfill_ostbc(alpha: np.ndarray, beta: np.ndarray, p2: float) -> Waterfill
     alpha, beta = _wf_arrays(alpha, beta, p2)
     if alpha.ndim == 1:
         # one problem: checks, thresholds, scan, pour and solution on Python
-        # floats; one whose thresholds are not nondecreasing takes the array scan
+        # floats; a problem that takes no power pours at level 0
         gains, costs, p2, thresholds, lowest, wet = _lone_problem(alpha, beta, p2, math.inf, lambda a, b: math.sqrt(b / a))
-        if all(map(operator.le, thresholds, thresholds[1:])):
-            xi = _scan_sorted(thresholds, gains, costs, p2, wet)
-        else:
-            xi = float(_scan(np.array(thresholds), alpha, beta, p2, 0.0 if wet else 1.0))
-        return _lone_solution(_psi(gains, costs, xi * wet), xi, wet, lowest)
+        xi = _lone_scan(thresholds, gains, costs, p2) if wet else 0.0
+        return _lone_solution(_psi(gains, costs, xi), xi, wet, lowest)
     _validate_wf_inputs(alpha, beta, np.inf)
     thresholds = activation_thresholds(alpha, beta)
     lowest, wet = _wet(thresholds, p2)
     xi = _scan(thresholds, alpha, beta, p2, ~wet[..., None])
-    x = _psi(alpha, beta, (xi * wet)[..., None])
+    x = _psi(alpha, beta, np.where(wet, xi, 0.0)[..., None])
     return _solution(x, xi, wet, lowest)
 
 

@@ -20,7 +20,6 @@ from relay_rtm.montecarlo import (
     _CHUNK_TRIALS,
     SweepSpec,
     _chunk_values,
-    _point_scenario,
     _values,
     run_sweep,
     sample_channels,
@@ -171,7 +170,7 @@ def test_chunk_matches_per_problem_replay(axis):
     for trial in range(spec.trials):
         raw = sample_channels(dims, spec.seed, trial)
         for ip, point in enumerate(spec.sweep_points_db):
-            alone = _values(spec, *translate_scenario(_point_scenario(spec, point), raw))
+            alone = _values(spec, *translate_scenario(replace(spec.scenario, **{axis + "_db": point}), raw))
             assert np.array_equal(chunk[trial, ip], alone)
 
 

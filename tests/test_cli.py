@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import socket
 import stat
 import subprocess
 import sys
@@ -188,8 +189,8 @@ class TestParseConfig:
             (json.dumps(make_config(sweep={"axis": "rho9", "points_db": [0]})), "sweep.axis: must be one of ['rho0', 'rho1', 'rho2'], got 'rho9'"),
             (json.dumps(make_config(direct_link=1)), "direct_link: must be true or false, got 1"),
             (json.dumps(make_config(direct_link="yes")), "direct_link: must be true or false, got 'yes'"),
-            (json.dumps(make_config(explain={"seed": -1, "trial": 0})), "explain.seed: must be a nonnegative integer, got -1"),
-            (json.dumps(make_config(explain={"seed": 0, "trial": 1.5})), "explain.trial: must be a nonnegative integer, got 1.5"),
+            (json.dumps(make_config(explain={"seed": -1, "trial": 0})), "explain.seed must be an integer >= 0, got -1"),
+            (json.dumps(make_config(explain={"seed": 0, "trial": 1.5})), "explain.trial must be an integer >= 0, got 1.5"),
         ],
     )
     def test_structure_error_is_config_error(self, tmp_path, capsys, text, named):
@@ -519,6 +520,35 @@ class TestMain:
         earlier = "earlier line\n" if append else ""
         assert text.startswith(earlier + csv_text + f"wrote 4 curve points to {output}\n")
         assert len(text[len(earlier + csv_text):].splitlines()) == 2 + 4
+
+    def test_descriptor_output_may_be_a_socket(self, tmp_path, capsys):
+        # as under a service manager whose stdout is a socket: the name
+        # /dev/stdout cannot be opened, the descriptor is written
+        path, doc = _small_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        with open(doc["output"]) as fh:
+            csv_text = fh.read()
+        src = str(Path(relay_rtm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            done = subprocess.run(
+                [sys.executable, "-m", "relay_rtm.cli", "run", str(path), "--output", "/dev/stdout"],
+                env=env, stdout=theirs, stderr=subprocess.PIPE, text=True,
+            )
+            theirs.close()
+            text = b"".join(iter(lambda: ours.recv(65536), b"")).decode()
+        assert done.returncode == 0, done.stderr
+        assert text.startswith(csv_text + "wrote 4 curve points to /dev/stdout\n")
+        assert len(text[len(csv_text):].splitlines()) == 2 + 4
+
+    def test_closed_descriptor_output_is_config_error(self, tmp_path, capsys):
+        path, _ = _small_config(tmp_path)
+        fd = 987
+        with pytest.raises(OSError):
+            os.fstat(fd)
+        assert main(["run", str(path), "--output", f"/dev/fd/{fd}"]) == 1
+        assert "not writable" in capsys.readouterr().err
 
     def test_csv_has_the_mode_of_a_plain_open(self, tmp_path, capsys):
         path, doc = _small_config(tmp_path)

@@ -119,6 +119,24 @@ class TestValidate:
         with pytest.warns(DeadRelayWarning, match="h2"):
             validate(dims, ch, PowerBudget(2.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ch, pb, dims: validate(dims, ch, pb),
+            optimize_capacity_rtm,
+            naf_rtm,
+            lambda ch, pb, dims: ostbc_capacity(ch, pb, dims, np.eye(2), 1.0),
+        ],
+        ids=["validate", "opt1", "naf", "ostbc_capacity"],
+    )
+    def test_dead_relay_warning_names_the_caller(self, call):
+        # a filter on the caller's module matches it
+        dims = Dims(2, 2, 2, 2)
+        ch = ChannelSet(h0=np.eye(2), h1=np.zeros((2, 2)), h2=np.eye(2))
+        with pytest.warns(DeadRelayWarning, match="h1") as record:
+            call(ch, PowerBudget(2.0, 2.0), dims)
+        assert [w.filename for w in record] == [__file__]
+
     def test_nonfinite_rejected(self):
         dims = Dims(1, 1, 1, 1)
         ch = ChannelSet(h0=[[np.inf]], h1=[[1.0]], h2=[[1.0]])

@@ -7,6 +7,7 @@ rank cut, padding, clamp and mode counts (``thin_ud`` and the spectra
 builders) run on the eigenvalue lists, and a lone solve never reaches the
 stack-only helpers."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,12 +25,8 @@ from relay_rtm.opt_capacity import build_capacity_spectra, waterfill_capacity
 from relay_rtm.opt_ostbc import activation_thresholds, build_ostbc_spectra, waterfill_ostbc
 
 # Extreme draws overflow a threshold to inf, which both paths treat as a
-# mode that never activates, and the OSTBC array scan of a stack without
-# modes pours at level inf * 0 into no mode; numpy warns as it does so.
-pytestmark = [
-    pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-    pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning"),
-]
+# mode that never activates; numpy warns as it does so.
+pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
 MAX_MODES = 8
 BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -58,8 +55,7 @@ def _problems(gains):
 
 def _sorted_by_threshold(problem):
     """The modes in nondecreasing order of OSTBC threshold, ties in draw
-    order: the order of every spectra bundle's modes, and the one a lone
-    OSTBC problem needs to be scanned on floats."""
+    order: the order of every spectra bundle's modes, where ties recur."""
     thresholds = activation_thresholds(*np.array(problem, dtype=float).reshape(-1, 2).T)
     return [problem[i] for i in np.argsort(thresholds, kind="stable")]
 
@@ -273,7 +269,7 @@ def test_zero_cost_fails_its_own_check_before_any_ratio():
 
 
 _MIX_SHAPES = [(4, 4, 4, 4), (2, 2, 4, 4), (4, 4, 2, 2), (8, 8, 8, 8)]
-_STACK_ONLY = (opt_capacity._validate_wf_inputs, opt_capacity._wet, opt_capacity._solution)
+_STACK_ONLY = (opt_capacity._validate_wf_inputs, opt_capacity._wet, opt_capacity._solution, opt_ostbc._scan)
 
 
 @pytest.mark.parametrize("shape", _MIX_SHAPES)
@@ -287,10 +283,31 @@ def test_lone_solves_never_reach_the_stack_helpers(monkeypatch, shape):
             x = solver(ch, pb, dims).x_matrix
             evaluate.capacity(ch, pb, dims, x)
             evaluate.ostbc_capacity(ch, pb, dims, x)
-    assert [len(c) for c in calls] == [0, 0, 0]
+    assert [len(c) for c in calls] == [0, 0, 0, 0]
     # the same problems as a stack do reach them, so the count is live
     stack = sample_channels(dims, 17, range(2))
     ch, pb = translate_scenario(SnrScenario(10.0, 10.0, 10.0, dims, direct_link_enabled=True), stack)
     opt_capacity.optimize_capacity_rtm(ch, pb, dims)
     opt_ostbc.optimize_ostbc_rtm(ch, pb, dims)
-    assert [len(c) for c in calls] == [2, 2, 2]
+    assert [len(c) for c in calls] == [2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("alpha, beta", [([1.0, 4.0], [1.0, 1.0]), ([0.0, 1.0, 4.0, 1.0], [2.0, 1.0, 1.0, 1.0])])
+def test_lone_ostbc_problem_in_any_mode_order_is_scanned_on_floats(monkeypatch, alpha, beta):
+    # thresholds [1, 0.5] and [inf, 1, 0.5, 1]: falling, and tied out of order
+    alpha, beta = np.array(alpha), np.array(beta)
+    stacked = waterfill_ostbc(alpha[None], beta[None], 3.0)
+    scans = count_calls(monkeypatch, opt_ostbc._scan)
+    lone = waterfill_ostbc(alpha, beta, 3.0)
+    assert scans == []
+    assert lone.x.tolist() == stacked.x[0].tolist()
+    assert lone.xi == stacked.xi[0]
+    assert beta @ lone.x == pytest.approx(3.0, rel=1e-15)
+
+
+def test_ostbc_stack_without_modes_pours_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = waterfill_ostbc(np.zeros((2, 0)), np.zeros((2, 0)), 1.0)
+    assert sol.x.shape == (2, 0)
+    assert np.isnan(sol.xi).all()
