@@ -41,8 +41,8 @@ import numpy as np
 
 from . import opt_capacity, opt_ostbc
 from .errors import ConfigError, RelayRtmError, ValidationError
-from .evaluate import capacity_forms, naf_rtm, ostbc_capacity, verify_kkt_capacity
-from .montecarlo import SWEEP_AXES, SweepSpec, run_sweep, sample_channels
+from .evaluate import capacity_forms, ostbc_capacity, verify_kkt_capacity
+from .montecarlo import _BUILDERS, SWEEP_AXES, SweepSpec, run_sweep, sample_channels
 from .network import Dims, SnrScenario, _check_count, translate_scenario
 
 __all__ = ["RunConfig", "parse_config", "run", "explain", "main"]
@@ -205,8 +205,9 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     the sweep starts, but the CSV is written only once the sweep has
     returned.  An output named by a descriptor (``/dev/stdout``,
     ``/dev/stderr``, ``/dev/fd/N`` or ``/proc/self/fd/N``) is the caller's
-    open stream, probed through the descriptor and never reopened by name
-    (a socket's name cannot be opened): the CSV goes to it at its
+    open stream, probed through the descriptor, which must be open for
+    writing, and never reopened by name (a socket's name cannot be
+    opened): the CSV goes to it at its
     position, ahead of the summary, and the file behind it is never
     truncated or replaced.  A regular file
     in a writable directory is replaced by a temporary file beside it
@@ -222,8 +223,10 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     try:
         if named:
             # the descriptor itself: a socket's name cannot be reopened
+            import fcntl
             fd = int(named[2]) if named[2] else {"out": 1, "err": 2}[named[1]]
-            os.fstat(fd)
+            if (fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE) not in (os.O_WRONLY, os.O_RDWR):
+                raise OSError(f"descriptor {fd} is not open for writing")
         else:
             open(path, "a").close()
     except (OSError, OverflowError) as exc:
@@ -272,8 +275,14 @@ def _vector(v: np.ndarray) -> str:
     return "[" + ", ".join(f"{float(x):.6g}" for x in np.atleast_1d(v)) + "]"
 
 
-def _explain_solution(lines, sol, thresholds):
+#: What ``explain`` calls each kind's relay transform.
+_TITLES = {"opt1": "capacity-optimal", "opt2": "OSTBC-capacity-optimal", "naf": "scaled-identity"}
+
+
+def _explain_solution(lines, sol, p2: float):
     spectra, wf = sol.spectra, sol.wf
+    capacity = spectra.variant == "capacity"
+    thresholds = (opt_capacity if capacity else opt_ostbc).activation_thresholds(spectra.alpha, spectra.beta)
     lines.append(f"  mode gains alpha:        {_vector(spectra.alpha)}")
     lines.append(f"  mode power costs beta:   {_vector(spectra.beta)}")
     lines.append(f"  mode counts: rho={spectra.rho} rho_a={spectra.rho_a} rho_b={spectra.rho_b}")
@@ -285,11 +294,24 @@ def _explain_solution(lines, sol, thresholds):
     lines.append(f"  mode powers x:           {_vector(wf.x)}")
     active = [str(i) for i in np.flatnonzero(wf.x > 0.0)]
     lines.append(f"  active modes:            {{{', '.join(active)}}} ({len(active)} of {spectra.rho})")
+    if capacity:
+        kkt = verify_kkt_capacity(spectra.alpha, spectra.beta, p2, wf)
+        lines.append(
+            "  kkt residuals:           "
+            f"stationarity={kkt.stationarity_residual:.3e} "
+            f"complementarity={kkt.complementary_slackness:.3e} "
+            f"primal={kkt.primal_feasibility:.3e} "
+            f"dual={kkt.dual_feasibility:.3e}"
+        )
+    elif wf.xi is not None:
+        segment = int(np.sum(thresholds[np.isfinite(thresholds)] < wf.xi))
+        lines.append(f"  linear segment:          {segment} threshold(s) below the water level")
 
 
 def explain(cfg: RunConfig) -> str:
-    """Single-realization diagnostic report of the solutions the solvers
-    return for the config's (seed, trial) realization."""
+    """Single-realization diagnostic report of the solutions the sweep's
+    solvers (``montecarlo._BUILDERS``) return for the config's (seed,
+    trial) realization."""
     if cfg.explain_at is None:
         raise ConfigError("explain: config has no \"explain\" section")
     seed, trial = cfg.explain_at
@@ -306,34 +328,12 @@ def explain(cfg: RunConfig) -> str:
     )
 
     for kind in cfg.spec.rtm_kinds:
-        lines.append("")
-        if kind == "opt1":
-            sol = opt_capacity.optimize_capacity_rtm(ch, pb, dims)
-            lines.append("[opt1] capacity-optimal relay transform")
-            alpha, beta = sol.spectra.alpha, sol.spectra.beta
-            _explain_solution(lines, sol, opt_capacity.activation_thresholds(alpha, beta))
-            kkt = verify_kkt_capacity(alpha, beta, pb.p2, sol.wf)
-            lines.append(
-                "  kkt residuals:           "
-                f"stationarity={kkt.stationarity_residual:.3e} "
-                f"complementarity={kkt.complementary_slackness:.3e} "
-                f"primal={kkt.primal_feasibility:.3e} "
-                f"dual={kkt.dual_feasibility:.3e}"
-            )
-        elif kind == "opt2":
-            sol = opt_ostbc.optimize_ostbc_rtm(ch, pb, dims)
-            lines.append("[opt2] OSTBC-capacity-optimal relay transform")
-            thresholds = opt_ostbc.activation_thresholds(sol.spectra.alpha, sol.spectra.beta)
-            _explain_solution(lines, sol, thresholds)
-            if sol.wf.xi is not None:
-                segment = int(np.sum(thresholds[np.isfinite(thresholds)] < sol.wf.xi))
-                lines.append(
-                    f"  linear segment:          {segment} threshold(s) below the water level"
-                )
-        else:
-            sol = naf_rtm(ch, pb, dims)
-            lines.append(f"[{sol.kind}] scaled-identity relay transform")
+        sol = _BUILDERS[kind](ch, pb, dims)
+        lines += ["", f"[{sol.kind}] {_TITLES[kind]} relay transform"]
+        if sol.spectra is None:
             lines.append(f"  diagonal gain:           {sol.x_matrix[0, 0].real:.12g}")
+        else:
+            _explain_solution(lines, sol, pb.p2)
 
         lines.append(f"  relay power used:        {sol.relay_power_used:.12g} of budget {pb.p2:.12g}")
         direct, ident = capacity_forms(ch, pb, dims, sol.x_matrix)

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .matalg import _any, _eye, _slogdet, _solve, conj_transpose, hermitian_part
+from .matalg import _any, _eye, _numbers, _slogdet, _solve, conj_transpose, hermitian_part
 from .network import ChannelSet, Dims, PowerBudget, _g0, _g0_trace, _h1_h, _is_number, _read_only, _validated
-from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix
+from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix, _wf_arrays
 
 __all__ = [
     "CapacityReport",
@@ -69,10 +69,7 @@ class KktReport:
 
 
 def _check_x_shape(dims: Dims, x_matrix: np.ndarray) -> np.ndarray:
-    try:
-        x_matrix = np.asarray(x_matrix, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"relay transform must hold numbers: {exc}") from None
+    x_matrix = _numbers("relay transform", x_matrix, complex)
     if x_matrix.shape[-2:] != (dims.u, dims.s):
         raise ValidationError(
             f"relay transform must have shape {(dims.u, dims.s)}, got {x_matrix.shape}"
@@ -192,9 +189,7 @@ def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) 
         worst = np.unravel_index(np.argmax(np.abs(bits - ident)), bits.shape)
 
         def pick(m):
-            # a batch axis of m is either the stack's or a singleton
-            batch = m.shape[:-2]
-            return m[tuple(0 if n == 1 else i for n, i in zip(batch, worst[len(worst) - len(batch):]))]
+            return np.broadcast_to(m, bits.shape + m.shape[-2:])[worst]
 
         member = ChannelSet(pick(ch.h0), pick(ch.h1), pick(ch.h2))
         direct, ident = capacity_forms(member, pb, dims, pick(x_matrix), _inner=pick(inner))
@@ -263,9 +258,8 @@ def verify_kkt_capacity(
     lambda_i = 0 (complementarity), the budget must bind whenever some
     gain is positive (primal), and no multiplier may be negative (dual).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    x = np.asarray(wf.x, dtype=float)
+    alpha, beta = _wf_arrays(alpha, beta, p2)
+    x = _numbers("mode powers x", wf.x, float)
     lam0 = 0.0 if wf.xi is None else 1.0 / wf.xi
 
     grad = 1.0 / (1.0 + x) - 1.0 / (1.0 - alpha + x)

@@ -15,6 +15,12 @@ stack it is in.  For one matrix, ``thin_ud`` makes its PSD check and rank
 cut on the eigenvalue list with the comparisons of the stack path, which
 skips numpy's cost per call.
 
+``_numbers`` is the package's one conversion of an input to a numeric
+array: a value numpy cannot convert (a string, an object, a ragged
+nesting) raises a ValidationError that names the input, not numpy's
+bare ``ValueError`` or ``TypeError``.  Channel matrices, transforms,
+matrices given to ``herm_eig`` and mode vectors all go through it.
+
 Every LAPACK call of the package goes through ``_solve``, ``_slogdet``
 and ``_eigh`` here.  Each calls the gufunc of
 ``numpy.linalg._umath_linalg``, numpy's own backend for ``numpy.linalg``,
@@ -88,6 +94,16 @@ def _any(mask) -> bool:
     """Whether a numpy boolean array or scalar has a true entry.  A lone
     value skips numpy's reduction, which costs microseconds per call."""
     return bool(mask.any() if mask.ndim else mask)
+
+
+def _numbers(name: str, value, dtype) -> np.ndarray:
+    """``np.asarray(value, dtype=dtype)``; a value that does not convert
+    (a string, an object, a ragged nesting) raises a ValidationError that
+    names the input."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold numbers: {exc}") from None
 
 
 def _raise_singular(err, flag):
@@ -174,7 +190,7 @@ def herm_eig(m: np.ndarray) -> HermEig:
     elementwise asymmetry |m - m^H| must not exceed 1e-12.  ``m`` may be
     a stack ``(..., n, n)``.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _numbers("matrix", m, complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValidationError(f"expected a nonempty square matrix, got shape {m.shape}")
     asym = float(np.abs(m - conj_transpose(m)).max(initial=0.0))

@@ -46,7 +46,7 @@ import numpy as np
 from . import evaluate
 from .errors import RelayRtmError, ValidationError
 from .evaluate import naf_rtm
-from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _caller_stacklevel, _check_count, _check_snr_db, _is_number, _owned, translate_scenario
+from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _caller_stacklevel, _channel_shapes, _check_count, _check_snr_db, _is_number, _owned, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
@@ -83,25 +83,22 @@ class SweepSpec:
         try:
             points = tuple(self.sweep_points_db)
         except TypeError:
-            points = None
-        if points is None or not all(_is_number(p) for p in points):
-            raise ValidationError(f"sweep_points_db must be a sequence of numbers, got {self.sweep_points_db!r}")
+            raise ValidationError(f"sweep_points_db must be a sequence of numbers, got {self.sweep_points_db!r}") from None
         for p in points:
             _check_snr_db("sweep point", p)
-        object.__setattr__(self, "sweep_points_db", tuple(float(p) for p in points))
-        object.__setattr__(self, "rtm_kinds", tuple(self.rtm_kinds))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
-        points, kinds, metrics = self.sweep_points_db, self.rtm_kinds, self.metrics
+        points = tuple(float(p) for p in points)
+        object.__setattr__(self, "sweep_points_db", points)
         if self.sweep_axis not in SWEEP_AXES:
             raise ValidationError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if not points:
             raise ValidationError(f"sweep_points_db must be nonempty, got {points}")
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ValidationError(f"sweep points must be sorted strictly increasing, got {points}")
-        if not kinds or any(k not in RTM_KINDS for k in kinds) or len(set(kinds)) < len(kinds):
-            raise ValidationError(f"rtm_kinds must be a nonempty subset of {RTM_KINDS} without repeats, got {kinds}")
-        if not metrics or any(m not in METRICS for m in metrics) or len(set(metrics)) < len(metrics):
-            raise ValidationError(f"metrics must be a nonempty subset of {METRICS} without repeats, got {metrics}")
+        for name, allowed in (("rtm_kinds", RTM_KINDS), ("metrics", METRICS)):
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if not values or any(v not in allowed for v in values) or len(set(values)) < len(values):
+                raise ValidationError(f"{name} must be a nonempty subset of {allowed} without repeats, got {values}")
         if self.sweep_axis == "rho0" and not self.scenario.direct_link_enabled:
             raise ValidationError("sweep_axis 'rho0' needs the direct link enabled: without it rho0 scales nothing")
         _check_count("trials", self.trials, 1)
@@ -136,7 +133,7 @@ def sample_channels(dims: Dims, seed: int, trial_index: int | range) -> ChannelS
     of h0, h1 and h2 in turn; the draws of a stack are then made complex
     in one pass.  ``seed`` and every trial must be integers >= 0.
     """
-    shapes = ((dims.r, dims.t), (dims.s, dims.t), (dims.r, dims.u))
+    shapes = _channel_shapes(dims)
     stacked = isinstance(trial_index, range)
     trials = trial_index if stacked else (trial_index,)
     _check_count("seed", seed, 0)

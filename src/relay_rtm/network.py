@@ -8,6 +8,14 @@ source-to-relay, ``h2`` (r x u) relay-to-destination.  Noise variances are
 never stored: they are absorbed into the SNR scaling of the channel
 matrices, so every formula downstream works on whitened channels.
 
+The input rules the domain types share live here once: ``_channel_shapes``
+gives the shapes of h0, h1 and h2 for ``Dims`` (``sample_channels`` draws
+them, ``validate`` and ``translate_scenario`` check them), ``_finite``
+accepts a real number, not a bool, that is finite as a float64 (powers,
+SNRs and the water-fillers' budget; an integer beyond float64's range
+fails it rather than raise ``OverflowError``), and ``_check_count`` an
+integer count.
+
 A ``ChannelSet`` may hold a stack of realizations: matrices
 ``(..., rows, cols)`` whose leading batch axes broadcast against each
 other, so a matrix that does not vary along an axis of the stack can keep
@@ -40,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeadRelayWarning, ValidationError
-from .matalg import _any, conj_transpose, hermitian_part
+from .matalg import _any, _numbers, conj_transpose, hermitian_part
 
 __all__ = [
     "Dims",
@@ -61,15 +69,20 @@ def _check_count(name: str, val, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {val!r}")
 
 
+def _finite(val) -> bool:
+    """Whether ``val`` is a real number (not a bool) that is finite as a
+    float64: an integer beyond float64's range is not."""
+    try:
+        return _is_number(val) and math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _check_snr_db(name: str, val) -> None:
     """Reject an SNR that is not a finite float64 number of dB, or whose
     linear power 10^(dB/10) overflows float64 (above about 3082.5 dB):
     ``_amplitude`` could not scale a channel by it."""
-    try:
-        finite = _is_number(val) and math.isfinite(val)
-    except OverflowError:  # an integer beyond float64's range
-        finite = False
-    if not finite:
+    if not _finite(val):
         raise ValidationError(f"{name} must be a finite number, got {val!r}")
     try:
         10.0 ** (float(val) / 10.0)
@@ -108,10 +121,7 @@ class ChannelSet:
 
     def __post_init__(self):
         for name in ("h0", "h1", "h2"):
-            try:
-                arr = np.array(getattr(self, name), dtype=complex)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{name} must hold numbers: {exc}") from None
+            arr = np.array(_numbers(name, getattr(self, name), complex))
             if arr.ndim < 2:
                 raise ValidationError(f"{name} must be a matrix or a stack of matrices, got ndim {arr.ndim}")
             object.__setattr__(self, name, arr)
@@ -202,9 +212,9 @@ class PowerBudget:
     p2: float
 
     def __post_init__(self):
-        if not (_is_number(self.p1) and math.isfinite(self.p1) and self.p1 > 0.0):
+        if not (_finite(self.p1) and self.p1 > 0.0):
             raise ValidationError(f"source power p1 must be a finite number > 0, got {self.p1!r}")
-        if not (_is_number(self.p2) and math.isfinite(self.p2) and self.p2 >= 0.0):
+        if not (_finite(self.p2) and self.p2 >= 0.0):
             raise ValidationError(f"relay power p2 must be a finite number >= 0, got {self.p2!r}")
 
 
@@ -225,16 +235,18 @@ class SnrScenario:
     def __post_init__(self):
         for name in ("rho0_db", "rho1_db", "rho2_db"):
             _check_snr_db(name, getattr(self, name))
+        if not isinstance(self.direct_link_enabled, bool):
+            raise ValidationError(f"direct_link_enabled must be True or False, got {self.direct_link_enabled!r}")
+
+
+def _channel_shapes(dims: Dims) -> tuple:
+    """The (rows, columns) of h0, h1 and h2 in a network of ``dims``."""
+    return (dims.r, dims.t), (dims.s, dims.t), (dims.r, dims.u)
 
 
 def _check_shapes(dims: Dims, ch: ChannelSet) -> None:
-    expected = {
-        "h0": (dims.r, dims.t),
-        "h1": (dims.s, dims.t),
-        "h2": (dims.r, dims.u),
-    }
     shapes = (ch.h0.shape, ch.h1.shape, ch.h2.shape)
-    for (name, shape), got in zip(expected.items(), shapes):
+    for name, shape, got in zip(("h0", "h1", "h2"), _channel_shapes(dims), shapes):
         if got[-2:] != shape:
             raise ValidationError(f"{name} must have shape {got[:-2] + shape}, got {got}")
     # numpy's broadcast check costs microseconds; equal batch axes need none

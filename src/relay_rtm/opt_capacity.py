@@ -58,8 +58,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, _any, _eye, _solve, conj_transpose, herm_eig, hermitian_part, thin_ud
-from .network import ChannelSet, Dims, PowerBudget, _g0, _h1_gram, _h1_h, _is_number, _memoized, _read_only, _validated
+from .matalg import DEFAULT_RANK_TOL, _any, _eye, _numbers, _solve, conj_transpose, herm_eig, hermitian_part, thin_ud
+from .network import ChannelSet, Dims, PowerBudget, _finite, _g0, _h1_gram, _h1_h, _memoized, _read_only, _validated
 
 __all__ = [
     "SpectraBundle",
@@ -307,8 +307,7 @@ def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     ``(1 - alpha_i) * beta_i / alpha_i`` for servable modes, +inf for
     zero-gain modes (they never activate).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    alpha, beta = _mode_vectors(alpha, beta)
     return np.divide((1.0 - alpha) * beta, alpha, out=np.full(alpha.shape, np.inf), where=alpha > 0.0)
 
 
@@ -337,13 +336,19 @@ def _lone_solution(x: list, xi: float, wet: bool, lowest: float) -> WaterfillSol
     return WaterfillSolution(x=np.array(x, dtype=float), xi=None if math.isnan(xi) else xi)
 
 
-def _wf_arrays(alpha, beta, p2) -> tuple:
-    """``alpha`` and ``beta`` as float arrays of one shape, ``p2`` checked."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+def _mode_vectors(alpha, beta) -> tuple:
+    """Mode gains ``alpha`` and costs ``beta`` as float arrays of one
+    shape with a mode axis: vectors, or stacks of vectors."""
+    alpha, beta = _numbers("alpha", alpha, float), _numbers("beta", beta, float)
     if alpha.ndim < 1 or alpha.shape != beta.shape:
         raise ValidationError("alpha and beta must be vectors (or stacks of vectors) of equal shape")
-    if not (_is_number(p2) and math.isfinite(p2) and p2 >= 0.0):
+    return alpha, beta
+
+
+def _wf_arrays(alpha, beta, p2) -> tuple:
+    """``_mode_vectors(alpha, beta)``, with the relay budget ``p2`` checked."""
+    alpha, beta = _mode_vectors(alpha, beta)
+    if not (_finite(p2) and p2 >= 0.0):
         raise ValidationError(f"relay power budget must be a finite number >= 0, got {p2!r}")
     return alpha, beta
 

@@ -32,6 +32,7 @@ from .opt_capacity import (
     _lone_problem,
     _lone_solution,
     _mode_sum,
+    _mode_vectors,
     _relay_side,
     _solution,
     _spectra_from_parts,
@@ -62,8 +63,7 @@ def build_ostbc_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraB
 def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Water level at which each mode activates: sqrt(beta_i / alpha_i),
     +inf for zero-gain modes."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    alpha, beta = _mode_vectors(alpha, beta)
     out = np.divide(beta, alpha, out=np.full(alpha.shape, np.inf), where=alpha > 0.0)
     return np.sqrt(out, out=out)
 

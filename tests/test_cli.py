@@ -13,8 +13,10 @@ import pytest
 
 import relay_rtm
 from helpers import scalar_network
+from relay_rtm import montecarlo
 from relay_rtm.cli import explain, main, parse_config, run
 from relay_rtm.errors import ConfigError, NumericalError
+from relay_rtm.evaluate import naf_rtm
 from relay_rtm.montecarlo import run_sweep
 from relay_rtm.network import ChannelSet, PowerBudget
 
@@ -370,6 +372,20 @@ class TestExplain:
             assert tag in report
         assert "capacity:" in report and "ostbc capacity" in report
 
+    def test_solves_through_the_sweep_builders(self, monkeypatch):
+        # explain reports what a sweep of the same kinds solves
+        calls = []
+
+        def builder(ch, pb, dims):
+            calls.append(dims)
+            return naf_rtm(ch, pb, dims)
+
+        monkeypatch.setitem(montecarlo._BUILDERS, "opt1", builder)
+        report = explain(self._scalar_cfg())
+        assert len(calls) == 1
+        assert "[naf] capacity-optimal relay transform\n  diagonal gain:" in report
+        assert "kkt residuals" not in report
+
     def test_requires_explain_section(self):
         cfg = parse_config(json.dumps(make_config()))
         with pytest.raises(ConfigError, match="explain"):
@@ -549,6 +565,18 @@ class TestMain:
             os.fstat(fd)
         assert main(["run", str(path), "--output", f"/dev/fd/{fd}"]) == 1
         assert "not writable" in capsys.readouterr().err
+
+    def test_read_only_descriptor_output_is_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # a descriptor open for reading only used to pass the probe, and the
+        # run failed with exit 2 after the whole sweep
+        path, _ = _small_config(tmp_path)
+        monkeypatch.setattr("relay_rtm.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            assert main(["run", str(path), "--output", f"/dev/fd/{fd}"]) == 1
+        finally:
+            os.close(fd)
+        assert "not open for writing" in capsys.readouterr().err
 
     def test_csv_has_the_mode_of_a_plain_open(self, tmp_path, capsys):
         path, doc = _small_config(tmp_path)

@@ -21,6 +21,14 @@ from relay_rtm.matalg import (
 )
 
 
+@pytest.mark.parametrize("factorize", [herm_eig, thin_ud])
+@pytest.mark.parametrize("bad", ["a", [["a"]], [[object()]], [[1.0], [1.0, 2.0]]])
+def test_non_numeric_matrix_is_validation_error(factorize, bad):
+    # numpy raised a bare ValueError or TypeError here
+    with pytest.raises(ValidationError, match="^matrix must hold numbers"):
+        factorize(bad)
+
+
 class TestHermEig:
     def test_diagonal_input_sorted(self):
         res = herm_eig(np.diag([1.0, 2.0]).astype(complex))

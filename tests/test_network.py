@@ -95,6 +95,20 @@ class TestTypes:
         ch, _ = translate_scenario(SnrScenario(0.0, db, 0.0, dims), raw)
         assert np.isfinite(ch.h1).all()
 
+    @pytest.mark.parametrize("field", ["p1", "p2"])
+    @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_power_budget_rejects_integers_beyond_float64(self, field, bad):
+        # math.isfinite raised a bare OverflowError here
+        powers = {"p1": 1.0, "p2": 1.0, field: bad}
+        with pytest.raises(ValidationError, match=rf"^\w+ power {field} must be a finite number"):
+            PowerBudget(**powers)
+
+    @pytest.mark.parametrize("bad", ["no", 0, 1, None])
+    def test_snr_scenario_rejects_a_link_flag_that_is_not_a_bool(self, bad):
+        # "no" used to turn the direct link on
+        with pytest.raises(ValidationError, match=rf"^direct_link_enabled must be True or False, got {bad!r}$"):
+            SnrScenario(0.0, 10.0, 10.0, Dims(1, 1, 1, 1), direct_link_enabled=bad)
+
     def test_numpy_scalars_are_numbers(self):
         assert PowerBudget(np.float64(1.0), np.int64(2)).p2 == 2
         assert SnrScenario(np.float64(3.0), np.int64(0), 0, Dims(1, 1, 1, 1)).rho0_db == 3.0

@@ -3,10 +3,12 @@ import pytest
 
 from helpers import canonical_budget, crandn, scaled_channels, scalar_network
 from oracles import oracle_solve
+from relay_rtm import opt_ostbc
 from relay_rtm.errors import DeadRelayError, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm, verify_kkt_capacity
 from relay_rtm.network import ChannelSet, Dims, PowerBudget
 from relay_rtm.opt_capacity import (
+    WaterfillSolution,
     _shaping_matrix,
     activation_thresholds,
     assemble_rtm,
@@ -14,7 +16,7 @@ from relay_rtm.opt_capacity import (
     optimize_capacity_rtm,
     waterfill_capacity,
 )
-from relay_rtm.opt_ostbc import optimize_ostbc_rtm
+from relay_rtm.opt_ostbc import optimize_ostbc_rtm, waterfill_ostbc
 
 
 class TestBuildSpectra:
@@ -136,6 +138,32 @@ class TestWaterfill:
     def test_input_validation(self, alpha, beta, p2):
         with pytest.raises(ValidationError):
             waterfill_capacity(np.array(alpha), np.array(beta), p2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda alpha, beta: waterfill_capacity(alpha, beta, 1.0),
+            lambda alpha, beta: waterfill_ostbc(alpha, beta, 1.0),
+            activation_thresholds,
+            opt_ostbc.activation_thresholds,
+            lambda alpha, beta: verify_kkt_capacity(alpha, beta, 1.0, WaterfillSolution(np.array([1.0]), 3.0)),
+        ],
+        ids=["waterfill_capacity", "waterfill_ostbc", "capacity_thresholds", "ostbc_thresholds", "verify_kkt_capacity"],
+    )
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", ["a", [object()], [[0.5], [0.5, 0.25]]])
+    def test_non_numeric_modes_are_validation_errors(self, call, which, bad):
+        # numpy raised a bare ValueError or TypeError here
+        modes = {"alpha": [0.5], "beta": [1.0], which: bad}
+        with pytest.raises(ValidationError, match=f"^{which} must hold numbers"):
+            call(modes["alpha"], modes["beta"])
+
+    @pytest.mark.parametrize("solver", [waterfill_capacity, waterfill_ostbc])
+    @pytest.mark.parametrize("p2", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_budget_beyond_float64_is_validation_error(self, solver, p2):
+        # math.isfinite raised a bare OverflowError here
+        with pytest.raises(ValidationError, match="^relay power budget must be a finite number >= 0"):
+            solver([0.5], [1.0], p2)
 
     def test_thresholds(self):
         thr = activation_thresholds(np.array([0.5, 0.0]), np.array([1.0, 3.0]))
