@@ -168,10 +168,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(spec=spec, output_path=output, explain_at=explain_at)
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def write_csv(points, stream) -> None:
     """CSV rows sorted by (sweep_db, rtm, metric); '\\n' newlines, header
     row mandatory, decimal points only (locale independent)."""
@@ -180,11 +176,11 @@ def write_csv(points, stream) -> None:
     for cp in sorted(points, key=lambda c: (c.sweep_value_db, c.rtm_kind, c.metric)):
         writer.writerow(
             [
-                _format_float(cp.sweep_value_db),
+                repr(float(cp.sweep_value_db)),
                 cp.rtm_kind,
                 cp.metric,
-                _format_float(cp.mean_bits),
-                _format_float(cp.stderr_bits),
+                repr(float(cp.mean_bits)),
+                repr(float(cp.stderr_bits)),
                 cp.trials,
             ]
         )
@@ -201,21 +197,22 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     """Run the configured sweep, write the CSV, print a summary table.
 
     The sweep's chunks are spread over every available CPU; the CSV is the
-    same for any number of them.  An unwritable output path fails before
-    the sweep starts, but the CSV is written only once the sweep has
-    returned.  An output named by a descriptor (``/dev/stdout``,
-    ``/dev/stderr``, ``/dev/fd/N`` or ``/proc/self/fd/N``) is the caller's
-    open stream, probed through the descriptor, which must be open for
-    writing, and never reopened by name (a socket's name cannot be
-    opened): the CSV goes to it at its
-    position, ahead of the summary, and the file behind it is never
-    truncated or replaced.  A regular file
-    in a writable directory is replaced by a temporary file beside it
-    (beside its target, for a symbolic link) that holds the whole CSV and
-    the output's mode.  So a run that fails, in the sweep or in that write,
-    leaves an existing CSV as it was, and no CSV where there was none.  Any
-    other output, such as a device, a pipe or a file in a directory that
-    cannot be written, is written in place.
+    same for any number of them.  The output is opened once, before the
+    sweep, so an unwritable output fails before the sweep starts, but the
+    CSV is written only once the sweep has returned.  An output named by a
+    descriptor (``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N`` or
+    ``/proc/self/fd/N``) is the caller's open stream, opened through the
+    descriptor, which must be open for writing, and never reopened by name
+    (a socket's name cannot be opened): the CSV goes to it at its position,
+    ahead of the summary, and the file behind it is never truncated or
+    replaced.  A regular file in a writable directory is replaced by a
+    temporary file beside it (beside its target, for a symbolic link) that
+    holds the whole CSV and the output's mode.  So a run that fails, in the
+    sweep or in that write, leaves an existing CSV as it was, and no CSV
+    where there was none.  Any other output, such as a device, a named pipe
+    or a file in a directory that cannot be written, gets the CSV in place
+    on the stream opened before the sweep: a named pipe's reader sees one
+    stream, which holds the CSV, or nothing if the run fails.
     """
     path = output_override or cfg.output_path
     named = _DESCRIPTOR_PATH.fullmatch(path)
@@ -227,38 +224,37 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
             fd = int(named[2]) if named[2] else {"out": 1, "err": 2}[named[1]]
             if (fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE) not in (os.O_WRONLY, os.O_RDWR):
                 raise OSError(f"descriptor {fd} is not open for writing")
+            out = open(os.dup(fd), "w", newline="")
         else:
-            open(path, "a").close()
+            out = open(path, "a", newline="")
     except (OSError, OverflowError) as exc:
         raise ConfigError(f"output path {path!r} is not writable: {exc}") from exc
     target = os.path.realpath(path)
-    directory = os.path.dirname(target)
+    regular = not named and os.path.isfile(target)
     tmp = None
     try:
-        points = run_sweep(cfg.spec, workers=_available_cpus())
-        if named:
-            # what this process printed before goes first
-            sys.stdout.flush()
-            with open(os.dup(fd), "w", newline="") as out:
-                write_csv(points, out)
-        elif os.path.isfile(target) and os.access(directory, os.W_OK | os.X_OK):
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(target) + ".", dir=directory)
-            with open(fd, "w", newline="") as out:
-                write_csv(points, out)
-                out.flush()
-                os.fsync(out.fileno())
-            shutil.copymode(target, tmp)
-            os.replace(tmp, target)
-        else:
-            with open(path, "w", newline="") as out:
+        with out:
+            points = run_sweep(cfg.spec, workers=_available_cpus())
+            if regular and os.access(os.path.dirname(target), os.W_OK | os.X_OK):
+                fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(target) + ".", dir=os.path.dirname(target))
+                with open(fd, "w", newline="") as replacement:
+                    write_csv(points, replacement)
+                    replacement.flush()
+                    os.fsync(replacement.fileno())
+                shutil.copymode(target, tmp)
+                os.replace(tmp, target)
+            else:
+                # what this process printed before goes first
+                sys.stdout.flush()
+                if regular:
+                    out.truncate(0)
                 write_csv(points, out)
     except BaseException:
-        # neither the temporary file nor a file the probe made (the target,
+        # neither the temporary file nor a file the open made (the target,
         # for a dangling symbolic link) outlives a failed run
-        for made in (tmp, target if created else None):
-            if made is not None:
-                with contextlib.suppress(OSError):
-                    os.remove(made)
+        for made in filter(None, (tmp, created and target)):
+            with contextlib.suppress(OSError):
+                os.remove(made)
         raise
 
     print(f"wrote {len(points)} curve points to {path}")

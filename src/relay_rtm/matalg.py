@@ -16,10 +16,11 @@ cut on the eigenvalue list with the comparisons of the stack path, which
 skips numpy's cost per call.
 
 ``_numbers`` is the package's one conversion of an input to a numeric
-array: a value numpy cannot convert (a string, an object, a ragged
-nesting) raises a ValidationError that names the input, not numpy's
-bare ``ValueError`` or ``TypeError``.  Channel matrices, transforms,
-matrices given to ``herm_eig`` and mode vectors all go through it.
+array: a value that holds strings, numeric or not, or that numpy cannot
+convert (an object, a ragged nesting) raises a ValidationError that names
+the input, not numpy's bare ``ValueError`` or ``TypeError`` or a quiet
+parse of ``"1"``.  Channel matrices, transforms, matrices given to
+``herm_eig`` and mode vectors all go through it.
 
 Every LAPACK call of the package goes through ``_solve``, ``_slogdet``
 and ``_eigh`` here.  Each calls the gufunc of
@@ -98,10 +99,14 @@ def _any(mask) -> bool:
 
 def _numbers(name: str, value, dtype) -> np.ndarray:
     """``np.asarray(value, dtype=dtype)``; a value that does not convert
-    (a string, an object, a ragged nesting) raises a ValidationError that
-    names the input."""
+    (an object, a ragged nesting) or holds strings, numeric or not, raises
+    a ValidationError that names the input.  An ndarray pays only its
+    dtype test."""
     try:
-        return np.asarray(value, dtype=dtype)
+        array = value if isinstance(value, np.ndarray) else np.asarray(value)
+        if array.dtype.kind in "US":
+            raise TypeError(f"got {array.dtype} strings")
+        return np.asarray(array, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must hold numbers: {exc}") from None
 

@@ -80,13 +80,14 @@ class SweepSpec:
     symbol_rate: float = field(default=1.0)
 
     def __post_init__(self):
-        try:
-            points = tuple(self.sweep_points_db)
-        except TypeError:
-            raise ValidationError(f"sweep_points_db must be a sequence of numbers, got {self.sweep_points_db!r}") from None
-        for p in points:
+        for name in ("sweep_points_db", "rtm_kinds", "metrics"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise ValidationError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
+        for p in self.sweep_points_db:
             _check_snr_db("sweep point", p)
-        points = tuple(float(p) for p in points)
+        points = tuple(float(p) for p in self.sweep_points_db)
         object.__setattr__(self, "sweep_points_db", points)
         if self.sweep_axis not in SWEEP_AXES:
             raise ValidationError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
@@ -95,8 +96,7 @@ class SweepSpec:
         if any(b <= a for a, b in zip(points, points[1:])):
             raise ValidationError(f"sweep points must be sorted strictly increasing, got {points}")
         for name, allowed in (("rtm_kinds", RTM_KINDS), ("metrics", METRICS)):
-            values = tuple(getattr(self, name))
-            object.__setattr__(self, name, values)
+            values = getattr(self, name)
             if not values or any(v not in allowed for v in values) or len(set(values)) < len(values):
                 raise ValidationError(f"{name} must be a nonempty subset of {allowed} without repeats, got {values}")
         if self.sweep_axis == "rho0" and not self.scenario.direct_link_enabled:

@@ -6,6 +6,7 @@ import socket
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +558,41 @@ class TestMain:
         assert done.returncode == 0, done.stderr
         assert text.startswith(csv_text + "wrote 4 curve points to /dev/stdout\n")
         assert len(text[len(csv_text):].splitlines()) == 2 + 4
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_named_pipe_output_is_one_stream(self, tmp_path, capsys, fails):
+        # `mkfifo out.fifo; cat out.fifo &; run --output out.fifo`: the
+        # reader gets the CSV once and then EOF, or nothing from a failed run
+        path, doc = _small_config(tmp_path)
+        assert main(["run", str(path)]) == 0
+        with open(doc["output"]) as fh:
+            csv_text = fh.read()
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo) as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        failing_sweep = "def boom(*args, **kwargs): raise NumericalError('synthetic failure')\ncli.run_sweep = boom\n"
+        code = (
+            "import sys\nfrom relay_rtm import cli\nfrom relay_rtm.errors import NumericalError\n"
+            + (failing_sweep if fails else "")
+            + "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(relay_rtm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run", str(path), "--output", str(fifo)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert done.returncode == (2 if fails else 0), done.stderr
+        assert received == ["" if fails else csv_text]
 
     def test_closed_descriptor_output_is_config_error(self, tmp_path, capsys):
         path, _ = _small_config(tmp_path)

@@ -57,3 +57,25 @@ def test_prints_modules_and_total(tmp_path, capsys):
         ["b.py", "1", "code", "1", "raw"],
         ["total", "12", "code", str(raw + 1), "raw"],
     ]
+
+
+def test_against_prints_both_counts_and_the_delta(tmp_path, capsys):
+    other, new = tmp_path / "other", tmp_path / "new"
+    other.mkdir()
+    new.mkdir()
+    (other / "changed.py").write_text("x = 1\n")
+    (new / "changed.py").write_text(_MODULE)
+    (new / "added.py").write_text("x = 1\ny = 2\n")
+    (other / "removed.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (other / "same.py").write_text("x = 1\n")
+    (new / "same.py").write_text("# a comment\nx = 1\n")
+    assert code_lines.main(["code_lines.py", str(new), "--against", str(other)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines] == [
+        ["module", "other", "dir", "delta"],
+        ["added.py", "0", "2", "+2"],
+        ["changed.py", "1", "11", "+10"],
+        ["removed.py", "3", "0", "-3"],
+        ["same.py", "1", "1", "+0"],
+        ["total", "5", "14", "+9"],
+    ]

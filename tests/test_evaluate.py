@@ -91,7 +91,8 @@ class TestCapacity:
         with pytest.raises(ValidationError, match="shape"):
             capacity(ch, PowerBudget(2.0, 2.0), dims, np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("x", [[["a", "b"], ["c", "d"]], [[object(), 0], [0, 0]]])
+    # numeric strings included: numpy parsed them as numbers
+    @pytest.mark.parametrize("x", [[["a", "b"], ["c", "d"]], [[object(), 0], [0, 0]], [["1", "0"], ["0", "1"]]])
     def test_rejects_non_number_transform(self, x):
         dims = Dims(2, 2, 2, 2)
         ch = ChannelSet(h0=np.zeros((2, 2)), h1=np.eye(2), h2=np.eye(2))
@@ -166,8 +167,8 @@ def _skew_identity_form(monkeypatch, h1_entry, gap_bits):
     its own."""
     forms = evaluate._forms
 
-    def skewed(ch, pb, dims, x_matrix, inner=None):
-        direct, ident = forms(ch, pb, dims, x_matrix, inner)
+    def skewed(ch, pb, dims, x_matrix, *args):
+        direct, ident = forms(ch, pb, dims, x_matrix, *args)
         hit = np.broadcast_to(ch.h1[..., 0, 0] == h1_entry, np.shape(ident))
         return direct, ident + gap_bits * hit
 

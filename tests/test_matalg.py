@@ -22,11 +22,19 @@ from relay_rtm.matalg import (
 
 
 @pytest.mark.parametrize("factorize", [herm_eig, thin_ud])
-@pytest.mark.parametrize("bad", ["a", [["a"]], [[object()]], [[1.0], [1.0, 2.0]]])
+@pytest.mark.parametrize(
+    "bad", ["a", [["a"]], [[object()]], [[1.0], [1.0, 2.0]], [["1"]], np.array([["1"]]), [[b"1"]], "1"]
+)
 def test_non_numeric_matrix_is_validation_error(factorize, bad):
-    # numpy raised a bare ValueError or TypeError here
+    # numpy raised a bare ValueError or TypeError here, or parsed a numeric
+    # string as a number
     with pytest.raises(ValidationError, match="^matrix must hold numbers"):
         factorize(bad)
+
+
+def test_object_array_of_numbers_is_accepted():
+    res = herm_eig(np.array([[2.0, 0.0], [0.0, 1.0]], dtype=object))
+    np.testing.assert_allclose(res.eigenvalues, [2.0, 1.0])
 
 
 class TestHermEig:

@@ -178,6 +178,10 @@ class TestSweepSpecValidation:
             dict(sweep_points_db=(0.0, 4000.0)),
             dict(sweep_points_db=(10**400,)),
             dict(rho1_db=4000.0),
+            # not a sequence: these raised a bare TypeError
+            dict(rtm_kinds=5),
+            dict(metrics=None),
+            dict(sweep_points_db=5),
         ],
     )
     def test_rejects_bad_fields(self, kw):

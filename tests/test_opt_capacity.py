@@ -151,9 +151,10 @@ class TestWaterfill:
         ids=["waterfill_capacity", "waterfill_ostbc", "capacity_thresholds", "ostbc_thresholds", "verify_kkt_capacity"],
     )
     @pytest.mark.parametrize("which", ["alpha", "beta"])
-    @pytest.mark.parametrize("bad", ["a", [object()], [[0.5], [0.5, 0.25]]])
+    @pytest.mark.parametrize("bad", ["a", [object()], [[0.5], [0.5, 0.25]], ["0.5"], np.array(["0.5"])])
     def test_non_numeric_modes_are_validation_errors(self, call, which, bad):
-        # numpy raised a bare ValueError or TypeError here
+        # numpy raised a bare ValueError or TypeError here, or parsed a
+        # numeric string as a number
         modes = {"alpha": [0.5], "beta": [1.0], which: bad}
         with pytest.raises(ValidationError, match=f"^{which} must hold numbers"):
             call(modes["alpha"], modes["beta"])

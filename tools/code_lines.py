@@ -5,13 +5,21 @@ A code line is a line that holds some token of a statement: docstrings
 blank lines are not code.  A docstring's own lines are skipped, and so are
 lines that hold only comments.  Raw lines count every line.
 
-    python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py [DIR] [--against OTHER]
 
 prints one line per module and a total, for ``src/relay_rtm`` by default.
+With ``--against OTHER`` it prints the code lines of each module in OTHER
+and in DIR and their difference, a module missing from one side counting
+0 there, and the same for the totals.  OTHER is, for example, a parent
+commit's package unpacked by ``git archive``::
+
+    mkdir parent && git archive HEAD~1 src/relay_rtm | tar -x -C parent
+    python3 tools/code_lines.py --against parent/src/relay_rtm
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -52,10 +60,27 @@ def count(source: str) -> tuple[int, int]:
     return len(code), len(source.splitlines())
 
 
+def _code_lines(root: Path) -> dict:
+    """Code lines of each module directly in ``root``, by file name."""
+    return {path.name: count(path.read_text())[0] for path in sorted(root.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "relay_rtm"
+    parser = argparse.ArgumentParser(prog=Path(argv[0]).name, description="Count the code lines of a package.")
+    parser.add_argument("dir", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent / "src" / "relay_rtm")
+    parser.add_argument("--against", type=Path, metavar="OTHER", help="also count OTHER and print the difference")
+    args = parser.parse_args(argv[1:])
+    if args.against is not None:
+        before, after = _code_lines(args.against), _code_lines(args.dir)
+        print(f"{'module':24s} {'other':>6s} {'dir':>6s} {'delta':>6s}")
+        for name in sorted(before.keys() | after.keys()):
+            old, new = before.get(name, 0), after.get(name, 0)
+            print(f"{name:24s} {old:6d} {new:6d} {new - old:+6d}")
+        old, new = sum(before.values()), sum(after.values())
+        print(f"{'total':24s} {old:6d} {new:6d} {new - old:+6d}")
+        return 0
     total_code = total_raw = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(args.dir.glob("*.py")):
         code, raw = count(path.read_text())
         total_code += code
         total_raw += raw
