@@ -15,7 +15,12 @@ one X build it once.
 
 ``capacity``, ``capacity_forms``, ``ostbc_capacity`` and ``naf_rtm`` also
 take a stacked ``ChannelSet`` (and a stack of transforms): each member is
-evaluated exactly as it would be alone, and figures come back as arrays.
+evaluated exactly as it would be alone, and figures come back as arrays;
+an empty stack gives empty arrays.  A stacked ``capacity`` evaluates both
+forms once; the member whose forms differ most decides the 1e-9-bit
+check, and its pair, as floats, is handed to ``capacity_forms``, which
+returns it as it is, so a watcher of ``capacity_forms`` sees the largest
+gap of every call.  An empty stack has no member to check or hand over.
 For one network, the finiteness checks of each log-det and of the OSTBC
 figure test Python floats; a figure that fails them takes the array
 check, which words the error.
@@ -128,12 +133,9 @@ def _relay_path(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarra
     return path
 
 
-def _forms(ch, pb, dims, x_matrix, inner=None):
+def _forms(ch, pb, dims, x_matrix):
     # x_matrix is checked by the caller
-    if inner is None:
-        k, inner = _relay_path(ch, pb, dims, x_matrix)
-    else:
-        k = ch.h2 @ x_matrix
+    k, inner = _relay_path(ch, pb, dims, x_matrix)
     eye = _eye(dims.t)
     scale = pb.p1 / dims.t
     g0 = _g0(ch)
@@ -146,7 +148,7 @@ def _forms(ch, pb, dims, x_matrix, inner=None):
 
 
 def capacity_forms(
-    ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray, *, _inner=None
+    ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray, *, _pair=None
 ) -> tuple[float, float]:
     """Both equivalent network-capacity forms, in bits.
 
@@ -156,11 +158,16 @@ def capacity_forms(
     matrix-inversion identity to evaluate the same term on the relay side,
     (I + Z)^-1 Z with Z = K^H K.  Neither form subtracts, so both keep
     their accuracy when one term dominates at high SNR.  For a stacked
-    ``ChannelSet`` and X both forms are arrays.
+    ``ChannelSet`` and X both forms are arrays; an empty stack gives
+    empty arrays.
     """
-    # _inner= serves only the worst-member replay in ``capacity``; it goes
-    # once the benchmark's tracer reduces stacked form pairs itself
-    return _forms(ch, pb, dims, _check_x_shape(dims, x_matrix), _inner)
+    # _pair= is the worst member's pair of a stacked ``capacity`` call,
+    # returned as it is so that whoever watches this function (the
+    # benchmark's tracer, which reduces scalar pairs) sees the largest gap
+    # of every evaluation; it goes once that tracer reduces stacked pairs
+    if _pair is not None:
+        return _pair
+    return _forms(ch, pb, dims, _check_x_shape(dims, x_matrix))
 
 
 def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) -> CapacityReport:
@@ -169,8 +176,10 @@ def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) 
     Both capacity forms are evaluated and must agree to 1e-9 bits; this
     cross-check costs nothing at these sizes and hard-fails on numerical
     trouble instead of returning a silently wrong figure.  A stack gives
-    an array of bits, and one member that fails the cross-check fails the
-    call.
+    an array of bits: its forms are evaluated once, the member whose
+    forms differ most decides the cross-check for the call, and that
+    member's pair, as floats, is what a watcher of ``capacity_forms``
+    sees.  An empty stack gives empty bits.
     """
     if not isinstance(x_matrix, np.ndarray):
         x_matrix = _check_x_shape(dims, x_matrix)
@@ -179,20 +188,12 @@ def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) 
         direct, ident = capacity_forms(ch, pb, dims, x_matrix)
         bits = direct
     else:
-        x_matrix = _check_x_shape(dims, x_matrix)
-        # The gate is decided on the member whose forms differ most, and
-        # that member goes through capacity_forms on its own: it comes out
-        # bit-identical there, and the largest gap of every evaluation is
-        # seen by whoever watches capacity_forms (the benchmark's tracer).
-        bits, ident = _forms(ch, pb, dims, x_matrix)
-        inner = _relay_path(ch, pb, dims, x_matrix)[1]
-        worst = np.unravel_index(np.argmax(np.abs(bits - ident)), bits.shape)
-
-        def pick(m):
-            return np.broadcast_to(m, bits.shape + m.shape[-2:])[worst]
-
-        member = ChannelSet(pick(ch.h0), pick(ch.h1), pick(ch.h2))
-        direct, ident = capacity_forms(member, pb, dims, pick(x_matrix), _inner=pick(inner))
+        bits, ident = _forms(ch, pb, dims, _check_x_shape(dims, x_matrix))
+        if not bits.size:
+            return CapacityReport(bits=bits)
+        worst = np.argmax(np.abs(bits - ident))
+        pair = float(bits.flat[worst]), float(ident.flat[worst])
+        direct, ident = capacity_forms(ch, pb, dims, x_matrix, _pair=pair)
     if abs(direct - ident) > _FORM_AGREEMENT_BITS:
         raise NumericalError(f"capacity forms disagree: {direct!r} vs {ident!r} bits")
     return CapacityReport(bits=bits)

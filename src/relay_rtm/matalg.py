@@ -16,11 +16,12 @@ cut on the eigenvalue list with the comparisons of the stack path, which
 skips numpy's cost per call.
 
 ``_numbers`` is the package's one conversion of an input to a numeric
-array: a value that holds strings, numeric or not, or that numpy cannot
-convert (an object, a ragged nesting) raises a ValidationError that names
-the input, not numpy's bare ``ValueError`` or ``TypeError`` or a quiet
-parse of ``"1"``.  Channel matrices, transforms, matrices given to
-``herm_eig`` and mode vectors all go through it.
+array: a value that holds strings, numeric or not (also as entries of an
+object array), or that numpy cannot convert (an object, a ragged nesting)
+raises a ValidationError that names the input, not numpy's bare
+``ValueError`` or ``TypeError`` or a quiet parse of ``"1"``.  Channel
+matrices, transforms, matrices given to ``herm_eig`` and mode vectors all
+go through it.
 
 Every LAPACK call of the package goes through ``_solve``, ``_slogdet``
 and ``_eigh`` here.  Each calls the gufunc of
@@ -101,10 +102,12 @@ def _numbers(name: str, value, dtype) -> np.ndarray:
     """``np.asarray(value, dtype=dtype)``; a value that does not convert
     (an object, a ragged nesting) or holds strings, numeric or not, raises
     a ValidationError that names the input.  An ndarray pays only its
-    dtype test."""
+    dtype test; an object array also tests each entry for a string, which
+    numpy would parse."""
     try:
         array = value if isinstance(value, np.ndarray) else np.asarray(value)
-        if array.dtype.kind in "US":
+        kind = array.dtype.kind
+        if kind in "US" or kind == "O" and any(isinstance(v, (str, bytes)) for v in array.flat):
             raise TypeError(f"got {array.dtype} strings")
         return np.asarray(array, dtype=dtype)
     except (TypeError, ValueError) as exc:

@@ -6,6 +6,7 @@ its trials are chunked or spread over workers.
 """
 
 import contextlib
+import re
 import warnings
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ import pytest
 
 from helpers import canonical_budget, crandn, edited_sampler
 from relay_rtm import evaluate, matalg, montecarlo, network, opt_capacity, opt_ostbc
-from relay_rtm.errors import DeadRelayError, DeadRelayWarning
+from relay_rtm.errors import DeadRelayError, DeadRelayWarning, NumericalError
 from relay_rtm.evaluate import capacity, capacity_forms, naf_rtm, ostbc_capacity
 from relay_rtm.montecarlo import (
     _CHUNK_TRIALS,
@@ -257,8 +258,8 @@ def test_dead_matrix_warns_once(dead):
 
 
 def test_stacked_capacity_reports_its_largest_form_gap(monkeypatch):
-    # a stack's cross-check goes through capacity_forms once, on the member
-    # whose forms differ most, so its largest gap is seen there as floats
+    # a stack hands capacity_forms the pair of the member whose forms
+    # differ most, once, so its largest gap is seen there as floats
     dims = Dims(4, 4, 4, 4)
     members = _members(np.random.default_rng(7), dims, 2)
     stack = ChannelSet(*(np.stack([getattr(m, name) for m in members]) for name in ("h0", "h1", "h2")))
@@ -290,8 +291,10 @@ def test_stacked_capacity_reports_its_largest_form_gap(monkeypatch):
 
 def test_stacked_capacity_checks_its_worst_member_alone(monkeypatch):
     # on a broadcast stack like a sweep chunk's, the member whose forms
-    # differ most is found through the singleton axes and goes through
-    # capacity_forms alone, with its slice of the relay-path matrix
+    # differ most, found through the singleton axes, decides the 1e-9-bit
+    # cross-check for the whole call: widened beyond it, the call fails
+    # with that member's pair; widened by less, it passes with the bits
+    # unchanged; either way a watcher of capacity_forms sees that pair
     dims = Dims(4, 4, 4, 4)
     pb = canonical_budget(dims)
     rng = np.random.default_rng(0)
@@ -300,27 +303,53 @@ def test_stacked_capacity_checks_its_worst_member_alone(monkeypatch):
     ch = ChannelSet(crandn(rng, (3, 1, dims.r, dims.t)), crandn(rng, (3, 1, dims.s, dims.t)), h2)
     x = optimize_capacity_rtm(ch, pb, dims).x_matrix
     assert x.shape == (3, 4, dims.u, dims.s)
+    bits = capacity(ch, pb, dims, x).bits
     worst, forms = (2, 1), evaluate._forms
+    direct, ident = forms(ch, pb, dims, x)
+    for widen in (1.0, 1e-10):
+        widened_ident = ident.copy()
+        widened_ident[worst] += widen
+        pair = (float(direct[worst]), float(widened_ident[worst]))
+        assert np.max(np.abs(direct - widened_ident)) == abs(pair[0] - pair[1])
+        evaluated, pairs = [], []
 
-    def widened(*args):
-        # the stacked cross-check sees its largest gap at ``worst``
-        direct, ident = forms(*args)
-        if np.ndim(direct):
-            ident = ident.copy()
-            ident[worst] += 1.0
-        return direct, ident
+        def widened(*args):
+            evaluated.append(args)
+            return forms(*args)[0], widened_ident
 
+        def recording(*args, **kwargs):
+            pairs.append(capacity_forms(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(evaluate, "_forms", widened)
+        monkeypatch.setattr(evaluate, "capacity_forms", recording)
+        if widen > 1e-9:
+            message = f"capacity forms disagree: {pair[0]!r} vs {pair[1]!r} bits"
+            with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+                capacity(ch, pb, dims, x)
+        else:
+            assert np.array_equal(capacity(ch, pb, dims, x).bits, bits)
+        assert len(evaluated) == 1
+        assert pairs == [pair]
+        assert all(type(v) is float for v in pairs[0])
+
+
+@pytest.mark.parametrize("x_batch, h0_batch", [((0,), ()), ((), (0,)), ((0, 3), (1,))])
+def test_empty_stack_gives_empty_bits(monkeypatch, x_batch, h0_batch):
+    # like capacity_forms and ostbc_capacity: no members, so no cross-check
+    # and no pair for a watcher of capacity_forms
+    dims = Dims(3, 2, 4, 3)
+    pb = canonical_budget(dims)
+    rng = np.random.default_rng(5)
+    ch = ChannelSet(crandn(rng, h0_batch + (dims.r, dims.t)), crandn(rng, (dims.s, dims.t)), crandn(rng, (dims.r, dims.u)))
+    x = crandn(rng, x_batch + (dims.u, dims.s))
     pairs = []
-
-    def recording(*args, **kwargs):
-        pairs.append(capacity_forms(*args, **kwargs))
-        return pairs[-1]
-
-    monkeypatch.setattr(evaluate, "_forms", widened)
-    monkeypatch.setattr(evaluate, "capacity_forms", recording)
-    capacity(ch, pb, dims, x)
-    member = ChannelSet(ch.h0[2, 0], ch.h1[2, 0], ch.h2[2, 1])
-    assert pairs == [capacity_forms(member, pb, dims, x[worst])]
+    monkeypatch.setattr(evaluate, "capacity_forms", lambda *args, **kwargs: pairs.append(args))
+    bits = capacity(ch, pb, dims, x).bits
+    shape = np.broadcast_shapes(x_batch, h0_batch)
+    assert isinstance(bits, np.ndarray) and bits.dtype == float and bits.shape == shape
+    assert ostbc_capacity(ch, pb, dims, x).bits.shape == shape
+    assert pairs == []
 
 
 def test_sweep_points_independent_of_chunks_and_workers():

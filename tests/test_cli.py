@@ -241,9 +241,9 @@ class TestRun:
         path, doc = _small_config(tmp_path)
         cfg = parse_config(path.read_text())
         run(cfg)
-        first = open(doc["output"], "rb").read()
+        first = Path(doc["output"]).read_bytes()
         run(cfg)
-        assert open(doc["output"], "rb").read() == first
+        assert Path(doc["output"]).read_bytes() == first
 
     def test_monotone_capacity_in_second_hop_snr(self, tmp_path, capsys):
         path, doc = _small_config(

@@ -23,11 +23,24 @@ from relay_rtm.matalg import (
 
 @pytest.mark.parametrize("factorize", [herm_eig, thin_ud])
 @pytest.mark.parametrize(
-    "bad", ["a", [["a"]], [[object()]], [[1.0], [1.0, 2.0]], [["1"]], np.array([["1"]]), [[b"1"]], "1"]
+    "bad",
+    [
+        "a",
+        [["a"]],
+        [[object()]],
+        [[1.0], [1.0, 2.0]],
+        [["1"]],
+        np.array([["1"]]),
+        [[b"1"]],
+        "1",
+        np.array([["1"]], dtype=object),
+        np.array([[b"2"]], dtype=object),
+        np.array([[2.0, "1"], [1.0, 2.0]], dtype=object),
+    ],
 )
 def test_non_numeric_matrix_is_validation_error(factorize, bad):
     # numpy raised a bare ValueError or TypeError here, or parsed a numeric
-    # string as a number
+    # string as a number, also one held in an object array
     with pytest.raises(ValidationError, match="^matrix must hold numbers"):
         factorize(bad)
 

@@ -45,7 +45,10 @@ class TestTypes:
         with pytest.raises(ValidationError):
             ChannelSet(h0=np.ones(2), h1=np.eye(2), h2=np.eye(2))
 
-    @pytest.mark.parametrize("bad", ["a", [[1, "x"]], [[object()]], [[1.0], [1.0, 2.0]], [["1"]], [[b"1"]]])
+    @pytest.mark.parametrize(
+        "bad",
+        ["a", [[1, "x"]], [[object()]], [[1.0], [1.0, 2.0]], [["1"]], [[b"1"]], np.array([[b"2"]], dtype=object)],
+    )
     def test_channelset_rejects_non_numeric_entries(self, bad):
         with pytest.raises(ValidationError, match="^h1 must hold numbers"):
             ChannelSet(h0=np.eye(2), h1=bad, h2=np.eye(2))
