@@ -42,7 +42,7 @@ import numpy as np
 from . import opt_capacity, opt_ostbc
 from .errors import ConfigError, RelayRtmError, ValidationError
 from .evaluate import capacity_forms, ostbc_capacity, verify_kkt_capacity
-from .montecarlo import _BUILDERS, SWEEP_AXES, SweepSpec, run_sweep, sample_channels
+from .montecarlo import _BUILDERS, SWEEP_AXES, SweepSpec, _scenario_at, run_sweep, sample_channels
 from .network import Dims, SnrScenario, _check_count, translate_scenario
 
 __all__ = ["RunConfig", "parse_config", "run", "explain", "main"]
@@ -196,8 +196,10 @@ def _available_cpus() -> int:
 def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     """Run the configured sweep, write the CSV, print a summary table.
 
-    The sweep's chunks are spread over every available CPU; the CSV is the
-    same for any number of them.  The output is opened once, before the
+    ``output_override``, unless None, replaces the config's output path;
+    an empty one is an unwritable path, not an absent one.  The sweep's
+    chunks are spread over every available CPU; the CSV is the same for
+    any number of them.  The output is opened once, before the
     sweep, so an unwritable output fails before the sweep starts, but the
     CSV is written only once the sweep has returned.  An output named by a
     descriptor (``/dev/stdout``, ``/dev/stderr``, ``/dev/fd/N`` or
@@ -214,7 +216,7 @@ def run(cfg: RunConfig, output_override: Optional[str] = None) -> int:
     on the stream opened before the sweep: a named pipe's reader sees one
     stream, which holds the CSV, or nothing if the run fails.
     """
-    path = output_override or cfg.output_path
+    path = cfg.output_path if output_override is None else output_override
     named = _DESCRIPTOR_PATH.fullmatch(path)
     created = not os.path.exists(path)
     try:
@@ -307,11 +309,12 @@ def _explain_solution(lines, sol, p2: float):
 def explain(cfg: RunConfig) -> str:
     """Single-realization diagnostic report of the solutions the sweep's
     solvers (``montecarlo._BUILDERS``) return for the config's (seed,
-    trial) realization."""
+    trial) realization at the first sweep point, the scenario the sweep
+    solves there."""
     if cfg.explain_at is None:
         raise ConfigError("explain: config has no \"explain\" section")
     seed, trial = cfg.explain_at
-    scn = cfg.spec.scenario
+    scn = _scenario_at(cfg.spec, cfg.spec.sweep_points_db[0])
     dims = scn.dims
     ch, pb = translate_scenario(scn, sample_channels(dims, seed, trial))
 

@@ -16,11 +16,13 @@ one X build it once.
 ``capacity``, ``capacity_forms``, ``ostbc_capacity`` and ``naf_rtm`` also
 take a stacked ``ChannelSet`` (and a stack of transforms): each member is
 evaluated exactly as it would be alone, and figures come back as arrays;
-an empty stack gives empty arrays.  A stacked ``capacity`` evaluates both
-forms once; the member whose forms differ most decides the 1e-9-bit
-check, and its pair, as floats, is handed to ``capacity_forms``, which
-returns it as it is, so a watcher of ``capacity_forms`` sees the largest
-gap of every call.  An empty stack has no member to check or hand over.
+an empty stack gives empty arrays.  ``capacity`` evaluates both forms
+once, for one network as for a stack, and one pair decides the 1e-9-bit
+check: one network's own pair, or the pair, as floats, of the stack
+member whose forms differ most.  That pair is handed to
+``capacity_forms``, which returns it as it is, so a watcher of
+``capacity_forms`` sees the largest gap of every call.  An empty stack
+has no member to check or hand over.
 For one network, the finiteness checks of each log-det and of the OSTBC
 figure test Python floats; a figure that fails them takes the array
 check, which words the error.
@@ -161,10 +163,10 @@ def capacity_forms(
     ``ChannelSet`` and X both forms are arrays; an empty stack gives
     empty arrays.
     """
-    # _pair= is the worst member's pair of a stacked ``capacity`` call,
-    # returned as it is so that whoever watches this function (the
-    # benchmark's tracer, which reduces scalar pairs) sees the largest gap
-    # of every evaluation; it goes once that tracer reduces stacked pairs
+    # _pair= is the pair that decides a ``capacity`` call (a stack's worst
+    # member's), returned as it is so that whoever watches this function
+    # (the benchmark's tracer, which reduces scalar pairs) sees the largest
+    # gap of every evaluation; it goes once that tracer reduces stacked pairs
     if _pair is not None:
         return _pair
     return _forms(ch, pb, dims, _check_x_shape(dims, x_matrix))
@@ -175,25 +177,23 @@ def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) 
 
     Both capacity forms are evaluated and must agree to 1e-9 bits; this
     cross-check costs nothing at these sizes and hard-fails on numerical
-    trouble instead of returning a silently wrong figure.  A stack gives
-    an array of bits: its forms are evaluated once, the member whose
-    forms differ most decides the cross-check for the call, and that
-    member's pair, as floats, is what a watcher of ``capacity_forms``
-    sees.  An empty stack gives empty bits.
+    trouble instead of returning a silently wrong figure.  The forms are
+    evaluated once, and one pair decides the cross-check for the call:
+    one network's own pair or, for a stack (which gives an array of
+    bits), the pair, as floats, of the member whose forms differ most.
+    That pair is what a watcher of ``capacity_forms`` sees.  An empty
+    stack gives empty bits.
     """
-    if not isinstance(x_matrix, np.ndarray):
-        x_matrix = _check_x_shape(dims, x_matrix)
-    if x_matrix.ndim == ch.h0.ndim == ch.h1.ndim == ch.h2.ndim == 2:
-        # one network: capacity_forms checks X
-        direct, ident = capacity_forms(ch, pb, dims, x_matrix)
-        bits = direct
-    else:
-        bits, ident = _forms(ch, pb, dims, _check_x_shape(dims, x_matrix))
+    x_matrix = _check_x_shape(dims, x_matrix)
+    bits, ident = _forms(ch, pb, dims, x_matrix)
+    pair = bits, ident
+    # one network's forms are Python floats (_logdet_bits)
+    if type(bits) is not float:
         if not bits.size:
             return CapacityReport(bits=bits)
         worst = np.argmax(np.abs(bits - ident))
         pair = float(bits.flat[worst]), float(ident.flat[worst])
-        direct, ident = capacity_forms(ch, pb, dims, x_matrix, _pair=pair)
+    direct, ident = capacity_forms(ch, pb, dims, x_matrix, _pair=pair)
     if abs(direct - ident) > _FORM_AGREEMENT_BITS:
         raise NumericalError(f"capacity forms disagree: {direct!r} vs {ident!r} bits")
     return CapacityReport(bits=bits)

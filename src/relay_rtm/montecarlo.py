@@ -53,8 +53,6 @@ from .opt_ostbc import optimize_ostbc_rtm
 __all__ = ["SweepSpec", "CurvePoint", "sample_channels", "run_sweep", "RTM_KINDS", "METRICS", "SWEEP_AXES"]
 
 SWEEP_AXES = ("rho0", "rho1", "rho2")
-RTM_KINDS = ("opt1", "opt2", "naf")
-METRICS = ("capacity", "ostbc")
 
 #: Trials per stacked chunk of a sweep: enough (times the sweep points) to
 #: spread numpy's per-call cost over hundreds of problems, few enough that a
@@ -168,6 +166,15 @@ _METRIC_BITS = {
     "ostbc": lambda ch, pb, dims, x, rate: evaluate.ostbc_capacity(ch, pb, dims, x, rate).bits,
 }
 
+#: The transform kinds and metrics a sweep may name, in their tables' order.
+RTM_KINDS = tuple(_BUILDERS)
+METRICS = tuple(_METRIC_BITS)
+
+
+def _scenario_at(spec: SweepSpec, point: float) -> SnrScenario:
+    """The template scenario with the swept SNR at ``point`` dB."""
+    return replace(spec.scenario, **{spec.sweep_axis + "_db": point})
+
 
 def _values(spec: SweepSpec, ch: ChannelSet, pb: PowerBudget) -> np.ndarray:
     """(..., kinds, metrics) metric values of one network or of a stack.
@@ -212,7 +219,7 @@ def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
             member = ChannelSet(raw.h0[i], raw.h1[i], raw.h2[i])
             for point in spec.sweep_points_db:
                 try:
-                    _values(spec, *translate_scenario(replace(spec.scenario, **{spec.sweep_axis + "_db": point}), member))
+                    _values(spec, *translate_scenario(_scenario_at(spec, point), member))
                 except RelayRtmError as exc:
                     raise type(exc)(
                         f"trial {trial} (seed {spec.seed}) at {spec.sweep_axis}={point} dB: {exc}"

@@ -14,7 +14,7 @@ import pytest
 
 import relay_rtm
 from helpers import scalar_network
-from relay_rtm import montecarlo
+from relay_rtm import cli, montecarlo
 from relay_rtm.cli import explain, main, parse_config, run
 from relay_rtm.errors import ConfigError, NumericalError
 from relay_rtm.evaluate import naf_rtm
@@ -387,6 +387,37 @@ class TestExplain:
         assert "[naf] capacity-optimal relay transform\n  diagonal gain:" in report
         assert "kkt residuals" not in report
 
+    @pytest.mark.parametrize("template", [{}, {"rho2_db": 20.0}])
+    def test_solves_the_first_sweep_point(self, template):
+        # the point the sweep solves first, whatever the template holds for
+        # the swept SNR: its capacity and OSTBC lines read the figures a
+        # one-trial sweep averages there
+        doc = make_config(
+            rtms=["opt1", "opt2", "naf"],
+            metrics=["capacity", "ostbc"],
+            sweep={"axis": "rho2", "points_db": [5, 10]},
+            trials=1,
+            explain={"seed": 7, "trial": 0},
+            **template,
+        )
+        cfg = parse_config(json.dumps(doc))
+        report = explain(cfg)
+        assert "rho1=10 dB, rho2=5 dB;" in report
+        means = {
+            (cp.rtm_kind, cp.metric): f"{cp.mean_bits:.9f}"
+            for cp in run_sweep(cfg.spec)
+            if cp.sweep_value_db == 5.0
+        }
+        assert re.findall(r"^  capacity: +(\S+) bit/s/Hz$", report, re.M) == [
+            means[kind, "capacity"] for kind in doc["rtms"]
+        ]
+        assert re.findall(r"^  ostbc capacity \(R=1\): +(\S+) bit/s/Hz$", report, re.M) == [
+            means[kind, "ostbc"] for kind in doc["rtms"]
+        ]
+
+    def test_titles_name_every_kind(self):
+        assert list(cli._TITLES) == list(montecarlo.RTM_KINDS)
+
     def test_requires_explain_section(self):
         cfg = parse_config(json.dumps(make_config()))
         with pytest.raises(ConfigError, match="explain"):
@@ -404,6 +435,17 @@ class TestMain:
         path, doc = _small_config(tmp_path, explain={"seed": 1, "trial": 0})
         assert main(["explain", str(path)]) == 0
         assert "[opt1]" in capsys.readouterr().out
+
+    def test_empty_output_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # an empty --output names no file; it does not fall back to the
+        # config's output, and it fails before the sweep
+        path, doc = _small_config(tmp_path)
+        swept = []
+        monkeypatch.setattr("relay_rtm.cli.run_sweep", lambda spec, workers=1: swept.append(spec) or [])
+        assert main(["run", str(path), "--output", ""]) == 1
+        assert capsys.readouterr().err.startswith("relay-rtm: config error: output path '' is not writable: ")
+        assert swept == []
+        assert not os.path.exists(doc["output"])
 
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1

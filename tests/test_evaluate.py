@@ -199,6 +199,25 @@ class TestFormGate:
         else:
             assert capacity(ch, pb, dims, x).bits == honest
 
+    def test_one_network_hands_its_own_pair(self, monkeypatch):
+        # a watcher of capacity_forms sees one pair per call, the network's
+        # two forms as Python floats, and the bits are its direct form
+        dims = Dims(3, 3, 3, 3)
+        _, pb, (ch, *_) = _mix_stack(dims, 1)
+        x = optimize_capacity_rtm(ch, pb, dims).x_matrix
+        forms = capacity_forms(ch, pb, dims, x)
+        pairs = []
+
+        def recording(*args, **kwargs):
+            pairs.append(capacity_forms(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(evaluate, "capacity_forms", recording)
+        bits = capacity(ch, pb, dims, x.tolist()).bits
+        assert type(bits) is float and bits == forms[0]
+        assert pairs == [forms]
+        assert [type(v) for v in pairs[0]] == [float, float]
+
     @pytest.mark.parametrize("gap, fails", [(2e-9, True), (0.5e-9, False)])
     @pytest.mark.parametrize("member", [0, 2, 4])
     def test_one_member_of_a_stack(self, monkeypatch, gap, fails, member):

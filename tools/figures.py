@@ -1,0 +1,138 @@
+"""Fingerprint every figure the program computes, one ``name sha256`` line
+each, so that two trees are compared with one ``diff``.
+
+The program is the ``relay_rtm`` package on the import path, so the tool
+runs against any tree by putting that tree's ``src`` first::
+
+    PYTHONPATH=src python3 tools/figures.py > change.txt
+    mkdir parent && git archive HEAD~1 src | tar -x -C parent
+    PYTHONPATH=parent/src python3 tools/figures.py > parent.txt
+    diff parent.txt change.txt
+
+It prints, in this order:
+
+- ``csv/<config>/workers=<n>``: the CSV of each ``configs/*.json`` sweep at
+  ``--trials`` trials, with one worker and with two;
+- ``pairs/<config>``: the ``evaluate.capacity_forms`` pairs a watcher of
+  that function sees during the one-worker sweep, values and Python types;
+- ``mix/<low>..<high>dB/<kind>``: for each transform kind, over
+  realizations of the benchmark's realization mix (its shapes, its SNR
+  draws, the direct link on half of them), the transform's bytes, the
+  watched pair, both metrics, the relay power and the repr of any
+  ``RelayRtmError``.  ``--realizations`` are split 7 to 1 between
+  -10..30 dB (seed 5) and 50..60 dB (seed 6), so the default 2048 gives
+  1792 and 256.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "benchmarks"))
+
+import workloads  # noqa: E402  (the benchmark's realization mix)
+from relay_rtm import cli, evaluate, montecarlo, network  # noqa: E402
+from relay_rtm.errors import RelayRtmError  # noqa: E402
+
+#: (seed, SNR band in dB) of each band of the mix.
+_MIX_BANDS = ((5, workloads.MIX_SNR_DB), (6, workloads.HIGH_SNR_DB))
+
+
+def _canonical(value) -> tuple:
+    """An array as its dtype, shape and bytes; anything else as its type
+    and repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return type(value).__name__, repr(value)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr([_canonical(v) for v in values]).encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def _watched_pairs():
+    """The pairs ``evaluate.capacity_forms`` returns while the block runs,
+    each as its two values, seen as the benchmark's tracer sees them."""
+    pairs, forms = [], evaluate.capacity_forms
+
+    def watcher(*args, **kwargs):
+        pair = forms(*args, **kwargs)
+        pairs.extend(pair)
+        return pair
+
+    evaluate.capacity_forms = watcher
+    try:
+        yield pairs
+    finally:
+        evaluate.capacity_forms = forms
+
+
+def _sweep_lines(config: Path, trials: int):
+    doc = json.loads(config.read_text())
+    doc["trials"] = trials
+    spec = cli.parse_config(json.dumps(doc)).spec
+    with _watched_pairs() as pairs:
+        lone = montecarlo.run_sweep(spec)
+    for workers, points in ((1, lone), (2, montecarlo.run_sweep(spec, workers=2))):
+        csv = io.StringIO()
+        cli.write_csv(points, csv)
+        yield f"csv/{config.stem}/workers={workers}", hashlib.sha256(csv.getvalue().encode()).hexdigest()
+    yield f"pairs/{config.stem}", _digest(pairs)
+
+
+def _kind_figures(ch, pb, dims, kind: str) -> list:
+    """What one kind gives on one realization, up to its first error."""
+    figures = []
+    with _watched_pairs() as pairs:
+        try:
+            sol = montecarlo._BUILDERS[kind](ch, pb, dims)
+            figures.append(sol.x_matrix)
+            figures.append(evaluate.capacity(ch, pb, dims, sol.x_matrix).bits)
+            figures.append(evaluate.ostbc_capacity(ch, pb, dims, sol.x_matrix).bits)
+            figures.append(sol.relay_power_used)
+        except RelayRtmError as exc:
+            figures.append(repr(exc))
+    return figures + pairs
+
+
+def _mix_lines(realizations: int):
+    high = realizations // 8
+    for (seed, band), count in zip(_MIX_BANDS, (realizations - high, high)):
+        figures = {kind: [] for kind in montecarlo.RTM_KINDS}
+        for index in range(count):
+            r = workloads.realization(None, seed, index, snr_db=band)
+            ch, pb = network.translate_scenario(r.scenario, r.raw)
+            for kind in r.kinds:
+                figures[kind] += _kind_figures(ch, pb, r.scenario.dims, kind)
+        low_db, high_db = (f"{v:g}" for v in band)
+        for kind, values in figures.items():
+            yield f"mix/{low_db}..{high_db}dB/{kind}", _digest(values)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--trials", type=int, default=300, help="trials of each config sweep (default 300)")
+    parser.add_argument(
+        "--realizations", type=int, default=2048, help="mix realizations, 7/8 at -10..30 dB (default 2048)"
+    )
+    args = parser.parse_args(argv)
+    for config in sorted((_ROOT / "configs").glob("*.json")):
+        for name, digest in _sweep_lines(config, args.trials):
+            print(name, digest)
+    for name, digest in _mix_lines(args.realizations):
+        print(name, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
