@@ -319,10 +319,11 @@ def explain(cfg: RunConfig) -> str:
     ch, pb = translate_scenario(scn, sample_channels(dims, seed, trial))
 
     lines = [f"realization seed={seed} trial={trial}"]
-    link = "on" if scn.direct_link_enabled else "off"
+    # without the link, rho0 is a placeholder the solve never reads
+    link = f"rho0={scn.rho0_db:g} dB (direct link on)" if scn.direct_link_enabled else "direct link off"
     lines.append(
         f"scenario: t={dims.t} r={dims.r} s={dims.s} u={dims.u}; "
-        f"rho0={scn.rho0_db:g} dB (direct link {link}), rho1={scn.rho1_db:g} dB, "
+        f"{link}, rho1={scn.rho1_db:g} dB, "
         f"rho2={scn.rho2_db:g} dB; p1={pb.p1:g}, p2={pb.p2:g}"
     )
 

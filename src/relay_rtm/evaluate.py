@@ -26,6 +26,12 @@ has no member to check or hand over.
 For one network, the finiteness checks of each log-det and of the OSTBC
 figure test Python floats; a figure that fails them takes the array
 check, which words the error.
+
+Nothing here symmetrizes a matrix: the log-det arguments, the relay-path
+matrix and Z = K^H K are Hermitian up to rounding, and a log-det, a
+solve and a trace's real part need no more (``_logdet_bits``).  Only the
+matrices an eigensolver reads are made exactly Hermitian, in
+``network`` and ``opt_capacity``.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .matalg import _any, _eye, _numbers, _slogdet, _solve, conj_transpose, hermitian_part
+from .matalg import _any, _eye, _numbers, _slogdet, _solve, conj_transpose
 from .network import ChannelSet, Dims, PowerBudget, _g0, _g0_trace, _h1_h, _is_number, _read_only, _validated
 from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix, _wf_arrays
 
@@ -90,7 +96,12 @@ def _first(values, bad):
 
 
 def _logdet_bits(m: np.ndarray) -> np.ndarray:
-    sign, logdet = _slogdet(hermitian_part(m))
+    """log2 det M of a Hermitian positive-definite M, or of each in a
+    stack, as a Python float for one matrix.  M is Hermitian up to
+    rounding and is not symmetrized first: for a Hermitian positive-definite
+    A and an anti-Hermitian rounding term E, log|det(A + E)| - log det A
+    is second order in E, because tr(A^-1 E) is imaginary."""
+    sign, logdet = _slogdet(m)
     # One matrix that passes is checked on Python floats (numpy orders
     # complex numbers by real, then imaginary part); any other takes the
     # array check, which words the error.
@@ -105,20 +116,21 @@ def _logdet_bits(m: np.ndarray) -> np.ndarray:
     return logdet / math.log(2.0)
 
 
-def _build_relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K = H2 X and the t x t relay-path information matrix
+def _build_relay_path(ch: ChannelSet, x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K = H2 X, K^H and the t x t relay-path information matrix
     H1^H K^H (I + K K^H)^-1 K H1, of one network or of each in a stack.
-    Both capacity forms and the OSTBC capacity use the matrix; it is
-    Hermitian up to rounding, and they use its Hermitian part (the log-det
-    argument is symmetrized, and a trace reads the real diagonal, which
-    symmetrizing leaves as it is)."""
+    The direct capacity form and the OSTBC capacity read the matrix, the
+    identity form reads K and K^H only.  The matrix is Hermitian up to
+    rounding and is used as it is: a log-det does not need it exactly
+    Hermitian (see ``_logdet_bits``), and a trace reads the real diagonal."""
     k = ch.h2 @ x_matrix
+    k_h = conj_transpose(k)
     kh1 = k @ ch.h1
-    gram = _eye(k.shape[-2]) + k @ conj_transpose(k)
-    return k, conj_transpose(kh1) @ _solve(gram, kh1)
+    gram = _eye(k.shape[-2]) + k @ k_h
+    return k, k_h, conj_transpose(kh1) @ _solve(gram, kh1)
 
 
-def _relay_path(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _relay_path(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) -> tuple:
     """``_build_relay_path(ch, X)``, which ``ch`` remembers, read-only, for
     the last X only, keyed by X's bytes: memory stays bounded over many X,
     and a changed X is rebuilt.  The slot is written as one tuple with no
@@ -137,13 +149,13 @@ def _relay_path(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarra
 
 def _forms(ch, pb, dims, x_matrix):
     # x_matrix is checked by the caller
-    k, inner = _relay_path(ch, pb, dims, x_matrix)
+    k, k_h, inner = _relay_path(ch, pb, dims, x_matrix)
     eye = _eye(dims.t)
     scale = pb.p1 / dims.t
     g0 = _g0(ch)
     direct = _logdet_bits(eye + scale * (g0 + inner))
 
-    z = hermitian_part(conj_transpose(k) @ k)
+    z = k_h @ k
     relay_side = _solve(_eye(dims.s) + z, z)
     ident = _logdet_bits(eye + scale * (g0 + _h1_h(ch) @ relay_side @ ch.h1))
     return direct, ident
@@ -159,9 +171,12 @@ def capacity_forms(
     K^H (I + K K^H)^-1 K with K = H2 X; the second uses the
     matrix-inversion identity to evaluate the same term on the relay side,
     (I + Z)^-1 Z with Z = K^H K.  Neither form subtracts, so both keep
-    their accuracy when one term dominates at high SNR.  For a stacked
-    ``ChannelSet`` and X both forms are arrays; an empty stack gives
-    empty arrays.
+    their accuracy when one term dominates at high SNR.  The identity form
+    reads only K and its exact conjugate K^H from the relay path, never
+    the relay-path matrix or its solve, so the forms share no rounding
+    past K; neither log-det argument is symmetrized (``_logdet_bits``).
+    For a stacked ``ChannelSet`` and X both forms are arrays; an empty
+    stack gives empty arrays.
     """
     # _pair= is the pair that decides a ``capacity`` call (a stack's worst
     # member's), returned as it is so that whoever watches this function
@@ -216,7 +231,7 @@ def ostbc_capacity(
     if not (_is_number(symbol_rate) and 0.0 < symbol_rate <= 1.0):
         raise ValidationError(f"symbol rate must lie in (0, 1], got {symbol_rate!r}")
     x_matrix = _check_x_shape(dims, x_matrix)
-    inner = _relay_path(ch, pb, dims, x_matrix)[1]
+    inner = _relay_path(ch, pb, dims, x_matrix)[-1]
     trace_arg = _g0_trace(ch) + inner.trace(axis1=-2, axis2=-1).real
     bits = symbol_rate * np.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
     # one network's figure is checked as a Python float; any other figure,

@@ -199,8 +199,9 @@ def _h1_h(ch: ChannelSet) -> np.ndarray:
 
 @_memoized
 def _h1_gram(ch: ChannelSet) -> np.ndarray:
-    """The Hermitian part of H1 H1^H: opt2's gain matrix and the core of
-    the shaping matrix C."""
+    """The Hermitian part of H1 H1^H: opt2's gain matrix, which the
+    eigensolver needs exactly Hermitian, and the core of the shaping
+    matrix C."""
     return hermitian_part(ch.h1 @ conj_transpose(ch.h1))
 
 

@@ -270,7 +270,8 @@ def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> Spect
     """
     relay = _relay_side(ch, pb, dims)
     h1, h1_h = ch.h1, _h1_h(ch)
-    g = hermitian_part((dims.t / pb.p1) * _eye(dims.t) + _g0(ch) + h1_h @ h1)
+    # G only feeds a solve; A feeds the eigensolver, which needs it exactly Hermitian
+    g = (dims.t / pb.p1) * _eye(dims.t) + _g0(ch) + h1_h @ h1
     a = hermitian_part(h1 @ _solve(g, h1_h))
     return _spectra_from_parts("capacity", a, relay, dims)
 

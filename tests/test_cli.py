@@ -415,6 +415,21 @@ class TestExplain:
             means[kind, "ostbc"] for kind in doc["rtms"]
         ]
 
+    def test_scenario_line_names_rho0_only_with_the_link(self):
+        # without the link rho0 is the placeholder parse_config never uses
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        lines = {}
+        for name in ("pure_relay_m4", "direct_link_gain_m4"):
+            doc = json.loads((configs / f"{name}.json").read_text())
+            doc.update(trials=1, explain={"seed": 7, "trial": 0})
+            lines[name] = explain(parse_config(json.dumps(doc))).splitlines()[1]
+        assert lines["pure_relay_m4"] == (
+            "scenario: t=4 r=4 s=4 u=4; direct link off, rho1=10 dB, rho2=0 dB; p1=4, p2=4"
+        )
+        assert lines["direct_link_gain_m4"].startswith(
+            "scenario: t=4 r=4 s=4 u=4; rho0=-10 dB (direct link on), rho1=10 dB, "
+        )
+
     def test_titles_name_every_kind(self):
         assert list(cli._TITLES) == list(montecarlo.RTM_KINDS)
 

@@ -232,6 +232,26 @@ class TestFormGate:
         else:
             assert np.array_equal(capacity(ch, pb, dims, x).bits, honest)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_identity_form_reads_no_relay_path_matrix(self, monkeypatch, stacked):
+        # the identity form may share K and K^H with the relay path, never
+        # the destination-side matrix or its solve: with that matrix off by
+        # 1e-6 relative, only the direct form moves, and the gate sees it
+        dims = Dims(3, 3, 3, 3)
+        ch, pb, members = _mix_stack(dims, 5)
+        if not stacked:
+            ch = members[0]
+        x = optimize_capacity_rtm(ch, pb, dims).x_matrix
+        build = evaluate._build_relay_path
+
+        def scaled(*args):
+            *path, inner = build(*args)
+            return (*path, inner * (1.0 + 1e-6))
+
+        monkeypatch.setattr(evaluate, "_build_relay_path", scaled)
+        with pytest.raises(NumericalError, match="^capacity forms disagree: "):
+            capacity(_fresh(ch), pb, dims, x)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("metric", [capacity, ostbc_capacity])

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,18 +111,23 @@ class TestHermEig:
     )
     def test_rejects_non_finite_entries(self, decompose, stacked, entry, where):
         # NaN compares false with the asymmetry bound, so it must not pass as
-        # Hermitian; an entry mirrored across the diagonal is non-finite too
+        # Hermitian; an entry mirrored across the diagonal is non-finite too.
+        # The error comes with no numpy warning before it.
         m = np.diag([1.0, 0.5]).astype(complex)
         m[where] = entry
         m[where[::-1]] = np.conj(entry)
         if stacked:
             m = np.stack([np.eye(2), m, np.eye(2)])
-        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
-            decompose(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+                decompose(m)
 
     def test_overflowing_asymmetry_of_finite_entries_is_not_hermitian(self):
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="not Hermitian: max asymmetry inf"):
-            herm_eig(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="not Hermitian: max asymmetry inf"):
+                herm_eig(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
 
 class TestThinUd:

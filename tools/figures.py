@@ -22,15 +22,32 @@ It prints, in this order:
   ``RelayRtmError``.  ``--realizations`` are split 7 to 1 between
   -10..30 dB (seed 5) and 50..60 dB (seed 6), so the default 2048 gives
   1792 and 256.
+
+A change that moves figures at rounding level changes every hash, so two
+options show by how much instead.  ``--csv-dir DIR`` writes the one-worker
+CSV of each config, and of each of the benchmark's reference sweeps
+(``benchmarks/reference/``), to ``DIR/<name>.csv``.  ``--against DIR``
+then prints, after the hashes, one line per CSV::
+
+    rel/<name> mean_bits <largest relative difference> stderr_bits <...>
+
+against ``DIR/<name>.csv`` of another tree (or ``rows differ``, or
+``missing``), so the CSV rule (1e-12 relative) is checked by one run of
+each tree::
+
+    PYTHONPATH=parent/src python3 tools/figures.py --csv-dir parent-csv
+    PYTHONPATH=src python3 tools/figures.py --against parent-csv
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -77,17 +94,44 @@ def _watched_pairs():
         evaluate.capacity_forms = forms
 
 
-def _sweep_lines(config: Path, trials: int):
+def _csv_text(points) -> str:
+    out = io.StringIO()
+    cli.write_csv(points, out)
+    return out.getvalue()
+
+
+def _sweep_lines(config: Path, trials: int, csvs: dict):
+    """The config's lines; its one-worker CSV goes into ``csvs``."""
     doc = json.loads(config.read_text())
     doc["trials"] = trials
     spec = cli.parse_config(json.dumps(doc)).spec
     with _watched_pairs() as pairs:
         lone = montecarlo.run_sweep(spec)
     for workers, points in ((1, lone), (2, montecarlo.run_sweep(spec, workers=2))):
-        csv = io.StringIO()
-        cli.write_csv(points, csv)
-        yield f"csv/{config.stem}/workers={workers}", hashlib.sha256(csv.getvalue().encode()).hexdigest()
+        text = _csv_text(points)
+        csvs.setdefault(config.stem, text)
+        yield f"csv/{config.stem}/workers={workers}", hashlib.sha256(text.encode()).hexdigest()
     yield f"pairs/{config.stem}", _digest(pairs)
+
+
+def _rows(text: str) -> dict:
+    return {(r["sweep_db"], r["rtm"], r["metric"], r["trials"]): r for r in csv.DictReader(io.StringIO(text))}
+
+
+def _largest_relative(text: str, other: str) -> str:
+    """The largest relative difference of ``mean_bits`` and of
+    ``stderr_bits`` of a CSV from ``other``, which must have its rows."""
+    rows, other_rows = _rows(text), _rows(other)
+    if rows.keys() != other_rows.keys():
+        return "rows differ"
+    largest = []
+    for column in ("mean_bits", "stderr_bits"):
+        worst = 0.0
+        for key, row in rows.items():
+            a, b = float(row[column]), float(other_rows[key][column])
+            worst = max(worst, abs(a - b) / abs(b) if b else (0.0 if a == b else math.inf))
+        largest.append(f"{column} {worst:.2e}")
+    return " ".join(largest)
 
 
 def _kind_figures(ch, pb, dims, kind: str) -> list:
@@ -125,12 +169,29 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--realizations", type=int, default=2048, help="mix realizations, 7/8 at -10..30 dB (default 2048)"
     )
+    parser.add_argument("--csv-dir", type=Path, help="write each sweep's one-worker CSV to DIR/<name>.csv")
+    parser.add_argument(
+        "--against", type=Path, help="print each CSV's largest relative difference from DIR/<name>.csv"
+    )
     args = parser.parse_args(argv)
+    csvs = {}
     for config in sorted((_ROOT / "configs").glob("*.json")):
-        for name, digest in _sweep_lines(config, args.trials):
+        for name, digest in _sweep_lines(config, args.trials, csvs):
             print(name, digest)
     for name, digest in _mix_lines(args.realizations):
         print(name, digest)
+    if args.csv_dir is None and args.against is None:
+        return 0
+    for name in ("sweep_rho2_pure", "sweep_rho0_link"):
+        csvs[name] = _csv_text(montecarlo.run_sweep(workloads.parse_spec(workloads.WORKLOADS[name])))
+    if args.csv_dir is not None:
+        args.csv_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in csvs.items():
+            (args.csv_dir / f"{name}.csv").write_text(text)
+    if args.against is not None:
+        for name, text in csvs.items():
+            other = args.against / f"{name}.csv"
+            print(f"rel/{name}", _largest_relative(text, other.read_text()) if other.exists() else "missing")
     return 0
 
 
