@@ -16,8 +16,9 @@ cut on the eigenvalue list with the comparisons of the stack path, which
 skips numpy's cost per call.
 
 The eigensolver reads one triangle, so the package symmetrizes exactly
-the matrices it factorizes: ``hermitian_part`` of B = H2^H H2, of opt1's
-gain matrix A and of H1 H1^H, which ``herm_eig`` then clears with one
+the matrices it factorizes: ``hermitian_part`` of B = H2^H H2, of H1 H1^H
+and, with the direct link, of opt1's gain matrix A (without it opt1 reads
+H1 H1^H's factorization), which ``herm_eig`` then clears with one
 exact comparison (any other input has its asymmetry measured against
 1e-12).  Matrices that only feed a log-det, a solve or a trace stay
 Hermitian up to rounding, which those need no better.

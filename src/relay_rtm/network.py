@@ -27,8 +27,9 @@ A ``ChannelSet`` is immutable: it holds read-only copies of the matrices
 it is given; the arrays the package builds itself, such as
 ``translate_scenario``'s scaled matrices, are made read-only in place
 instead of copied.  So what is built from the network alone (the Gram
-matrices G0 = H0^H H0 and H1 H1^H, Re tr G0 and H1^H here, the second
-hop's factorization and the shaping matrix in ``opt_capacity``) is built
+matrices G0 = H0^H H0 and H1 H1^H, whether G0 is zero (the direct link is
+off), Re tr G0 and H1^H here, the factorizations of the second hop and of
+H1 H1^H and the shaping matrix in ``opt_capacity``) is built
 by ``_memoized`` functions once per instance, on first use, and shared by
 every solver and metric called on it; so is the ``validate`` check
 (``_validated``), which every solver and metric reaches first.
@@ -154,7 +155,10 @@ def _read_only(*values) -> None:
     """Make the arrays among ``values`` read-only; other values pass."""
     for v in values:
         if isinstance(v, np.ndarray):
-            v.flags.writeable = False
+            v.setflags(write=False)
+
+
+_MISSING = object()
 
 
 def _memoized(build):
@@ -169,12 +173,13 @@ def _memoized(build):
     @functools.wraps(build)
     def memoized(ch, *args):
         key = (build, *args)
-        try:
-            return ch._memo[key]
-        except KeyError:
+        # a miss costs a lookup, not a raised KeyError
+        value = ch._memo.get(key, _MISSING)
+        if value is _MISSING:
             value = build(ch, *args)
             _read_only(value)
-            return ch._memo.setdefault(key, value)
+            value = ch._memo.setdefault(key, value)
+        return value
 
     return memoized
 
@@ -183,6 +188,19 @@ def _memoized(build):
 def _g0(ch: ChannelSet) -> np.ndarray:
     """G0 = H0^H H0, the direct link's Gram matrix."""
     return conj_transpose(ch.h0) @ ch.h0
+
+
+@_memoized
+def _link_off(ch: ChannelSet):
+    """Whether the direct link is off, G0 == 0 (as ``translate_scenario``
+    makes it without the link): True or False when every member of a
+    stack agrees, else each member's flag."""
+    g0 = _g0(ch)
+    if g0.ndim == 2:
+        return not np.count_nonzero(g0)
+    on = g0.any(axis=(-2, -1))
+    count = np.count_nonzero(on)
+    return ~on if 0 < count < on.size else not count
 
 
 @_memoized

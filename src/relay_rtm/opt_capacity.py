@@ -4,7 +4,10 @@ The pipeline has three independent stages:
 
 1. ``build_capacity_spectra`` reduces the network to per-mode scalars: a
    gain ``alpha_i`` in [0, 1) and a power cost ``beta_i`` > 0 per servable
-   mode, together with the eigenvector factors needed later.
+   mode, together with the eigenvector factors needed later.  With the
+   direct link it factorizes the gain matrix A; without it A shares the
+   eigenbasis of H1 H1^H, so the gains are read off opt2's factorization
+   of H1 H1^H and A is never built.
 2. ``waterfill_capacity`` splits the relay power budget across the modes.
    Mode ``i`` receives ``x_i = phi_i(xi)`` where
 
@@ -43,10 +46,12 @@ and a Newton step on <= 8 modes makes ~30 calls; a stack shares that cost
 among its members, so it keeps the arrays, and the helpers it uses
 (``_validate_wf_inputs``, ``_wet``, ``_solution``) see only stacks.
 
-All functions are pure.  What a solver builds from the network alone is
-memoized, read-only, on the ``ChannelSet`` (``network._memoized``) and
-shared with every other solver and metric called on it; a solver call
-owns all of its other intermediates.
+All functions are pure.  What a solver builds from the network alone
+(the second hop's factorization and C in ``_relay_side``, H1 H1^H's
+factorization in ``_first_hop``) is memoized, read-only, on the
+``ChannelSet`` (``network._memoized``) and shared with every other solver
+and metric called on it; a solver call owns all of its other
+intermediates.
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
-from .matalg import DEFAULT_RANK_TOL, _any, _eye, _numbers, _solve, conj_transpose, herm_eig, hermitian_part, thin_ud
-from .network import ChannelSet, Dims, PowerBudget, _finite, _g0, _h1_gram, _h1_h, _memoized, _read_only, _validated
+from .matalg import DEFAULT_RANK_TOL, HermEig, _any, _eye, _numbers, _solve, conj_transpose, herm_eig, hermitian_part, thin_ud
+from .network import ChannelSet, Dims, PowerBudget, _finite, _g0, _h1_gram, _h1_h, _link_off, _memoized, _read_only, _validated
 
 __all__ = [
     "SpectraBundle",
@@ -134,7 +139,9 @@ class RtmSolution:
     shaping matrix C, the read-only array memoized on its ``ChannelSet``.
     For a stack, ``x_matrix`` is a stack of matrices with the broadcast
     batch axes of the channel matrices the kind is built from: all three
-    for opt1, ``h1`` and ``h2`` for opt2, ``h1`` for NAF.
+    for opt1 (``h1`` and ``h2`` when no member has the direct link, as
+    opt1 then reads no ``h0``), ``h1`` and ``h2`` for opt2, ``h1`` for
+    NAF.
     """
 
     x_matrix: np.ndarray
@@ -186,20 +193,32 @@ def _relay_side(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> tuple:
     return ud_b, c
 
 
-def _spectra_from_parts(variant: str, a: np.ndarray, relay: tuple, dims: Dims) -> SpectraBundle:
+@_memoized
+def _first_hop(ch: ChannelSet) -> HermEig:
+    """The eigendecomposition of H1 H1^H.  It is opt2's gain matrix, and
+    without the direct link its eigenbasis is opt1's too (see
+    ``build_capacity_spectra``), so one factorization serves both.  It is
+    keyed on ``ch`` alone, so a lookup hashes no budget or dims; callers
+    reach ``_relay_side`` first, which validates the network."""
+    eig = herm_eig(_h1_gram(ch))
+    # the eigenvectors leave the package (``u_a_thin``); the eigenvalues do not
+    eig.eigenvectors.setflags(write=False)
+    return eig
+
+
+def _spectra_from_parts(variant: str, relay: tuple, modes: HermEig, dims: Dims) -> SpectraBundle:
     """Shared spectra assembly for both optimization criteria, from the
-    criterion's gain matrix ``a`` (one matrix or a stack) and the
-    network's ``_relay_side``."""
+    network's ``_relay_side`` and the mode gains and eigenvectors
+    (``modes``) of the criterion's gain matrix (one matrix or a stack)."""
     ud_b, c = relay
-    eig_a = herm_eig(a)
+    lam_a, u_a = modes.eigenvalues, modes.eigenvectors
     width = min(dims.s, ud_b.lam_thin.shape[-1])
     # Every product here has shapes fixed by ``dims``, not by the mode
     # count: BLAS may round a column differently in a product of another
     # width, and a padded member must come out as it would alone.
-    u_a = eig_a.eigenvectors
     cost = (u_a.conj() * (c @ u_a)).real.sum(axis=-2)[..., :width]
-    modes = _lone_modes if a.ndim == ud_b.u_thin.ndim == 2 else _stacked_modes
-    alpha, beta, lam_b, rho, rho_a = modes(variant, eig_a.eigenvalues, cost, ud_b, width)
+    split = _lone_modes if u_a.ndim == ud_b.u_thin.ndim == 2 else _stacked_modes
+    alpha, beta, lam_b, rho, rho_a = split(variant, lam_a, cost, ud_b, width)
     return SpectraBundle(
         variant=variant,
         alpha=alpha,
@@ -266,14 +285,45 @@ def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> Spect
     cost of mode i is beta_i = (U_a^H C U_a)_ii / lam_b_i with C the relay
     input shaping matrix (``SpectraBundle.c_matrix``).
 
+    Without the direct link (G0 = H0^H H0 == 0) A = U diag(lam / (t/p1 +
+    lam)) U^H, with U and lam the eigenpairs of H1 H1^H, so A is neither
+    built nor factorized: the gains map opt2's memoized eigenvalues
+    (``_first_hop``), and a mode that opt2's rank cut drops gets gain 0.
+    A stack whose members differ in the link builds both and gives each
+    member its own path's modes, so each is as it would be alone.
+
     Raises DeadRelayError when H2 has rank 0 (no mode can be served).
     """
     relay = _relay_side(ch, pb, dims)
-    h1, h1_h = ch.h1, _h1_h(ch)
-    # G only feeds a solve; A feeds the eigensolver, which needs it exactly Hermitian
-    g = (dims.t / pb.p1) * _eye(dims.t) + _g0(ch) + h1_h @ h1
-    a = hermitian_part(h1 @ _solve(g, h1_h))
-    return _spectra_from_parts("capacity", a, relay, dims)
+    off = _link_off(ch)
+    if off is not True:
+        h1, h1_h = ch.h1, _h1_h(ch)
+        # G only feeds a solve; A feeds the eigensolver, which needs it exactly Hermitian
+        g = (dims.t / pb.p1) * _eye(dims.t) + _g0(ch) + h1_h @ h1
+        modes = herm_eig(hermitian_part(h1 @ _solve(g, h1_h)))
+    if off is not False:
+        # a stack whose members differ in the link takes each member's
+        # modes from its own path
+        first = _first_hop_modes(ch, pb, dims)
+        modes = first if off is True else HermEig(np.where(off[..., None], first.eigenvalues, modes.eigenvalues),
+                                                  np.where(off[..., None, None], first.eigenvectors, modes.eigenvectors))
+    return _spectra_from_parts("capacity", relay, modes, dims)
+
+
+def _first_hop_modes(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> HermEig:
+    """opt1's modes without the direct link, read off ``_first_hop``: the
+    eigenvectors of H1 H1^H with gains lam / (t/p1 + lam) of its
+    eigenvalues lam.  A mode that opt2's rank cut drops gets gain 0, so
+    that rounding noise of a rank-deficient H1 H1^H is not lifted above
+    the capacity cut.  One network's gains are made on the eigenvalue
+    list, by the same operations as a stack's."""
+    eig, shift = _first_hop(ch), dims.t / pb.p1
+    lam = eig.eigenvalues
+    if lam.ndim == 1:
+        cut = DEFAULT_RANK_TOL * max(lam[0].item(), 1.0)
+        return HermEig(np.array([v / (shift + v) if v > cut else 0.0 for v in lam.tolist()]), eig.eigenvectors)
+    kept = lam > DEFAULT_RANK_TOL * np.maximum(lam[..., :1], 1.0)
+    return HermEig(np.where(kept, lam / (shift + lam), 0.0), eig.eigenvectors)
 
 
 def _phi_terms(alpha: np.ndarray, beta: np.ndarray) -> tuple:

@@ -24,11 +24,12 @@ import math
 
 import numpy as np
 
-from .network import ChannelSet, Dims, PowerBudget, _h1_gram
+from .network import ChannelSet, Dims, PowerBudget
 from .opt_capacity import (
     RtmSolution,
     SpectraBundle,
     WaterfillSolution,
+    _first_hop,
     _lone_problem,
     _lone_solution,
     _mode_sum,
@@ -55,9 +56,12 @@ def build_ostbc_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraB
     mode spectra.
 
     The gain matrix is H1 H1^H; second hop and shaping matrix are the same
-    as for the capacity criterion.
+    as for the capacity criterion.  Its factorization is memoized on
+    ``ch`` (``_first_hop``), where the capacity criterion reads it too
+    for a network without the direct link.
     """
-    return _spectra_from_parts("ostbc", _h1_gram(ch), _relay_side(ch, pb, dims), dims)
+    # the network is validated (``_relay_side``) before H1 H1^H is factorized
+    return _spectra_from_parts("ostbc", _relay_side(ch, pb, dims), _first_hop(ch), dims)
 
 
 def activation_thresholds(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:

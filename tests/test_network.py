@@ -323,17 +323,20 @@ class TestSharedFactors:
     @pytest.mark.parametrize(
         "order", [("opt1", "opt2", "naf"), ("opt2", "opt1", "naf"), ("naf", "opt2", "opt1")]
     )
-    def test_realization_factorizes_its_network_once(self, monkeypatch, order, shape):
+    @pytest.mark.parametrize("rho0_db, eigs", [(5.0, 3), (None, 2)], ids=["link", "no-link"])
+    def test_realization_factorizes_its_network_once(self, monkeypatch, order, shape, rho0_db, eigs):
         # the counts the benchmark's per-layer metrics read through these
-        # module attributes, for every shape of its realization mix
+        # module attributes, for every shape of its realization mix: B, A
+        # and H1 H1^H are factorized with the direct link, and without it
+        # opt1 reads its modes off H1 H1^H's factorization
         dims = Dims(*shape)
-        ch = scaled_channels(np.random.default_rng(9), dims, rho0_db=5.0)
+        ch = scaled_channels(np.random.default_rng(9), dims, rho0_db=rho0_db)
         pb = canonical_budget(dims)
         fresh = {kind: _figures(ChannelSet(ch.h0, ch.h1, ch.h2), pb, dims, kind) for kind in order}
         traced = (network.validate, matalg.thin_ud, matalg.herm_eig, evaluate.capacity_forms)
         calls = [count_calls(monkeypatch, fn) for fn in traced]
         shared = {kind: _figures(ch, pb, dims, kind) for kind in order}
-        assert [len(c) for c in calls] == [1, 1, 3, 3]
+        assert [len(c) for c in calls] == [1, 1, eigs, 3]
         for kind in order:
             assert _same(shared[kind], fresh[kind]), kind
 
@@ -374,7 +377,7 @@ class TestSharedFactors:
         dims = Dims(3, 3, 3, 3)
         ch = scaled_channels(np.random.default_rng(11), dims)
         spectra = solver(ch, canonical_budget(dims), dims).spectra
-        for arr in (spectra.u_b_thin, spectra.c_matrix):
+        for arr in (spectra.u_a_thin, spectra.u_b_thin, spectra.c_matrix):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
 
