@@ -81,12 +81,25 @@ class KktReport:
     dual_feasibility: float
 
 
-def _check_x_shape(dims: Dims, x_matrix: np.ndarray) -> np.ndarray:
+def _check_x_shape(ch: ChannelSet, dims: Dims, x_matrix: np.ndarray) -> np.ndarray:
     x_matrix = _numbers("relay transform", x_matrix, complex)
     if x_matrix.shape[-2:] != (dims.u, dims.s):
         raise ValidationError(
             f"relay transform must have shape {(dims.u, dims.s)}, got {x_matrix.shape}"
         )
+    # One X broadcasts against any network, and a stack with the batch axes
+    # of one of the network's matrices does whenever the network does
+    # (``validate`` checks that); only another stack pays numpy's broadcast
+    # check, which costs microseconds per call.
+    batch = x_matrix.shape[:-2]
+    if batch and batch not in (ch.h0.shape[:-2], ch.h1.shape[:-2], ch.h2.shape[:-2]):
+        try:
+            np.broadcast_shapes(*(m.shape[:-2] for m in (x_matrix, ch.h0, ch.h1, ch.h2)))
+        except ValueError:
+            raise ValidationError(
+                f"batch axes of the relay transform {x_matrix.shape} do not broadcast against "
+                f"the network's h0 {ch.h0.shape}, h1 {ch.h1.shape} and h2 {ch.h2.shape}"
+            ) from None
     return x_matrix
 
 
@@ -184,7 +197,7 @@ def capacity_forms(
     # gap of every evaluation; it goes once that tracer reduces stacked pairs
     if _pair is not None:
         return _pair
-    return _forms(ch, pb, dims, _check_x_shape(dims, x_matrix))
+    return _forms(ch, pb, dims, _check_x_shape(ch, dims, x_matrix))
 
 
 def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) -> CapacityReport:
@@ -199,7 +212,7 @@ def capacity(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarray) 
     That pair is what a watcher of ``capacity_forms`` sees.  An empty
     stack gives empty bits.
     """
-    x_matrix = _check_x_shape(dims, x_matrix)
+    x_matrix = _check_x_shape(ch, dims, x_matrix)
     bits, ident = _forms(ch, pb, dims, x_matrix)
     pair = bits, ident
     # one network's forms are Python floats (_logdet_bits)
@@ -230,7 +243,7 @@ def ostbc_capacity(
     """
     if not (_is_number(symbol_rate) and 0.0 < symbol_rate <= 1.0):
         raise ValidationError(f"symbol rate must lie in (0, 1], got {symbol_rate!r}")
-    x_matrix = _check_x_shape(dims, x_matrix)
+    x_matrix = _check_x_shape(ch, dims, x_matrix)
     inner = _relay_path(ch, pb, dims, x_matrix)[-1]
     trace_arg = _g0_trace(ch) + inner.trace(axis1=-2, axis2=-1).real
     bits = symbol_rate * np.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
@@ -273,9 +286,15 @@ def verify_kkt_capacity(
     must carry a zero multiplier (stationarity), x_i > 0 forces
     lambda_i = 0 (complementarity), the budget must bind whenever some
     gain is positive (primal), and no multiplier may be negative (dual).
+    It checks one problem: ``alpha``, ``beta`` and ``wf.x`` are vectors
+    over the same modes.
     """
     alpha, beta = _wf_arrays(alpha, beta, p2)
     x = _numbers("mode powers x", wf.x, float)
+    if alpha.ndim > 1 or x.ndim != 1:
+        raise ValidationError(f"verify_kkt_capacity checks one problem, got alpha {alpha.shape} and x {x.shape}")
+    if x.shape != alpha.shape:
+        raise ValidationError(f"water-filling solution has {x.shape[-1]} modes, spectra expect {alpha.shape[-1]}")
     lam0 = 0.0 if wf.xi is None else 1.0 / wf.xi
 
     grad = 1.0 / (1.0 + x) - 1.0 / (1.0 - alpha + x)

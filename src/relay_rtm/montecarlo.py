@@ -28,15 +28,15 @@ API, and a sweep's output is the same for any ``workers``.
 
 Chunks are independent, so ``run_sweep`` can spread them over worker
 processes.  A lone chunk, or a sweep with one worker, runs inline in the
-caller; a pooled chunk returns the warnings it issued and its
-``RelayRtmError``, if any, and the caller re-issues and raises them in
-trial order, as the inline run would have.
+caller.  A pooled chunk hands back its values only: one that warned or
+raised a ``RelayRtmError`` hands back nothing, and the caller runs it
+again inline, in trial order, where it warns and raises as any inline
+chunk does.  Such a chunk is computed twice; a clean chunk, once.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -47,7 +47,7 @@ import numpy as np
 from . import evaluate
 from .errors import RelayRtmError, ValidationError
 from .evaluate import naf_rtm
-from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _caller_stacklevel, _channel_shapes, _check_count, _check_snr_db, _is_number, _owned, translate_scenario
+from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _channel_shapes, _check_count, _check_snr_db, _is_number, _owned, translate_scenario
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
@@ -228,32 +228,17 @@ def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
         raise
 
 
-def _pooled_chunk(spec: SweepSpec, trials: range) -> tuple:
-    """``_chunk_values`` in a worker process: its values or its
-    ``RelayRtmError``, and every warning it issued, in order."""
+def _pooled_chunk(spec: SweepSpec, trials: range) -> np.ndarray | None:
+    """``_chunk_values`` in a worker process: its values, or None when the
+    chunk issued any warning or raised a ``RelayRtmError``.  Any other
+    exception propagates."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = _chunk_values(spec, trials)
-        except RelayRtmError as exc:
-            result = exc
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _reissue(message, category, filename: str, lineno: int) -> None:
-    """Issue a worker's warning in the caller, under the caller's filters,
-    as ``warnings.warn`` would have issued it inline: one that names a
-    frame outside the package was aimed at the code that called into it
-    (``_caller_stacklevel``), and is aimed at that code here; any other
-    goes to the registry of the package module it names."""
-    module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
-    if getattr(module, "__package__", None) != __package__:
-        warnings.warn(message, category, stacklevel=_caller_stacklevel())
-        return
-    warnings.warn_explicit(
-        message, category, filename, lineno,
-        module=module.__name__, registry=vars(module).setdefault("__warningregistry__", {}),
-    )
+            values = _chunk_values(spec, trials)
+        except RelayRtmError:
+            return None
+    return None if caught else values
 
 
 def _pool_context():
@@ -271,14 +256,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CurvePoint]:
     """Run all trials of a sweep and average per (point, kind, metric).
 
     Chunks of trials are independent work items.  With ``workers > 1`` and
-    more than one chunk they run on up to ``workers`` processes; a chunk's
-    warnings and error reach the caller in trial order, so a failing sweep
-    raises the same error after the same warnings for any worker count.
-    Results are aggregated from a trial-ordered array, so the output is
-    bit-identical for any worker count.  Starting the pool costs tens of
-    milliseconds: on a 2-vCPU VM, ``workers=2`` took 38-52 ms against
-    20-30 ms inline on a 2-chunk sweep of ``pure_relay_m4``, so a sweep of
-    a few chunks runs slower pooled.
+    more than one chunk they run on up to ``workers`` processes.  A chunk
+    that warned or failed in its worker is run again inline, in trial
+    order, so a sweep issues the same warnings, under the caller's
+    filters, and raises the same error for any worker count; that chunk
+    costs twice its time, and only degenerate input (an all-zero h1 or h2)
+    or a failing sweep makes one.  Results are aggregated from a
+    trial-ordered array, so the output is bit-identical for any worker
+    count.  Starting the pool costs tens of milliseconds: on a 2-vCPU VM,
+    ``workers=2`` took 38-52 ms against 20-30 ms inline on a 2-chunk sweep
+    of ``pure_relay_m4``, so a sweep of a few chunks runs slower pooled.
     """
     _check_count("workers", workers, 1)
     chunks = [
@@ -290,15 +277,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CurvePoint]:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        parts = []
         pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)), mp_context=_pool_context())
         try:
-            for result, caught in pool.map(partial(_pooled_chunk, spec), chunks):
-                for warning in caught:
-                    _reissue(*warning)
-                if isinstance(result, RelayRtmError):
-                    raise result
-                parts.append(result)
+            pooled = pool.map(partial(_pooled_chunk, spec), chunks)
+            parts = [_chunk_values(spec, chunk) if part is None else part for chunk, part in zip(chunks, pooled)]
         finally:
             pool.shutdown(cancel_futures=True)
     arr = np.concatenate(parts, axis=0)

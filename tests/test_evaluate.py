@@ -91,6 +91,17 @@ class TestCapacity:
         with pytest.raises(ValidationError, match="shape"):
             capacity(ch, PowerBudget(2.0, 2.0), dims, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("metric", [capacity, capacity_forms, ostbc_capacity])
+    def test_rejects_transform_stack_that_does_not_broadcast(self, metric):
+        dims = Dims(2, 2, 2, 2)
+        rng = np.random.default_rng(5)
+        ch = ChannelSet(*(crandn(rng, (2, 2, 2)) for _ in range(3)))
+        with pytest.raises(ValidationError, match=re.escape(
+            "batch axes of the relay transform (3, 2, 2) do not broadcast against "
+            "the network's h0 (2, 2, 2), h1 (2, 2, 2) and h2 (2, 2, 2)"
+        )):
+            metric(ch, PowerBudget(2.0, 2.0), dims, np.ones((3, 2, 2)))
+
     # numeric strings included: numpy parsed them as numbers
     @pytest.mark.parametrize("x", [[["a", "b"], ["c", "d"]], [[object(), 0], [0, 0]], [["1", "0"], ["0", "1"]]])
     def test_rejects_non_number_transform(self, x):
@@ -447,6 +458,18 @@ class TestVerifyKkt:
         assert rep.stationarity_residual == 0.0
         assert rep.primal_feasibility == 0.0
         assert rep.dual_feasibility == 0.0
+
+    def test_rejects_a_stacked_problem(self):
+        alpha, beta = np.array([[0.5, 0.2], [0.3, 0.1]]), np.ones((2, 2))
+        wf = waterfill_capacity(alpha, beta, 1.0)
+        with pytest.raises(ValidationError, match=re.escape("checks one problem, got alpha (2, 2) and x (2, 2)")):
+            verify_kkt_capacity(alpha, beta, 1.0, wf)
+
+    @pytest.mark.parametrize("modes", [1, 2, 4])
+    def test_rejects_a_solution_of_another_mode_count(self, modes):
+        wf = waterfill_capacity(np.full(modes, 0.5), np.ones(modes), 1.0)
+        with pytest.raises(ValidationError, match=rf"^water-filling solution has {modes} modes, spectra expect 3$"):
+            verify_kkt_capacity(np.array([0.5, 0.2, 0.1]), np.ones(3), 1.0, wf)
 
     def test_batch_random_problems(self):
         rng = np.random.default_rng(1000)

@@ -227,15 +227,19 @@ class TestRunSweep:
         spec = _spec(trials=_CHUNK_TRIALS)
         assert run_sweep(spec, workers=4) == run_sweep(spec, workers=1)
 
-    def test_pooled_warnings_reach_the_caller(self, monkeypatch):
-        # a dead h1 in the second chunk is legal: it warns and does not
-        # raise, and the caller sees the same warnings from pooled chunks
+    @staticmethod
+    def _dead_h1_in_second_chunk(monkeypatch):
+        # a dead h1 is legal: it warns and does not raise
         def channels(trial, raw):
             if trial == _CHUNK_TRIALS + 2:
                 return ChannelSet(h0=raw.h0, h1=np.zeros_like(raw.h1), h2=raw.h2)
             return raw
 
         monkeypatch.setattr("relay_rtm.montecarlo.sample_channels", edited_sampler(channels))
+
+    def test_pooled_warnings_reach_the_caller(self, monkeypatch):
+        # the caller sees the same warnings from pooled chunks as inline
+        self._dead_h1_in_second_chunk(monkeypatch)
         spec = _spec(trials=_CHUNK_TRIALS + 5)
         seen = {}
         for workers in (1, 2):
@@ -245,6 +249,34 @@ class TestRunSweep:
             seen[workers] = points, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
         assert [(c, m) for c, m, _, _ in seen[1][1]] == [(DeadRelayWarning, "relay path dead: h1 is identically zero")]
         assert seen[2] == seen[1]
+
+    def test_only_a_chunk_that_warned_reruns_in_the_caller(self, monkeypatch):
+        # workers hand back values only; the caller computes a chunk again
+        # only when its worker saw a warning or an error
+        spec = _spec(trials=_CHUNK_TRIALS + 5)
+        calls = []
+
+        def counted(spec, trials):
+            calls.append(trials)
+            return _chunk_values(spec, trials)
+
+        monkeypatch.setattr("relay_rtm.montecarlo._chunk_values", counted)
+        run_sweep(spec, workers=2)
+        assert calls == []
+        self._dead_h1_in_second_chunk(monkeypatch)
+        with pytest.warns(DeadRelayWarning):
+            pooled = run_sweep(spec, workers=2)
+        assert calls == [range(_CHUNK_TRIALS, _CHUNK_TRIALS + 5)]
+        with pytest.warns(DeadRelayWarning):
+            assert pooled == run_sweep(spec, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warnings_as_errors_raise_from_pooled_chunks(self, monkeypatch, workers):
+        self._dead_h1_in_second_chunk(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeadRelayWarning, match="relay path dead: h1 is identically zero"):
+                run_sweep(_spec(trials=_CHUNK_TRIALS + 5), workers=workers)
 
     @pytest.mark.parametrize("axis", ["rho0", "rho1", "rho2"])
     def test_sweep_never_reads_relay_power(self, monkeypatch, axis):
