@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .matalg import _any, _eye, _numbers, _slogdet, _solve, conj_transpose
-from .network import ChannelSet, Dims, PowerBudget, _g0, _g0_trace, _h1_h, _is_number, _read_only, _validated
+from .network import ChannelSet, Dims, PowerBudget, _g0, _is_number, _read_only
 from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix, _wf_arrays
 
 __all__ = [
@@ -148,12 +148,12 @@ def _relay_path(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarra
     the last X only, keyed by X's bytes: memory stays bounded over many X,
     and a changed X is rebuilt.  The slot is written as one tuple with no
     lock, so a race between threads only rebuilds the pair.  The network
-    is validated before the first build reads it."""
+    is validated (``_shaping_matrix``) before the first build reads it."""
     key = (x_matrix.shape, x_matrix.tobytes())
     last = ch._memo.get("relay_path")
     if last is not None and last[0] == key:
         return last[1]
-    _validated(ch, pb, dims)
+    _shaping_matrix(ch, pb, dims)
     path = _build_relay_path(ch, x_matrix)
     _read_only(*path)
     ch._memo["relay_path"] = key, path
@@ -170,7 +170,7 @@ def _forms(ch, pb, dims, x_matrix):
 
     z = k_h @ k
     relay_side = _solve(_eye(dims.s) + z, z)
-    ident = _logdet_bits(eye + scale * (g0 + _h1_h(ch) @ relay_side @ ch.h1))
+    ident = _logdet_bits(eye + scale * (g0 + conj_transpose(ch.h1) @ relay_side @ ch.h1))
     return direct, ident
 
 
@@ -245,7 +245,7 @@ def ostbc_capacity(
         raise ValidationError(f"symbol rate must lie in (0, 1], got {symbol_rate!r}")
     x_matrix = _check_x_shape(ch, dims, x_matrix)
     inner = _relay_path(ch, pb, dims, x_matrix)[-1]
-    trace_arg = _g0_trace(ch) + inner.trace(axis1=-2, axis2=-1).real
+    trace_arg = _g0(ch).trace(axis1=-2, axis2=-1).real + inner.trace(axis1=-2, axis2=-1).real
     bits = symbol_rate * np.log2(1.0 + pb.p1 / (dims.t * symbol_rate) * trace_arg)
     # one network's figure is checked as a Python float; any other figure,
     # and a lone one that fails, take the array check
@@ -280,7 +280,8 @@ def verify_kkt_capacity(
     """Reconstruct the multipliers of a capacity water-filling solution and
     report all first-order optimality residuals.
 
-    The budget multiplier is 1/xi (zero in the no-water state) and the
+    The budget multiplier is 1/xi (zero in the no-water state, which a
+    lone solve marks by ``xi`` None and a stack member by a NaN) and the
     per-mode slack multipliers follow from the gradient equations
     lambda_i = 1/(1+x_i) - 1/(1-alpha_i+x_i) + beta_i/xi.  Active modes
     must carry a zero multiplier (stationarity), x_i > 0 forces
@@ -295,7 +296,7 @@ def verify_kkt_capacity(
         raise ValidationError(f"verify_kkt_capacity checks one problem, got alpha {alpha.shape} and x {x.shape}")
     if x.shape != alpha.shape:
         raise ValidationError(f"water-filling solution has {x.shape[-1]} modes, spectra expect {alpha.shape[-1]}")
-    lam0 = 0.0 if wf.xi is None else 1.0 / wf.xi
+    lam0 = 0.0 if wf.xi is None or math.isnan(wf.xi) else 1.0 / wf.xi
 
     grad = 1.0 / (1.0 + x) - 1.0 / (1.0 - alpha + x)
     lam = grad + lam0 * beta

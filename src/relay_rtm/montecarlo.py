@@ -15,9 +15,9 @@ and evaluated by one ``evaluate`` call per metric (``_METRIC_BITS``), with
 one relay-path information matrix serving both.  A sweep reads only the
 transform X of each solve: a solution's relay power is computed when
 read, so a sweep never computes it.  The ``ChannelSet`` builds what the
-kinds share (the validated network, the second hop's factorization, the
-shaping matrix, G0 and H1 H1^H with its factorization) once, on first
-use.  The chunk is a
+kinds share (the shaping matrix, whose first build validates the network,
+the second hop's factorization, G0 and H1 H1^H with its factorization)
+once, on first use.  The chunk is a
 broadcast stack: the matrix the swept SNR scales is ``(trials, points,
 ...)`` and the other two are ``(trials, 1, ...)``, so whatever is built
 from those two alone is computed once per trial.

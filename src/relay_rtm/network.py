@@ -26,15 +26,16 @@ and so do the solvers and metrics downstream.
 A ``ChannelSet`` is immutable: it holds read-only copies of the matrices
 it is given; the arrays the package builds itself, such as
 ``translate_scenario``'s scaled matrices, are made read-only in place
-instead of copied.  So what is built from the network alone (the Gram
-matrices G0 = H0^H H0 and H1 H1^H, whether G0 is zero (the direct link is
-off), Re tr G0 and H1^H here, the factorizations of the second hop and of
-H1 H1^H and the shaping matrix in ``opt_capacity``) is built
-by ``_memoized`` functions once per instance, on first use, and shared by
-every solver and metric called on it; so is the ``validate`` check
-(``_validated``), which every solver and metric reaches first.
-``evaluate`` keeps one more slot in the same memo: the relay-path matrix
-of the last transform evaluated on the instance.
+instead of copied.  So what is built from the network alone can be
+built by ``_memoized`` functions once per instance, on first use, and
+shared by every solver and metric called on it.  A slot is kept only for
+a factorization or product that several calls share and that costs more
+to rebuild than to look up: the Gram matrices G0 = H0^H H0 and H1 H1^H
+here, and in ``opt_capacity`` the shaping matrix (whose first build runs
+the ``validate`` check, which every solver and metric reaches first), the
+factorization of the second hop and that of H1 H1^H.  ``evaluate`` keeps
+one more slot in the same memo: the relay-path matrix of the last
+transform evaluated on the instance.
 """
 
 from __future__ import annotations
@@ -191,31 +192,6 @@ def _g0(ch: ChannelSet) -> np.ndarray:
 
 
 @_memoized
-def _link_off(ch: ChannelSet):
-    """Whether the direct link is off, G0 == 0 (as ``translate_scenario``
-    makes it without the link): True or False when every member of a
-    stack agrees, else each member's flag."""
-    g0 = _g0(ch)
-    if g0.ndim == 2:
-        return not np.count_nonzero(g0)
-    on = g0.any(axis=(-2, -1))
-    count = np.count_nonzero(on)
-    return ~on if 0 < count < on.size else not count
-
-
-@_memoized
-def _g0_trace(ch: ChannelSet):
-    """Re tr G0, the direct link's term of the OSTBC capacity."""
-    return _g0(ch).trace(axis1=-2, axis2=-1).real
-
-
-@_memoized
-def _h1_h(ch: ChannelSet) -> np.ndarray:
-    """H1^H, which the capacity spectra and the identity form share."""
-    return conj_transpose(ch.h1)
-
-
-@_memoized
 def _h1_gram(ch: ChannelSet) -> np.ndarray:
     """The Hermitian part of H1 H1^H: opt2's gain matrix, which the
     eigensolver needs exactly Hermitian, and the core of the shaping
@@ -308,13 +284,6 @@ def _caller_stacklevel() -> int:
     while frame is not None and frame.f_globals.get("__package__") == __package__:
         frame, level = frame.f_back, level + 1
     return level
-
-
-@_memoized
-def _validated(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> None:
-    """``validate``, once per ChannelSet: every solver and metric calls it
-    before it reads the matrices, and the first call checks them."""
-    validate(dims, ch, pb)
 
 
 def _amplitude(snr_db: float) -> float:

@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import DeadRelayError, NumericalError, ValidationError
 from .matalg import DEFAULT_RANK_TOL, HermEig, _any, _eye, _numbers, _solve, conj_transpose, herm_eig, hermitian_part, thin_ud
-from .network import ChannelSet, Dims, PowerBudget, _finite, _g0, _h1_gram, _h1_h, _link_off, _memoized, _read_only, _validated
+from .network import ChannelSet, Dims, PowerBudget, _finite, _g0, _h1_gram, _memoized, _read_only, validate
 
 __all__ = [
     "SpectraBundle",
@@ -161,14 +161,14 @@ class RtmSolution:
 
 @_memoized
 def _shaping_matrix(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> np.ndarray:
-    """The relay input shaping matrix C = I + (p1/t) H1 H1^H of the
-    validated network.
+    """The relay input shaping matrix C = I + (p1/t) H1 H1^H.
 
     It is the covariance of the relay's received signal, so a transform X
-    spends relay power tr(X C X^H).  Every kind asks for it first, so the
-    network is validated before any kind reads it.
+    spends relay power tr(X C X^H).  Every kind and metric asks for it
+    first, so its first build validates the network, once per ``ch``,
+    budget and ``dims``, before anything reads it.
     """
-    _validated(ch, pb, dims)
+    validate(dims, ch, pb)
     return _eye(dims.s) + (pb.p1 / dims.t) * _h1_gram(ch)
 
 
@@ -275,6 +275,18 @@ def _check_capacity_gain(top: float) -> None:
         )
 
 
+def _link_off(ch: ChannelSet):
+    """Whether the direct link is off, G0 == 0 (as ``translate_scenario``
+    makes it without the link): True or False when every member of a
+    stack agrees, else each member's flag."""
+    g0 = _g0(ch)
+    if g0.ndim == 2:
+        return not np.count_nonzero(g0)
+    on = g0.any(axis=(-2, -1))
+    count = np.count_nonzero(on)
+    return ~on if 0 < count < on.size else not count
+
+
 def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
     """Reduce a network (or a stack of networks) to the capacity-criterion
     mode spectra.
@@ -297,7 +309,7 @@ def build_capacity_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> Spect
     relay = _relay_side(ch, pb, dims)
     off = _link_off(ch)
     if off is not True:
-        h1, h1_h = ch.h1, _h1_h(ch)
+        h1, h1_h = ch.h1, conj_transpose(ch.h1)
         # G only feeds a solve; A feeds the eigensolver, which needs it exactly Hermitian
         g = (dims.t / pb.p1) * _eye(dims.t) + _g0(ch) + h1_h @ h1
         modes = herm_eig(hermitian_part(h1 @ _solve(g, h1_h)))

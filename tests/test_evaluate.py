@@ -10,6 +10,7 @@ from oracles import direct_link_capacity, oracle_solve
 from relay_rtm import evaluate
 from relay_rtm.errors import DeadRelayWarning, NumericalError, ValidationError
 from relay_rtm.evaluate import (
+    KktReport,
     capacity,
     capacity_forms,
     naf_rtm,
@@ -458,6 +459,15 @@ class TestVerifyKkt:
         assert rep.stationarity_residual == 0.0
         assert rep.primal_feasibility == 0.0
         assert rep.dual_feasibility == 0.0
+
+    def test_stack_member_without_water_reads_as_its_lone_solve(self):
+        # a stack marks "no water" by a NaN level, a lone solve by None
+        wf = waterfill_capacity(np.array([[0.5, 0.2], [0.0, 0.0]]), np.ones((2, 2)), 2.0)
+        member = WaterfillSolution(x=wf.x[1], xi=wf.xi[1])
+        lone = waterfill_capacity(np.zeros(2), np.ones(2), 2.0)
+        assert lone.xi is None and np.isnan(member.xi)
+        reports = [verify_kkt_capacity(np.zeros(2), np.ones(2), 2.0, w) for w in (member, lone)]
+        assert reports[0] == reports[1] == KktReport(0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_a_stacked_problem(self):
         alpha, beta = np.array([[0.5, 0.2], [0.3, 0.1]]), np.ones((2, 2))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import canonical_budget, count_calls, crandn, db_to_lin, scaled_channels
-from relay_rtm import evaluate, matalg, network
+from relay_rtm import evaluate, matalg, network, opt_capacity
 from relay_rtm.errors import DeadRelayWarning, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm, ostbc_capacity
 from relay_rtm.network import (
@@ -258,31 +258,6 @@ class TestTranslate:
         assert constraint == pytest.approx(m * rho1, rel=1e-8)
 
 
-def test_capacity_invariant_under_power_renormalization():
-    # only the per-link SNRs matter: any (powers, channel scaling) pair
-    # realizing the same SNR triple yields the same optimized capacity
-    rng = np.random.default_rng(606)
-    dims = Dims(3, 2, 4, 3)
-    raw = _raw(rng, dims)
-    rho0, rho1, rho2 = db_to_lin(5.0), db_to_lin(10.0), db_to_lin(12.0)
-
-    ch_a, pb_a = translate_scenario(SnrScenario(5.0, 10.0, 12.0, dims), raw)
-    cap_a = capacity(ch_a, pb_a, dims, optimize_capacity_rtm(ch_a, pb_a, dims).x_matrix).bits
-
-    for c1, c2 in ((3.0, 5.0), (0.25, 7.0)):
-        p1, p2 = c1 * dims.t, c2 * dims.u
-        ch_b = ChannelSet(
-            h0=np.sqrt(rho0 * dims.t / p1) * raw.h0,
-            h1=np.sqrt(rho1 * dims.t / p1) * raw.h1,
-            h2=np.sqrt(rho2 * dims.u / p2) * raw.h2,
-        )
-        pb_b = PowerBudget(p1, p2)
-        cap_b = capacity(
-            ch_b, pb_b, dims, optimize_capacity_rtm(ch_b, pb_b, dims).x_matrix
-        ).bits
-        assert cap_b == pytest.approx(cap_a, abs=1e-9)
-
-
 def test_helpers_consistent_with_translate():
     # scaled_channels mirrors translate_scenario's scaling convention
     dims = Dims(2, 2, 3, 3)
@@ -341,19 +316,30 @@ class TestSharedFactors:
             assert _same(shared[kind], fresh[kind]), kind
 
     def test_memoized_factors_are_read_only_fresh_builds(self):
+        # every memo slot hands back one shared, read-only array with the
+        # bytes of a fresh build from the matrices
         rng = np.random.default_rng(12)
-        lone = scaled_channels(rng, Dims(3, 2, 4, 3), rho0_db=5.0)
+        dims = Dims(3, 2, 4, 3)
+        pb = canonical_budget(dims)
+        lone = scaled_channels(rng, dims, rho0_db=5.0)
         stack = ChannelSet(*(np.stack([m, 2.0 * m]) for m in (lone.h0, lone.h1, lone.h2)))
         for ch in (lone, stack):
-            h1_h = ch.h1.conj().swapaxes(-1, -2)
-            g0_trace = (ch.h0.conj().swapaxes(-1, -2) @ ch.h0).trace(axis1=-2, axis2=-1).real
-            for factor, want in ((network._h1_h, h1_h), (network._g0_trace, g0_trace)):
-                got = factor(ch)
-                assert factor(ch) is got
+            h1_gram = matalg.hermitian_part(ch.h1 @ matalg.conj_transpose(ch.h1))
+            b = matalg.thin_ud(matalg.hermitian_part(matalg.conj_transpose(ch.h2) @ ch.h2))
+            slots = (
+                (lambda: network._g0(ch), matalg.conj_transpose(ch.h0) @ ch.h0),
+                (lambda: network._h1_gram(ch), h1_gram),
+                (lambda: opt_capacity._shaping_matrix(ch, pb, dims), np.eye(dims.s) + (pb.p1 / dims.t) * h1_gram),
+                (lambda: opt_capacity._relay_side(ch, pb, dims)[0].u_thin, b.u_thin),
+                (lambda: opt_capacity._relay_side(ch, pb, dims)[0].lam_thin, b.lam_thin),
+                (lambda: opt_capacity._first_hop(ch).eigenvectors, matalg.herm_eig(h1_gram).eigenvectors),
+            )
+            for slot, want in slots:
+                got = slot()
+                assert slot() is got
                 assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-                if isinstance(got, np.ndarray):
-                    with pytest.raises(ValueError):
-                        got[...] = 0.0
+                with pytest.raises(ValueError):
+                    got[...] = 0.0
 
     def test_matrices_are_read_only_copies(self):
         rng = np.random.default_rng(10)
