@@ -11,16 +11,17 @@ processes).
 matrices (any leading batch axes, ``(..., n, n)``) as well as a single
 matrix; numpy's batched ``eigh`` factorizes each member exactly as it
 would factorize it alone, so a member's result does not depend on the
-stack it is in.  For one matrix, ``thin_ud`` makes its PSD check and rank
-cut on the eigenvalue list with the comparisons of the stack path, which
-skips numpy's cost per call.
+stack it is in.  For one matrix, ``thin_ud`` scales its eigenvalues and
+makes its PSD check and rank cut on the eigenvalue list with the
+operations of the stack path, which skips numpy's cost per call.
 
 The eigensolver reads one triangle, so the package symmetrizes exactly
-the matrices it factorizes: ``hermitian_part`` of B = H2^H H2, of H1 H1^H
-and, with the direct link, of opt1's gain matrix A (without it opt1 reads
-H1 H1^H's factorization), which ``herm_eig`` then clears with one
-exact comparison (any other input has its asymmetry measured against
-1e-12).  Matrices that only feed a log-det, a solve or a trace stay
+the matrices it factorizes: ``hermitian_part`` of B0 = H2^H H2 of the
+second hop's unit-variance draw (``thin_ud`` scales its eigenvalues to
+those of B), of H1 H1^H and, with the direct link, of opt1's gain matrix
+A (without it opt1 reads H1 H1^H's factorization), which ``herm_eig``
+then clears with one exact comparison (any other input has its asymmetry
+measured against 1e-12).  Matrices that only feed a log-det, a solve or a trace stay
 Hermitian up to rounding, which those need no better.
 
 ``_numbers`` is the package's one conversion of an input to a numeric
@@ -93,6 +94,8 @@ class ThinUd:
     positive and nonincreasing.  For a stack, ``rank`` is the array of
     member ranks and m is the largest of them; ``lam_thin`` is zero past a
     member's own rank, where ``u_thin`` keeps the member's eigenvectors.
+    ``u_thin``'s batch axes broadcast against ``lam_thin``'s, which may
+    have more (``thin_ud``'s gains).
     """
 
     u_thin: np.ndarray
@@ -226,27 +229,40 @@ def herm_eig(m: np.ndarray) -> HermEig:
     return HermEig(eigenvalues=w[..., ::-1], eigenvectors=_fix_phases(v[..., ::-1]))
 
 
-def thin_ud(m: np.ndarray) -> ThinUd:
+def thin_ud(m: np.ndarray, *, _gain=1.0) -> ThinUd:
     """Thin unitary diagonalization of a Hermitian PSD matrix.
 
     Eigenpairs with eigenvalue above ``DEFAULT_RANK_TOL * max(lam_max, 1)``
     are retained; negative round-off eigenvalues are clamped to zero first.
-    Eigenvalues below ``-1e-10 * max(lam_max, 1)`` fail the PSD check.
-    ``m`` may be a stack ``(..., n, n)``; see ``ThinUd`` for the result.
+    Eigenvalues below ``-1e-10 * max(lam_max, 1)`` fail the PSD check, and
+    eigenvalues that overflow float64 raise a ValidationError.  ``m`` may
+    be a stack ``(..., n, n)``; see ``ThinUd`` for the result.
+
+    Inside the package, ``_gain`` gives the diagonalization of ``_gain *
+    m`` from m's eigenvectors: the eigenvalues are scaled before the PSD
+    check and the cut, which are not scale-free.  An array of gains may
+    add batch axes, which the eigenvalues then have and the eigenvectors
+    do not (a second hop swept along rho2).  A gain of 1.0 leaves every
+    eigenvalue's bits as they are.
     """
     eig = herm_eig(m)
     w = eig.eigenvalues
     if w.ndim == 1:
-        # one matrix: the same comparisons on Python floats, which skip
+        # one matrix: the same operations on Python floats, which skip
         # numpy's cost per call
-        w = w.tolist()
+        w = [v * _gain for v in w.tolist()]
         floor = max(w[0], 1.0)
+        if floor == np.inf:
+            raise ValidationError("matrix eigenvalues overflow float64")
         if w[-1] < -1e-10 * floor:
             raise ValidationError(f"matrix is not positive semidefinite: smallest eigenvalue {w[-1]:.3e}")
         cut = DEFAULT_RANK_TOL * floor
         rank = sum(v > cut for v in w)
         return ThinUd(eig.eigenvectors[:, :rank], np.array([v if v > cut else 0.0 for v in w[:rank]]), rank)
+    w = w * _gain
     floor = np.maximum(w[..., :1], 1.0)
+    if _any(floor == np.inf):
+        raise ValidationError("matrix eigenvalues overflow float64")
     bad = w[..., -1:] < -1e-10 * floor
     if _any(bad):
         raise ValidationError(

@@ -20,11 +20,16 @@ the second hop's factorization, G0 and H1 H1^H with its factorization)
 once, on first use.  The chunk is a
 broadcast stack: the matrix the swept SNR scales is ``(trials, points,
 ...)`` and the other two are ``(trials, 1, ...)``, so whatever is built
-from those two alone is computed once per trial.
+from those two alone is computed once per trial.  Along rho2 the chunk
+records the unit-variance draw ``(trials, 1, ...)`` of its second hop and
+a power gain per point, as ``translate_scenario`` records them for one
+network, so B0 = H2^H H2 of the draw is factorized once per trial and its
+eigenvalues are scaled to every point (``opt_capacity._relay_side``).
 Every layer treats a member of a stack exactly as it would treat it
 alone, so each problem's figures do not depend on the stack size or the
 worker count: they are bit-identical to those of the per-realization
-API, and a sweep's output is the same for any ``workers``.
+API (``translate_scenario`` of the trial's draw), and a sweep's output is
+the same for any ``workers``.
 
 Chunks are independent, so ``run_sweep`` can spread them over worker
 processes.  A lone chunk, or a sweep with one worker, runs inline in the
@@ -202,18 +207,24 @@ def _chunk_values(spec: SweepSpec, trials: range) -> np.ndarray:
 
     The chunk's channels are sampled and translated to the template
     scenario once; the matrix the swept SNR scales is then scaled to every
-    point by one multiply.  When the stack raises, its problems are
-    replayed one at a time in trial, point and kind order, and the first
-    failure is raised with its type and (seed, trial, axis, point) context.
+    point by one multiply, and along rho2 the second hop's record keeps
+    the per-trial draw with the gains of the points.  When the stack
+    raises, its problems are replayed one at a time in trial, point and
+    kind order, and the first failure is raised with its type and (seed,
+    trial, axis, point) context.
     """
     raw = sample_channels(spec.scenario.dims, spec.seed, trials)
     swept = "h" + spec.sweep_axis[-1]
     try:
         ch, pb = translate_scenario(spec.scenario, _owned(raw.h0[:, None], raw.h1[:, None], raw.h2[:, None]))
-        # only the matrix the swept SNR scales varies along the point axis
+        # only the matrix the swept SNR scales varies along the point axis;
+        # along rho2 the second hop's draw stays per trial, and its power
+        # gain takes the point axis
         gains = np.array([_amplitude(point) for point in spec.sweep_points_db])
         scaled = gains[:, None, None] * getattr(raw, swept)[:, None]
-        ch = _owned(**{"h0": ch.h0, "h1": ch.h1, "h2": ch.h2, swept: scaled})
+        draw, power = ch._h2_draw
+        matrices = {"h0": ch.h0, "h1": ch.h1, "h2": ch.h2, swept: scaled}
+        ch = _owned(**matrices, draw=draw, gain=(gains * gains)[:, None] if swept == "h2" else power)
         return _values(spec, ch, pb)
     except RelayRtmError:
         for i, trial in enumerate(trials):

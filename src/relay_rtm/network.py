@@ -36,6 +36,18 @@ the ``validate`` check, which every solver and metric reaches first), the
 factorization of the second hop and that of H1 H1^H.  ``evaluate`` keeps
 one more slot in the same memo: the relay-path matrix of the last
 transform evaluated on the instance.
+
+Besides its matrices, a ``ChannelSet`` records where its second hop came
+from: the unit-variance draw that h2 scales and the draw's power gain
+a^2.  The second hop enters the optimizers only through B = H2^H H2 =
+a^2 B0, so they factorize B0 of the draw and scale its eigenvalues
+(``opt_capacity._relay_side``).  ``translate_scenario`` records the raw
+h2 and a^2, and a rho2 sweep chunk its per-trial draws and a gain per
+point, so B0 is factorized once per trial along the whole axis, and a
+sweep member makes the operations of its lone ``translate_scenario``
+solve.  A network built by hand is its own draw at gain 1.0 and factorizes
+its own B; it agrees with the translated network of the same matrices to
+rounding level.  Copies and pickles keep the record.
 """
 
 from __future__ import annotations
@@ -115,7 +127,9 @@ class ChannelSet:
 
     The matrices are read-only copies of the arrays given, so the memo of
     ``_memoized`` stays valid for the life of the instance (``_owned``
-    skips the copy for arrays the package has just built)."""
+    skips the copy for arrays the package has just built).  An instance
+    built by hand records its own h2 as the second hop's draw, at power
+    gain 1.0 (see the module docstring)."""
 
     h0: np.ndarray  # (..., r, t) source -> destination
     h1: np.ndarray  # (..., s, t) source -> relay
@@ -130,25 +144,31 @@ class ChannelSet:
         _seal(self)
 
     def __reduce__(self):
-        # a copy or an unpickled instance is built anew: read-only, no memo
-        return ChannelSet, (self.h0, self.h1, self.h2)
+        # a copy or an unpickled instance keeps the read-only matrices and
+        # the second hop's record, with an empty memo
+        return _owned, (self.h0, self.h1, self.h2, *self._h2_draw)
 
 
-def _seal(ch: ChannelSet) -> None:
-    """Make the matrices of ``ch`` read-only and give it an empty memo."""
-    ch.h0.flags.writeable = ch.h1.flags.writeable = ch.h2.flags.writeable = False
+def _seal(ch: ChannelSet, draw: np.ndarray | None = None, gain=1.0) -> None:
+    """Make the matrices of ``ch`` read-only, give it an empty memo and
+    record the unit-variance draw its h2 scales, with the draw's power
+    gain (a float, or an array that broadcasts against the eigenvalues of
+    the draw's Gram matrix): by default h2 itself at gain 1.0."""
+    draw = ch.h2 if draw is None else draw
+    ch.h0.flags.writeable = ch.h1.flags.writeable = ch.h2.flags.writeable = draw.flags.writeable = False
     object.__setattr__(ch, "_memo", {})
+    object.__setattr__(ch, "_h2_draw", (draw, gain))
 
 
-def _owned(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> ChannelSet:
+def _owned(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray, draw: np.ndarray | None = None, gain=1.0) -> ChannelSet:
     """A ChannelSet of complex matrices (or stacks) that the package has
     just built and shares with no caller: they are made read-only in place
-    rather than copied a second time.  Pickling still goes through
-    ``ChannelSet(...)``."""
+    rather than copied a second time.  ``draw`` and ``gain`` go to
+    ``_seal``."""
     ch = object.__new__(ChannelSet)
     for name, arr in (("h0", h0), ("h1", h1), ("h2", h2)):
         object.__setattr__(ch, name, arr)
-    _seal(ch)
+    _seal(ch, draw, gain)
     return ch
 
 
@@ -301,10 +321,14 @@ def translate_scenario(scn: SnrScenario, raw: ChannelSet) -> tuple[ChannelSet, P
     p2 = u.  Feeding the result into the generic capacity and power
     constraint reproduces the SNR-normalized expressions exactly, so the
     optimizers never need to know about SNRs.  ``raw`` may be a stack of
-    draws; every member is scaled alike.
+    draws; every member is scaled alike.  The result records ``raw.h2``
+    and its power gain a^2, from which the optimizers factorize the
+    second hop; it agrees with a ``ChannelSet`` built by hand from the
+    same scaled matrices to rounding level, not bit for bit.
     """
     dims = scn.dims
     _check_shapes(dims, raw)
     h0 = _amplitude(scn.rho0_db) * raw.h0 if scn.direct_link_enabled else np.zeros_like(raw.h0)
-    ch = _owned(h0, _amplitude(scn.rho1_db) * raw.h1, _amplitude(scn.rho2_db) * raw.h2)
+    a = _amplitude(scn.rho2_db)
+    ch = _owned(h0, _amplitude(scn.rho1_db) * raw.h1, a * raw.h2, raw.h2, a * a)
     return ch, PowerBudget(p1=float(dims.t), p2=float(dims.u))

@@ -94,7 +94,9 @@ class SpectraBundle:
 
     For a stack, every array gains the leading batch axes of the inputs it
     is built from (broadcast; e.g. ``u_a_thin`` and ``c_matrix`` are
-    ``(trials, 1, ...)`` on a stack whose ``h2`` alone has a point axis),
+    ``(trials, 1, ...)`` on a stack whose ``h2`` alone has a point axis,
+    and so is ``u_b_thin`` on a rho2 sweep chunk, whose second hop is
+    factorized once per trial; see ``_relay_side``),
     the counts are int arrays, and the mode axis is as wide as the largest
     ``rho``; a member's modes past its own ``rho`` (or ``rho_b``) have zero
     gain and unit ``lam_b_thin``.
@@ -181,10 +183,19 @@ def _relay_side(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> tuple:
     realization or a sweep chunk; NAF asks for C alone and so never needs
     B.
 
+    B is a^2 B0, with B0 the Gram matrix of the unit-variance draw that
+    ``ch`` records for its second hop (``network``'s module docstring):
+    B0 is factorized, and ``thin_ud`` multiplies its eigenvalues by a^2
+    before the PSD check and the rank cut.  On a rho2 sweep chunk the
+    draw is ``(trials, 1, r, u)`` and the gains ``(points, 1)``, so one
+    eigensolve per trial serves every point, and ``u_thin`` keeps the
+    draw's batch axes.
+
     Raises DeadRelayError when H2 has rank 0 (no mode can be served).
     """
     c = _shaping_matrix(ch, pb, dims)
-    ud_b = thin_ud(hermitian_part(conj_transpose(ch.h2) @ ch.h2))
+    draw, gain = ch._h2_draw
+    ud_b = thin_ud(hermitian_part(conj_transpose(draw) @ draw), _gain=gain)
     if _any(np.equal(ud_b.rank, 0)):
         raise DeadRelayError(
             "relay path dead: the relay-to-destination channel has rank 0"

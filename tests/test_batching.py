@@ -220,12 +220,68 @@ def _count_calls(monkeypatch, fn):
 
 
 def test_chunk_factorizes_the_second_hop_once(monkeypatch):
-    # opt1 and opt2 share the validated network, B's factorization and C
+    # opt1 and opt2 share the validated network, B's factorization and C;
+    # along rho2 the second hop is factorized once per trial, from the
+    # unit-variance draw, and no eigensolve sees the point axis
     thin_ud_calls = _count_calls(monkeypatch, matalg.thin_ud)
+    eig_calls = _count_calls(monkeypatch, matalg.herm_eig)
     validate_calls = _count_calls(monkeypatch, network.validate)
-    _chunk_values(_chunk_spec("rho2"), range(4))
+    spec = _chunk_spec("rho2")
+    u = spec.scenario.dims.u
+    _chunk_values(spec, range(4))
     assert len(thin_ud_calls) == 1
+    assert thin_ud_calls[0][0].shape == (4, 1, u, u)
+    assert all(args[0].shape[:2] == (4, 1) for args in eig_calls)
+    assert (4, 1, u, u) in [args[0].shape for args in eig_calls]
     assert len(validate_calls) == 1
+
+
+def test_rho2_chunk_members_match_lone_solves_as_the_rank_changes(monkeypatch):
+    # a rho2 chunk scales each trial's B0 eigenvalues to every point, and
+    # the rank cut 1e-10 * max(lam_max, 1) falls after the scaling.  Trial 0
+    # has a rank-1 H2.  Trial 1's B0 has eigenvalues 2, 1 and 2.5e-10: where
+    # a^2 < 0.5 the cut is its floor 1e-10, so the last is cut at -4 dB
+    # (9.95e-11) and below, and kept from -3 dB (1.25e-10).  Every member equals its lone solve of the network
+    # translate_scenario makes from the trial's draw: X, mode powers and
+    # both metrics
+    dims = Dims(3, 3, 3, 3)
+    rng = np.random.default_rng(41)
+    basis = np.linalg.qr(crandn(rng, (3, 3)))[0]
+    h2 = {0: crandn(rng, (3, 1)) @ crandn(rng, (1, 3)), 1: np.sqrt([2.0, 1.0, 2.5e-10])[:, None] * basis.conj().T}
+    channels = edited_sampler(lambda trial, raw: replace(raw, h2=h2[trial]) if trial in h2 else raw)
+    monkeypatch.setattr(montecarlo, "sample_channels", channels)
+    stacks = []
+    monkeypatch.setattr(montecarlo, "_values", lambda spec, ch, pb: stacks.append(ch) or _values(spec, ch, pb))
+    spec = SweepSpec(
+        scenario=SnrScenario(5.0, 10.0, 0.0, dims),
+        sweep_axis="rho2",
+        sweep_points_db=(-40.0, -20.0, -6.0, -4.0, -3.0, 0.0, 10.0, 30.0, 50.0),
+        rtm_kinds=("opt1", "opt2", "naf"),
+        metrics=("capacity", "ostbc"),
+        trials=3,
+        seed=41,
+    )
+    chunk = _chunk_values(spec, range(spec.trials))
+    (stack,) = stacks
+    pb = canonical_budget(dims)
+    solvers = (optimize_capacity_rtm, optimize_ostbc_rtm, naf_rtm)
+    solved = [solve(stack, pb, dims) for solve in solvers]
+    assert solved[0].spectra.rho_b[0].tolist() == [1] * 9
+    assert solved[0].spectra.rho_b[1].tolist() == [2] * 4 + [3] * 5
+    for trial in range(spec.trials):
+        raw = channels(dims, spec.seed, trial)
+        for ip, point in enumerate(spec.sweep_points_db):
+            ch, pb = translate_scenario(replace(spec.scenario, rho2_db=point), raw)
+            for ik, (solve, sol) in enumerate(zip(solvers, solved)):
+                alone = solve(ch, pb, dims)
+                got = (trial, min(ip, sol.x_matrix.shape[1] - 1))
+                assert np.array_equal(sol.x_matrix[got], alone.x_matrix)
+                if alone.wf is not None:
+                    modes = alone.wf.x.size
+                    assert np.array_equal(sol.wf.x[got][:modes], alone.wf.x)
+                    assert not np.any(sol.wf.x[got][modes:])
+                assert chunk[trial, ip, ik, 0] == capacity(ch, pb, dims, alone.x_matrix).bits
+                assert chunk[trial, ip, ik, 1] == ostbc_capacity(ch, pb, dims, alone.x_matrix).bits
 
 
 def test_chunk_samples_and_translates_once(monkeypatch):

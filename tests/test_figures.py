@@ -53,7 +53,7 @@ def test_against_prints_the_largest_relative_difference(tmp_path, capsys):
     lines = dict(line.split(" ", 1) for line in out[len(hashes):].splitlines())
     assert list(lines) == [f"rel/{name}" for name in names + _MIX]
     for name in _MIX:
-        assert lines.pop(f"rel/{name}") == "capacity 0.00e+00 ostbc 0.00e+00 power 0.00e+00 errors 0"
+        assert lines.pop(f"rel/{name}") == "capacity 0.00e+00 ostbc 0.00e+00 power 0.00e+00 errors 0 -> 0 (0 rows differ)"
     assert lines.pop("rel/direct_link_gain_m4") == "rows differ"
     assert lines.pop("rel/full_network_m4") == "missing"
     mean, stderr = re.fullmatch(r"mean_bits (\S+) stderr_bits (\S+)", lines.pop("rel/pure_relay_m4")).groups()
@@ -83,9 +83,13 @@ def test_against_measures_the_mix(tmp_path, capsys):
     assert out.startswith(hashes)
     lines = dict(line.split(" ", 1) for line in out[len(hashes):].splitlines() if line.startswith("rel/mix/"))
     assert list(lines) == [f"rel/{name}" for name in _MIX]
-    moved = re.fullmatch(r"capacity (\S+) ostbc (\S+) power (\S+) errors (\d+)", lines.pop("rel/mix/-10..30dB/opt1"))
+    moved = re.fullmatch(
+        r"capacity (\S+) ostbc (\S+) power (\S+) errors (\d+) -> (\d+) \((\d+) rows differ\)",
+        lines.pop("rel/mix/-10..30dB/opt1"),
+    )
     assert float(moved[1]) == pytest.approx(1e-10, rel=1e-3) and float(moved[2]) == float(moved[3]) == 0.0
-    assert moved[4] == "1"
+    # the error written into the other side's table: 1 there, 0 here
+    assert moved.group(4, 5, 6) == ("1", "0", "1")
     assert lines.pop("rel/mix/-10..30dB/opt2") == "rows differ"
     assert lines.pop("rel/mix/50..60dB/naf") == "missing"
-    assert set(lines.values()) == {"capacity 0.00e+00 ostbc 0.00e+00 power 0.00e+00 errors 0"}
+    assert set(lines.values()) == {"capacity 0.00e+00 ostbc 0.00e+00 power 0.00e+00 errors 0 -> 0 (0 rows differ)"}

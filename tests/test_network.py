@@ -8,7 +8,7 @@ import pytest
 
 from helpers import canonical_budget, count_calls, crandn, db_to_lin, scaled_channels
 from relay_rtm import evaluate, matalg, network, opt_capacity
-from relay_rtm.errors import DeadRelayWarning, ValidationError
+from relay_rtm.errors import DeadRelayError, DeadRelayWarning, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm, ostbc_capacity
 from relay_rtm.network import (
     ChannelSet,
@@ -390,8 +390,13 @@ class TestSharedFactors:
     @pytest.mark.parametrize("link", [True, False])
     def test_translated_matrices_are_read_only_and_the_raw_ones_untouched(self, link):
         # translate_scenario hands over the arrays it builds without a copy;
-        # they must still be read-only, share nothing with the raw draw, and
-        # pickle and solve as a ChannelSet built by hand does
+        # they must still be read-only and share nothing with the raw draw.
+        # A copy or pickle keeps the second hop's record, so it solves bit
+        # for bit as the translated network does.  A network built by hand
+        # from the same matrices factorizes a^2 B0 itself instead of scaling
+        # B0's eigenvalues, so it agrees to rounding: on this draw the worst
+        # relative move of X (max entry), relay power and both metrics is
+        # 9.1e-16, and the tolerance is 1e-14.
         dims = Dims(3, 2, 3, 2)
         raw = scaled_channels(np.random.default_rng(14), dims, rho0_db=0.0, rho1_db=0.0, rho2_db=0.0)
         kept = [m.copy() for m in (raw.h0, raw.h1, raw.h2)]
@@ -404,11 +409,15 @@ class TestSharedFactors:
                 arr[...] = 0.0
             assert np.array_equal(getattr(raw, name), m)
         by_hand = ChannelSet(ch.h0, ch.h1, ch.h2)
-        twin = pickle.loads(pickle.dumps(ch))
+        twins = [copy.copy(ch), copy.deepcopy(ch), pickle.loads(pickle.dumps(ch))]
         for kind in _SOLVERS:
-            expected = _figures(by_hand, pb, dims, kind)
-            assert _same(_figures(ch, pb, dims, kind), expected), kind
-            assert _same(_figures(twin, pb, dims, kind), expected), kind
+            expected = _figures(ch, pb, dims, kind)
+            for twin in twins:
+                assert _same(_figures(twin, pb, dims, kind), expected), kind
+            x, *scalars = _figures(by_hand, pb, dims, kind)
+            assert np.abs(x - expected[0]).max() <= 1e-14 * np.abs(expected[0]).max(), kind
+            for got, want in zip(scalars, expected[1:]):
+                assert abs(got - want) <= 1e-14 * abs(want), kind
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda ch: pickle.loads(pickle.dumps(ch))])
     def test_a_copy_is_built_anew(self, clone):
@@ -418,3 +427,65 @@ class TestSharedFactors:
         twin = clone(ch)
         assert not twin.h1.flags.writeable
         assert np.array_equal(optimize_capacity_rtm(twin, canonical_budget(dims), dims).x_matrix, x)
+
+
+class TestSecondHopRecord:
+    """A translated network records the unit-variance H2 draw it scaled and
+    the draw's power gain a^2; the second hop is factorized from the draw,
+    and its eigenvalues are scaled by the gain before the rank cut."""
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda ch: pickle.loads(pickle.dumps(ch))])
+    def test_the_record_survives_copies(self, clone):
+        dims = Dims(3, 2, 3, 2)
+        raw = _raw(np.random.default_rng(15), dims)
+        lone, pb = translate_scenario(SnrScenario(3.0, 7.0, -2.0, dims), raw)
+        a = network._amplitude(-2.0)
+        assert lone._h2_draw[0] is raw.h2 and lone._h2_draw[1] == a * a
+        # a swept stack: one draw per trial, a gain per point
+        gains = np.array([[0.5], [2.0], [8.0]])
+        draws = np.stack([raw.h2, 2.0 * raw.h2])[:, None]
+        stack = network._owned(
+            np.zeros((2, 1, 2, 3), complex), np.stack([raw.h1, raw.h1])[:, None], np.sqrt(gains)[:, :, None] * draws,
+            draws, gains,
+        )
+        for ch in (lone, stack, ChannelSet(raw.h0, raw.h1, raw.h2)):
+            twin = clone(ch)
+            (draw, gain), (twin_draw, twin_gain) = ch._h2_draw, twin._h2_draw
+            assert np.array_equal(twin_draw, draw) and np.array_equal(twin_gain, gain)
+            assert not twin_draw.flags.writeable and not twin.h2.flags.writeable
+            assert twin._memo == {}
+            for kind in _SOLVERS:
+                assert _same(_figures(twin, pb, dims, kind), _figures(ch, pb, dims, kind)), kind
+
+    def test_a_network_built_by_hand_is_its_own_draw(self):
+        ch = _raw(np.random.default_rng(16), Dims(2, 2, 2, 2))
+        assert ch._h2_draw[0] is ch.h2 and ch._h2_draw[1] == 1.0
+
+    @pytest.mark.parametrize("rho2_db", [-3000.0, -400.0, 1000.0, 2000.0, 3000.0, 3082.0])
+    @pytest.mark.parametrize("link", [True, False])
+    @pytest.mark.parametrize("kind", list(_SOLVERS))
+    def test_extreme_second_hop_snrs_keep_their_errors(self, rho2_db, link, kind):
+        # scaling B0's eigenvalues by a^2 can overflow where H2's entries
+        # do not; a cut of 1e-10 * inf would keep no mode, and a live relay
+        # would read as dead.  Every rho2 that SnrScenario accepts finishes
+        # or raises what a factorization of the scaled B raises: a
+        # DeadRelayError where every eigenvalue falls under the absolute
+        # cut 1e-10, a ValidationError where B overflows float64
+        overflowed = 0
+        for shape in _MIX_SHAPES + [(1, 1, 1, 1), (3, 2, 4, 3)]:
+            dims = Dims(*shape)
+            for seed in range(3):
+                raw = _raw(np.random.default_rng(seed), dims)
+                ch, pb = translate_scenario(SnrScenario(10.0, 10.0, rho2_db, dims, direct_link_enabled=link), raw)
+                try:
+                    _SOLVERS[kind](ch, pb, dims)
+                except DeadRelayError:
+                    assert kind != "naf" and rho2_db < -100.0
+                except ValidationError as exc:
+                    assert kind != "naf" and rho2_db == 3082.0, exc
+                    assert str(exc) == "matrix eigenvalues overflow float64"
+                    overflowed += 1
+                else:
+                    assert kind == "naf" or rho2_db > 0.0
+        if kind != "naf" and rho2_db == 3082.0:
+            assert overflowed

@@ -119,27 +119,29 @@ def _member(ch, k):
 
 
 def _networks(dims, rho1_db, link, members=4):
-    """A stack of translated networks whose second hops differ in rank:
-    member 1's H2 has rank 1, so the others' modes pad it."""
+    """A stack of raw draws whose second hops differ in rank (member 1's H2
+    has rank 1, so the others' modes pad it), and a scenario's translation
+    of a network."""
     raw = sample_channels(dims, 5, range(members))
     h2 = raw.h2.copy()
     h2[1] = h2[1][:, :1] * np.ones((1, dims.u))
     scenario = SnrScenario(10.0, rho1_db, 10.0, dims, direct_link_enabled=link)
-    return translate_scenario(scenario, ChannelSet(raw.h0, raw.h1, h2))
+    return ChannelSet(raw.h0, raw.h1, h2), lambda ch: translate_scenario(scenario, ch)[0]
 
 
 _FIELDS = ("alpha", "beta", "u_a_thin", "u_b_thin", "lam_b_thin", "rho", "rho_a", "rho_b", "c_matrix")
 
 
-def _assert_spectra_match(build, ch, pb, dims):
+def _assert_spectra_match(build, ch, pb, dims, network=lambda ch: ch):
     """Each member's lone spectra equal its spectra in a one-member stack,
     field by field, and its part of the whole stack's, past which the
-    stack pads it."""
-    stacked = build(ch, pb, dims)
-    width = stacked.alpha.shape[-1]
+    stack pads it.  ``network`` makes the networks solved from ``ch`` and
+    its members: a translated network carries its raw draw of H2, so a
+    lone member is translated from its own raw draw too."""
+    stacked = build(network(ch), pb, dims)
     for k in range(ch.h1.shape[0]):
-        lone = build(_member(ch, k), pb, dims)
-        single = build(ChannelSet(ch.h0[k : k + 1], ch.h1[k : k + 1], ch.h2[k : k + 1]), pb, dims)
+        lone = build(network(_member(ch, k)), pb, dims)
+        single = build(network(ChannelSet(ch.h0[k : k + 1], ch.h1[k : k + 1], ch.h2[k : k + 1])), pb, dims)
         for field in _FIELDS:
             value = np.asarray(getattr(lone, field))
             assert value.shape == getattr(single, field).shape[1:] and np.array_equal(getattr(single, field)[0], value)
@@ -163,8 +165,8 @@ def _assert_spectra_match(build, ch, pb, dims):
 @pytest.mark.parametrize("shape", [(2, 2, 4, 4), (4, 4, 2, 2), (4, 4, 4, 4)])
 def test_spectra_members_match_lone_networks(build, link, rho1_db, shape):
     dims = Dims(*shape)
-    ch, pb = _networks(dims, rho1_db, link)
-    stacked = _assert_spectra_match(build, ch, pb, dims)
+    raw, translated = _networks(dims, rho1_db, link)
+    stacked = _assert_spectra_match(build, raw, canonical_budget(dims), dims, translated)
     if build is build_capacity_spectra and rho1_db > 100.0:
         # first-hop gains round to 1 here and are clamped just below it
         assert (stacked.alpha == BELOW_ONE).any()

@@ -33,11 +33,13 @@ and the repr of any error, to ``DIR/mix_<low>..<high>dB_<kind>.csv``.
 mix table::
 
     rel/<name> mean_bits <largest relative difference> stderr_bits <...>
-    rel/mix/<low>..<high>dB/<kind> capacity <...> ostbc <...> power <...> errors <rows whose error differs>
+    rel/mix/<low>..<high>dB/<kind> capacity <...> ostbc <...> power <...> errors <theirs> -> <ours> (<n> rows differ)
 
-against those files of another tree (or ``rows differ``, or ``missing``),
-so the CSV rule (1e-12 relative) and the size of a move in the mix are
-checked by one run of each tree::
+against those files of another tree (or ``rows differ``, or ``missing``).
+A mix line counts the rows with an error in the other tree's table and in
+this tree's, and the rows whose error differs, such as ``errors 4 -> 3 (6
+rows differ)``.  So the CSV rule (1e-12 relative) and the size of a move
+in the mix are checked by one run of each tree::
 
     PYTHONPATH=parent/src python3 tools/figures.py --csv-dir parent-csv
     PYTHONPATH=src python3 tools/figures.py --against parent-csv
@@ -151,13 +153,16 @@ def _largest_relative(text: str, other: str) -> str:
 def _mix_relative(text: str, other: str) -> str:
     """For a kind's mix table against ``other``'s, which must have as many
     rows: the largest relative difference of each magnitude over the rows
-    where both sides have it, and how many rows differ in their error."""
+    where both sides have it, the rows with an error in ``other`` and here,
+    and how many rows differ in their error."""
     rows, other_rows = (list(csv.DictReader(io.StringIO(t))) for t in (text, other))
     if len(rows) != len(other_rows):
         return "rows differ"
     pairs = list(zip(rows, other_rows))
     largest = [f"{column} {_largest((a[column], b[column]) for a, b in pairs)}" for column in _MIX_COLUMNS[:3]]
-    return " ".join(largest + [f"errors {sum(a['error'] != b['error'] for a, b in pairs)}"])
+    theirs, ours = (sum(bool(row["error"]) for row in table) for table in (other_rows, rows))
+    differ = sum(a["error"] != b["error"] for a, b in pairs)
+    return " ".join(largest + [f"errors {theirs} -> {ours} ({differ} rows differ)"])
 
 
 def _kind_figures(ch, pb, dims, kind: str) -> tuple:
