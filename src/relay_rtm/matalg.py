@@ -11,7 +11,10 @@ processes).
 matrices (any leading batch axes, ``(..., n, n)``) as well as a single
 matrix; numpy's batched ``eigh`` factorizes each member exactly as it
 would factorize it alone, so a member's result does not depend on the
-stack it is in.  For one matrix, ``thin_ud`` scales its eigenvalues and
+stack it is in.  Eigenvectors are LAPACK's as they come, each unique only
+up to a unit phase (up to a basis within a repeated eigenvalue); LAPACK
+is deterministic, so repeated calls on one matrix return the same bytes.
+For one matrix, ``thin_ud`` scales its eigenvalues and
 makes its PSD check and rank cut on the eigenvalue list with the
 operations of the stack path, which skips numpy's cost per call.
 
@@ -42,7 +45,9 @@ square check, result casts) costs about as much again on every call.
 Every input is already complex128, so a kernel makes the wrapper's LAPACK
 call on the same bytes and returns the same result.  ``_solve`` and
 ``_eigh`` run under the wrapper's ``np.errstate``, so a singular system or
-a failed eigensolve raises ``LinAlgError`` with numpy's message, and
+a failed eigensolve raises numpy's message as an error that is both
+numpy's ``LinAlgError`` and the package's ``NumericalError`` (a sweep then
+names the failing member, and the command line exits 2), and
 ``_slogdet`` of a singular matrix gives numpy's ``(0, -inf)``.  Tested on
 numpy 2.4; ``_umath_linalg`` is private to numpy.
 """
@@ -55,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "HermEig",
@@ -125,12 +130,16 @@ def _numbers(name: str, value, dtype) -> np.ndarray:
         raise ValidationError(f"{name} must hold numbers: {exc}") from None
 
 
+class _LapackError(NumericalError, LinAlgError):
+    """A LAPACK kernel failed: numpy's error, and the package's."""
+
+
 def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
+    raise _LapackError("Singular matrix")
 
 
 def _raise_nonconvergence(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
+    raise _LapackError("Eigenvalues did not converge")
 
 
 @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
@@ -162,14 +171,6 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-@functools.lru_cache(maxsize=64)
-def _arange(n: int) -> np.ndarray:
-    """``np.arange(n)``, built once per n and shared read-only."""
-    index = np.arange(n)
-    index.flags.writeable = False
-    return index
-
-
 def conj_transpose(m: np.ndarray) -> np.ndarray:
     """M^H of a matrix, or of each matrix in a stack."""
     return m.conj().swapaxes(-1, -2)
@@ -183,31 +184,18 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fix_phases(v: np.ndarray) -> np.ndarray:
-    # Reproducible eigenvector representatives: rotate each column so its
-    # largest-magnitude entry (first such index on ties) is real positive.
-    # Eigenvectors have unit norm, so that entry is never zero.  One matrix
-    # picks its entries in place; a stack is flattened to one batch axis.
-    n = v.shape[-1]
-    if v.ndim == 2:
-        lead = v[np.abs(v).argmax(axis=0), _arange(n)]
-        return v / (lead / np.abs(lead))
-    flat = v.reshape(-1, n, n)
-    lead = flat[np.arange(len(flat))[:, None], np.abs(flat).argmax(axis=1), np.arange(n)]
-    lead = lead.reshape(v.shape[:-2] + (1, n))
-    return v / (lead / np.abs(lead))
-
-
 def herm_eig(m: np.ndarray) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
     Eigenvalues are returned nonincreasing.  Ties keep the order produced
-    by the underlying LAPACK factorization (which is deterministic for
-    identical input), and every eigenvector is re-phased so that its
-    largest-magnitude component is real positive, making repeated calls
-    bit-reproducible.  Every entry must be finite, and the maximum
-    elementwise asymmetry |m - m^H| must not exceed 1e-12.  ``m`` may be
-    a stack ``(..., n, n)``.
+    by the underlying LAPACK factorization, and the eigenvectors are
+    LAPACK's as they come: each is unique only up to a unit phase (within
+    a repeated eigenvalue, up to a basis of its eigenspace), and every
+    figure the package reports is invariant to that choice.  LAPACK is
+    deterministic for identical input, so repeated calls return the same
+    bytes.  Every entry must be finite, and the maximum elementwise
+    asymmetry |m - m^H| must not exceed 1e-12.  ``m`` may be a stack
+    ``(..., n, n)``.
     """
     m = _numbers("matrix", m, complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
@@ -226,7 +214,7 @@ def herm_eig(m: np.ndarray) -> HermEig:
                 f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {_HERM_ATOL:.3e}"
             )
     w, v = _eigh(m)
-    return HermEig(eigenvalues=w[..., ::-1], eigenvectors=_fix_phases(v[..., ::-1]))
+    return HermEig(eigenvalues=w[..., ::-1], eigenvectors=v[..., ::-1])
 
 
 def thin_ud(m: np.ndarray, *, _gain=1.0) -> ThinUd:

@@ -46,8 +46,10 @@ h2 and a^2, and a rho2 sweep chunk its per-trial draws and a gain per
 point, so B0 is factorized once per trial along the whole axis, and a
 sweep member makes the operations of its lone ``translate_scenario``
 solve.  A network built by hand is its own draw at gain 1.0 and factorizes
-its own B; it agrees with the translated network of the same matrices to
-rounding level.  Copies and pickles keep the record.
+its own B; its X agrees with the translated network's of the same
+matrices up to per-mode phases (eigenvectors are unique up to a unit
+phase, ``matalg.herm_eig``), and every figure to rounding level.  Copies
+and pickles keep the record.
 """
 
 from __future__ import annotations
@@ -323,8 +325,9 @@ def translate_scenario(scn: SnrScenario, raw: ChannelSet) -> tuple[ChannelSet, P
     optimizers never need to know about SNRs.  ``raw`` may be a stack of
     draws; every member is scaled alike.  The result records ``raw.h2``
     and its power gain a^2, from which the optimizers factorize the
-    second hop; it agrees with a ``ChannelSet`` built by hand from the
-    same scaled matrices to rounding level, not bit for bit.
+    second hop; its figures agree with a ``ChannelSet``'s built by hand
+    from the same scaled matrices to rounding level, not bit for bit, and
+    its transforms up to per-mode phases.
     """
     dims = scn.dims
     _check_shapes(dims, raw)

@@ -481,6 +481,21 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         assert "synthetic failure" in capsys.readouterr().err
 
+    def test_singular_solve_maps_to_exit_2(self, tmp_path, capsys):
+        # a real LAPACK failure, not a patched one: at 1000 dB the relay
+        # path overflows and a solve meets a singular system
+        path, _ = _small_config(
+            tmp_path,
+            dims={"t": 2, "r": 2, "s": 4, "u": 4},
+            rtms=["opt1", "opt2", "naf"],
+            metrics=["capacity", "ostbc"],
+            trials=8,
+            seed=0,
+            sweep={"axis": "rho2", "points_db": [1000.0]},
+        )
+        assert main(["run", str(path)]) == 2
+        assert re.search(r"relay-rtm: error: trial \d+ \(seed 0\) at rho2=1000.0 dB: ", capsys.readouterr().err)
+
     def test_failed_run_leaves_existing_csv(self, tmp_path, capsys, monkeypatch):
         path, doc = _small_config(tmp_path)
         previous = b"sweep_db,rtm,metric,mean_bits,stderr_bits,trials\n0.0,opt1,capacity,1.0,0.0,3\n"

@@ -8,12 +8,10 @@ import pytest
 import relay_rtm
 from helpers import crandn
 from oracles import check_kk_identity
-from relay_rtm.errors import ValidationError
+from relay_rtm.errors import NumericalError, ValidationError
 from relay_rtm.matalg import (
-    _arange,
     _eigh,
     _eye,
-    _fix_phases,
     _slogdet,
     _solve,
     herm_eig,
@@ -86,15 +84,6 @@ class TestHermEig:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
-    def test_phase_convention_leading_entry_real_positive(self):
-        rng = np.random.default_rng(31)
-        res = herm_eig(hermitian_part(crandn(rng, (4, 4))))
-        for j in range(4):
-            col = res.eigenvectors[:, j]
-            lead = col[np.argmax(np.abs(col))]
-            assert abs(lead.imag) < 1e-14
-            assert lead.real > 0
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="Hermitian"):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -140,7 +129,8 @@ class TestThinUd:
         res = thin_ud(np.diag([5.0, 0.0]))
         assert res.rank == 1
         np.testing.assert_allclose(res.lam_thin, [5.0])
-        np.testing.assert_allclose(res.u_thin, [[1.0], [0.0]], atol=1e-14)
+        # the eigenvector is e1 up to a unit phase
+        np.testing.assert_allclose(np.abs(res.u_thin), [[1.0], [0.0]], atol=1e-14)
 
     def test_seeded_second_hop_gram(self):
         rng = np.random.default_rng(7)
@@ -216,34 +206,39 @@ def _assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _phase_inputs(rng, n):
-    """Inputs like ``_fix_phases`` gets: unit-norm columns from ``_eigh``
-    of a complex, a real and a diagonal Hermitian matrix, and columns whose
-    entries all tie in magnitude (a DFT matrix with random column phases)."""
-    real = rng.standard_normal((n, n))
-    yield _eigh(hermitian_part(crandn(rng, (n, n))))[1]
-    yield _eigh((real + real.T).astype(complex))[1]
-    yield _eigh(np.diag(rng.standard_normal(n)).astype(complex))[1]
-    dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
-    yield dft * np.exp(2j * np.pi * rng.random(n))
-
-
 class TestLoneBuilds:
     """The single-matrix shortcuts of ``matalg`` give the bytes of the
-    general code: ``_fix_phases`` of one matrix those of its stack path,
-    ``hermitian_part`` those of (M + M^H) * 0.5 as a new array, and the
-    cached ``_eye`` and ``_arange`` those of a fresh build."""
+    general code: ``herm_eig`` and ``thin_ud`` of one matrix those of its
+    stack member, ``hermitian_part`` those of (M + M^H) * 0.5 as a new
+    array, and the cached ``_eye`` those of a fresh build."""
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_lone_fix_phases_equals_its_stack_member(self, n):
+    def test_lone_herm_eig_equals_its_stack_member(self, n):
+        # eigenvectors come as LAPACK gives them, so a member's bytes must not
+        # depend on the stack: complex, real, diagonal and rank-deficient PSD
         rng = np.random.default_rng(60 + n)
-        inputs = [v for _ in range(10) for v in _phase_inputs(rng, n)]
-        # herm_eig hands over the reversed view of eigh's eigenvectors
-        stacked = _fix_phases(np.stack(inputs)[..., ::-1])
-        for i, v in enumerate(inputs):
-            lone = _fix_phases(v[..., ::-1])
-            _assert_same_bytes(lone, _fix_phases(v[None, :, ::-1])[0])
-            _assert_same_bytes(lone, stacked[i])
+        inputs = []
+        for _ in range(10):
+            real = rng.standard_normal((n, n))
+            g = crandn(rng, (n, max(n - 1, 1)))
+            inputs += [
+                hermitian_part(crandn(rng, (n, n))),
+                (real + real.T).astype(complex),
+                np.diag(rng.standard_normal(n)).astype(complex),
+                hermitian_part(g @ g.conj().T),
+            ]
+        stacked = herm_eig(np.stack(inputs))
+        for i, m in enumerate(inputs):
+            lone = herm_eig(m)
+            _assert_same_bytes(lone.eigenvalues, stacked.eigenvalues[i])
+            _assert_same_bytes(lone.eigenvectors, stacked.eigenvectors[i])
+        psd = inputs[3::4]
+        thin = thin_ud(np.stack(psd))
+        for i, m in enumerate(psd):
+            lone = thin_ud(m)
+            assert lone.rank == thin.rank[i]
+            _assert_same_bytes(lone.lam_thin, thin.lam_thin[i, : lone.rank])
+            _assert_same_bytes(lone.u_thin, thin.u_thin[i, :, : lone.rank])
 
     @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (8, 8), (7, 3, 3), (2, 5, 4, 4)])
     def test_hermitian_part_is_a_new_exactly_hermitian_array(self, shape):
@@ -257,13 +252,12 @@ class TestLoneBuilds:
         _assert_same_bytes(m, kept)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
-    def test_cached_identity_and_range_are_read_only_fresh_builds(self, n):
-        for cached, fresh in ((_eye, np.eye), (_arange, np.arange)):
-            got = cached(n)
-            assert cached(n) is got
-            _assert_same_bytes(got, fresh(n))
-            with pytest.raises(ValueError):
-                got[...] = 0
+    def test_cached_identity_is_a_read_only_fresh_build(self, n):
+        got = _eye(n)
+        assert _eye(n) is got
+        _assert_same_bytes(got, np.eye(n))
+        with pytest.raises(ValueError):
+            got[...] = 0
 
 
 class TestLapackKernels:
@@ -333,6 +327,13 @@ class TestLapackKernels:
         sign, logdet = _slogdet(m)
         assert (sign, logdet) == (0.0, -np.inf)
         _assert_same_bytes((sign, logdet), tuple(np.linalg.slogdet(m)))
+
+    def test_errors_are_also_the_packages_numerical_errors(self):
+        # so that a sweep names the failing member and the command line exits 2
+        with pytest.raises(NumericalError, match="^Singular matrix$"):
+            _solve(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex))
+        with pytest.raises(NumericalError, match="^Eigenvalues did not converge$"):
+            _eigh(np.full((3, 3), np.nan, dtype=complex))
 
     def test_errors_leave_the_callers_error_state_alone(self):
         before = np.geterr()

@@ -397,6 +397,17 @@ class TestRunSweep:
             with pytest.raises(error, match=r"trial 0 \(seed 11\) at rho2=0.0 dB: "):
                 run_sweep(spec)
 
+    def test_singular_solve_at_extreme_snr_names_its_member(self):
+        # at 1000 dB the relay path overflows and its solve meets a singular
+        # system; the kernel's error is a NumericalError, so the replay
+        # names the first failing problem instead of numpy escaping bare
+        spec = SweepSpec(
+            SnrScenario(10, 10, 0, Dims(2, 2, 4, 4), direct_link_enabled=False),
+            "rho2", (1000.0,), ("opt1", "opt2", "naf"), ("capacity", "ostbc"), trials=8, seed=0,
+        )
+        with pytest.raises(NumericalError, match=r"^trial \d+ \(seed 0\) at rho2=1000.0 dB: "):
+            run_sweep(spec)
+
     def test_naf_alone_survives_a_rank_zero_second_hop(self):
         # at -150 dB H2^H H2 has numerical rank 0: no mode of an eigen-based
         # kind can be served, but NAF needs no factorization of it
