@@ -6,8 +6,7 @@ Config document (strict: unknown keys are rejected)::
     {
       "format_version": 1,                  // optional, must be 1
       "dims": {"t": 4, "r": 4, "s": 4, "u": 4},
-      "rho0_db": 10.0,                      // direct-link SNR; presence enables the direct link
-      "direct_link": true,                  // optional override of that rule
+      "rho0_db": 10.0,                      // direct-link SNR; the link is on iff given or swept
       "rho1_db": 10.0,                      // source->relay SNR (omit if swept)
       "rho2_db": 10.0,                      // relay->destination SNR (omit if swept)
       "sweep": {"axis": "rho2", "points_db": [0, 5, 10]},
@@ -107,7 +106,7 @@ def parse_config(text: str) -> RunConfig:
         _fail("", "config must be a JSON object")
 
     allowed = {
-        "format_version", "dims", "rho0_db", "direct_link", "rho1_db", "rho2_db",
+        "format_version", "dims", "rho0_db", "rho1_db", "rho2_db",
         "sweep", "rtms", "metrics", "symbol_rate", "trials", "seed", "output", "explain",
     }
     _require_keys(doc, "", allowed, {"dims", "sweep", "rtms", "metrics", "trials", "seed"})
@@ -127,18 +126,11 @@ def parse_config(text: str) -> RunConfig:
     for i, p in enumerate(points):
         _typed(p, "number", f"sweep.points_db[{i}]")
 
-    # The link is on when rho0_db is given or rho0 is swept, unless set
-    # explicitly; SweepSpec rejects a rho0 sweep with the link set off.
-    direct_link = doc.get("direct_link", "rho0_db" in doc or axis == "rho0")
-    if not isinstance(direct_link, bool):
-        _fail("direct_link", f"must be true or false, got {direct_link!r}")
-
     def snr(key: str) -> float:
-        swept = axis == key[:-3]
         if key in doc:
             # not float(): SnrScenario rejects an integer too large for one
             return _typed(doc[key], "number", key)
-        if swept or (key == "rho0_db" and not direct_link):
+        if axis == key[:-3] or key == "rho0_db":
             return 0.0  # placeholder, never used
         _fail("", f"missing required key {key!r} (not the swept axis)")
 
@@ -153,7 +145,7 @@ def parse_config(text: str) -> RunConfig:
             explain_at = (exp["seed"], exp["trial"])
         dims = Dims(*(dims_doc[k] for k in ("t", "r", "s", "u")))
         spec = SweepSpec(
-            scenario=SnrScenario(**snrs, dims=dims, direct_link_enabled=direct_link),
+            scenario=SnrScenario(**snrs, dims=dims, direct_link_enabled="rho0_db" in doc or axis == "rho0"),
             sweep_axis=axis,
             sweep_points_db=points,
             rtm_kinds=_typed(doc["rtms"], "list", "rtms"),

@@ -72,7 +72,9 @@ class KktReport:
     """First-order optimality residuals of a water-filling solution.
 
     All four are reported as nonnegative magnitudes; a correct solution
-    drives every one of them to numerical zero.
+    drives every one of them to numerical zero.  Stationarity and dual
+    feasibility read each mode's multiplier relative to the magnitudes of
+    its three terms, complementarity and primal feasibility as they are.
     """
 
     stationarity_residual: float
@@ -287,6 +289,9 @@ def verify_kkt_capacity(
     must carry a zero multiplier (stationarity), x_i > 0 forces
     lambda_i = 0 (complementarity), the budget must bind whenever some
     gain is positive (primal), and no multiplier may be negative (dual).
+    Stationarity and dual feasibility divide lambda_i by the sum of its
+    three terms' magnitudes, so the rounding of terms near 1e7 (alpha_i
+    near 1: a strong first hop over a weak second) stays at ulps.
     It checks one problem: ``alpha``, ``beta`` and ``wf.x`` are vectors
     over the same modes.
     """
@@ -298,11 +303,12 @@ def verify_kkt_capacity(
         raise ValidationError(f"water-filling solution has {x.shape[-1]} modes, spectra expect {alpha.shape[-1]}")
     lam0 = 0.0 if wf.xi is None or math.isnan(wf.xi) else 1.0 / wf.xi
 
-    grad = 1.0 / (1.0 + x) - 1.0 / (1.0 - alpha + x)
-    lam = grad + lam0 * beta
+    gain, loss, cost = 1.0 / (1.0 + x), 1.0 / (1.0 - alpha + x), lam0 * beta
+    lam = gain - loss + cost
+    scaled = lam / (gain + loss + np.abs(cost))
     active = x > 0.0
 
-    stationarity = float(np.max(np.abs(lam[active]), initial=0.0))
+    stationarity = float(np.max(np.abs(scaled[active]), initial=0.0))
     complementarity = float(np.max(np.abs(lam * x), initial=0.0))
     budget = float(beta @ x)
     if np.any(alpha > 0.0):
@@ -310,7 +316,7 @@ def verify_kkt_capacity(
     else:
         primal = max(0.0, budget - p2)
     primal = max(primal, float(np.max(-x, initial=0.0)))
-    dual = max(0.0, float(np.max(-lam, initial=0.0)), -lam0)
+    dual = max(0.0, float(np.max(-scaled, initial=0.0)), -lam0)
     return KktReport(
         stationarity_residual=stationarity,
         complementary_slackness=complementarity,

@@ -296,10 +296,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CurvePoint]:
             pool.shutdown(cancel_futures=True)
     arr = np.concatenate(parts, axis=0)
     mean = arr.mean(axis=0)
-    if spec.trials > 1:
-        stderr = arr.std(axis=0, ddof=1) / math.sqrt(spec.trials)
-    else:
-        stderr = np.zeros_like(mean)
+    # one trial has no spread: ddof 0 gives exactly 0.0, without a warning
+    stderr = arr.std(axis=0, ddof=min(1, spec.trials - 1)) / math.sqrt(spec.trials)
 
     points = []
     for ip, point in enumerate(spec.sweep_points_db):

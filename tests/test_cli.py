@@ -56,10 +56,6 @@ class TestParseConfig:
         assert cfg.spec.scenario.direct_link_enabled
         assert cfg.spec.scenario.rho0_db == 10.0
 
-    def test_direct_link_flag_override(self):
-        cfg = parse_config(json.dumps(make_config(rho0_db=10.0, direct_link=False)))
-        assert not cfg.spec.scenario.direct_link_enabled
-
     def test_missing_seed_named(self):
         doc = make_config()
         del doc["seed"]
@@ -95,25 +91,35 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(doc))
         assert cfg.spec.scenario.direct_link_enabled
 
-    def test_rho0_axis_with_link_off_is_config_error(self, tmp_path, capsys):
-        # an explicit "direct_link": false is not overridden: the sweep
-        # would scale nothing, so it is refused naming the axis
-        doc = make_config(
-            sweep={"axis": "rho0", "points_db": [0, 10]}, rho2_db=10.0, direct_link=False,
-            output=str(tmp_path / "out.csv"),
-        )
-        with pytest.raises(ConfigError, match="sweep_axis 'rho0'"):
+    @pytest.mark.parametrize("value", [True, False, 1, "yes"])
+    def test_direct_link_key_is_unknown(self, tmp_path, capsys, value):
+        # the link follows rho0_db and the axis alone: the key is refused
+        # like any unknown one, before the sweep and its output
+        doc = make_config(rho0_db=10.0, direct_link=value, output=str(tmp_path / "out.csv"))
+        with pytest.raises(ConfigError, match="unknown key 'direct_link'"):
             parse_config(json.dumps(doc))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 1
-        assert "sweep_axis 'rho0'" in capsys.readouterr().err
+        assert "unknown key 'direct_link'" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_unsorted_points_rejected(self):
         doc = make_config(sweep={"axis": "rho2", "points_db": [10, 0]})
         with pytest.raises(ConfigError, match="sorted"):
             parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("source", ["README", "cli docstring"])
+    def test_documented_example_parses(self, source):
+        # a key the parser no longer takes must not stay in the docs
+        if source == "README":
+            readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+            text = re.search(r"```json\n(.*?)```", readme, re.S)[1]
+        else:
+            doc = cli.__doc__
+            text = re.sub(r"//.*", "", doc[doc.index("{"):doc.rindex("}") + 1])
+        cfg = parse_config(text)
+        assert cfg.spec.scenario.direct_link_enabled and cfg.spec.sweep_axis == "rho2"
 
     def test_bad_json_reported(self):
         with pytest.raises(ConfigError, match="JSON"):
@@ -190,8 +196,6 @@ class TestParseConfig:
             (json.dumps(make_config(sweep={"axis": "rho2", "points_db": [0, "5"]})), "sweep.points_db[1]: must be a JSON number, got '5'"),
             (json.dumps(make_config(rho1_db=True)), "rho1_db: must be a JSON number, got True"),
             (json.dumps(make_config(sweep={"axis": "rho9", "points_db": [0]})), "sweep.axis: must be one of ['rho0', 'rho1', 'rho2'], got 'rho9'"),
-            (json.dumps(make_config(direct_link=1)), "direct_link: must be true or false, got 1"),
-            (json.dumps(make_config(direct_link="yes")), "direct_link: must be true or false, got 'yes'"),
             (json.dumps(make_config(explain={"seed": -1, "trial": 0})), "explain.seed must be an integer >= 0, got -1"),
             (json.dumps(make_config(explain={"seed": 0, "trial": 1.5})), "explain.trial must be an integer >= 0, got 1.5"),
         ],

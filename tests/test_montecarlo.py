@@ -188,6 +188,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ValidationError):
             _spec(**kw)
 
+    def test_rho0_axis_needs_the_direct_link(self):
+        # without the link rho0 scales nothing, so the sweep is refused
+        with pytest.raises(ValidationError, match="sweep_axis 'rho0'"):
+            _spec(sweep_axis="rho0", direct_link=False)
+
 
 class TestRunSweep:
     def test_single_trial_matches_direct_computation(self):
