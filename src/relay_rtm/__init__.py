@@ -1,6 +1,10 @@
 """Optimal relay transform matrices for two-hop amplify-and-forward MIMO
 relay networks with a direct link, under the capacity and OSTBC-capacity
 criteria, plus a seeded Monte Carlo engine for ergodic-capacity sweeps.
+
+The names imported below are the public API; no module keeps an export
+list.  ``from relay_rtm import *`` therefore also binds the submodule
+names (``errors``, ``evaluate``, ...), and not ``__version__``.
 """
 
 from .errors import (
@@ -42,44 +46,3 @@ from .opt_capacity import (
 from .opt_ostbc import build_ostbc_spectra, optimize_ostbc_rtm, waterfill_ostbc
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "RelayRtmError",
-    "ValidationError",
-    "DeadRelayError",
-    "NumericalError",
-    "ConfigError",
-    "DeadRelayWarning",
-    "HermEig",
-    "ThinUd",
-    "herm_eig",
-    "thin_ud",
-    "Dims",
-    "ChannelSet",
-    "PowerBudget",
-    "SnrScenario",
-    "translate_scenario",
-    "validate",
-    "SpectraBundle",
-    "WaterfillSolution",
-    "RtmSolution",
-    "build_capacity_spectra",
-    "waterfill_capacity",
-    "assemble_rtm",
-    "optimize_capacity_rtm",
-    "build_ostbc_spectra",
-    "waterfill_ostbc",
-    "optimize_ostbc_rtm",
-    "CapacityReport",
-    "KktReport",
-    "capacity",
-    "capacity_forms",
-    "ostbc_capacity",
-    "naf_rtm",
-    "verify_kkt_capacity",
-    "SweepSpec",
-    "CurvePoint",
-    "sample_channels",
-    "run_sweep",
-    "__version__",
-]

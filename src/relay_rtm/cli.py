@@ -44,8 +44,6 @@ from .evaluate import capacity_forms, ostbc_capacity, verify_kkt_capacity
 from .montecarlo import _BUILDERS, SWEEP_AXES, SweepSpec, _scenario_at, run_sweep, sample_channels
 from .network import Dims, SnrScenario, _check_count, translate_scenario
 
-__all__ = ["RunConfig", "parse_config", "run", "explain", "main"]
-
 CSV_HEADER = ("sweep_db", "rtm", "metric", "mean_bits", "stderr_bits", "trials")
 DEFAULT_OUTPUT = "sweep.csv"
 #: An output path that names one of the process's open descriptors.

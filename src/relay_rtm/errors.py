@@ -1,14 +1,5 @@
 """Exception and warning types shared across the package."""
 
-__all__ = [
-    "RelayRtmError",
-    "ValidationError",
-    "DeadRelayError",
-    "NumericalError",
-    "ConfigError",
-    "DeadRelayWarning",
-]
-
 
 class RelayRtmError(Exception):
     """Base class for all errors raised by this package."""

@@ -46,16 +46,6 @@ from .matalg import _any, _eye, _numbers, _slogdet, _solve, conj_transpose
 from .network import ChannelSet, Dims, PowerBudget, _g0, _is_number, _read_only
 from .opt_capacity import RtmSolution, WaterfillSolution, _shaping_matrix, _wf_arrays
 
-__all__ = [
-    "CapacityReport",
-    "KktReport",
-    "capacity",
-    "capacity_forms",
-    "ostbc_capacity",
-    "naf_rtm",
-    "verify_kkt_capacity",
-]
-
 _FORM_AGREEMENT_BITS = 1e-9
 
 
@@ -149,12 +139,15 @@ def _relay_path(ch: ChannelSet, pb: PowerBudget, dims: Dims, x_matrix: np.ndarra
     """``_build_relay_path(ch, X)``, which ``ch`` remembers, read-only, for
     the last X only, keyed by X's bytes: memory stays bounded over many X,
     and a changed X is rebuilt.  The slot is written as one tuple with no
-    lock, so a race between threads only rebuilds the pair.  The network
-    is validated (``_shaping_matrix``) before the first build reads it."""
+    lock, so a race between threads only rebuilds the pair.  X's entries
+    must be finite and the network is validated (``_shaping_matrix``)
+    before the first build reads either; a remembered X passed both."""
     key = (x_matrix.shape, x_matrix.tobytes())
     last = ch._memo.get("relay_path")
     if last is not None and last[0] == key:
         return last[1]
+    if not np.isfinite(x_matrix).all():
+        raise ValidationError("relay transform contains non-finite entries")
     _shaping_matrix(ch, pb, dims)
     path = _build_relay_path(ch, x_matrix)
     _read_only(*path)
@@ -293,7 +286,7 @@ def verify_kkt_capacity(
     three terms' magnitudes, so the rounding of terms near 1e7 (alpha_i
     near 1: a strong first hop over a weak second) stays at ulps.
     It checks one problem: ``alpha``, ``beta`` and ``wf.x`` are vectors
-    over the same modes.
+    over the same modes, and ``wf.x`` is finite.
     """
     alpha, beta = _wf_arrays(alpha, beta, p2)
     x = _numbers("mode powers x", wf.x, float)
@@ -301,6 +294,8 @@ def verify_kkt_capacity(
         raise ValidationError(f"verify_kkt_capacity checks one problem, got alpha {alpha.shape} and x {x.shape}")
     if x.shape != alpha.shape:
         raise ValidationError(f"water-filling solution has {x.shape[-1]} modes, spectra expect {alpha.shape[-1]}")
+    if not np.isfinite(x).all():
+        raise ValidationError(f"mode powers x must be finite, got {x}")
     lam0 = 0.0 if wf.xi is None or math.isnan(wf.xi) else 1.0 / wf.xi
 
     gain, loss, cost = 1.0 / (1.0 + x), 1.0 / (1.0 - alpha + x), lam0 * beta

@@ -62,16 +62,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NumericalError, ValidationError
 
-__all__ = [
-    "HermEig",
-    "ThinUd",
-    "herm_eig",
-    "thin_ud",
-    "hermitian_part",
-    "conj_transpose",
-    "DEFAULT_RANK_TOL",
-]
-
 #: Relative rank cutoff for thin diagonalizations (floored at absolute 1e-10).
 DEFAULT_RANK_TOL = 1e-10
 

@@ -56,8 +56,6 @@ from .network import ChannelSet, Dims, PowerBudget, SnrScenario, _amplitude, _ch
 from .opt_capacity import optimize_capacity_rtm
 from .opt_ostbc import optimize_ostbc_rtm
 
-__all__ = ["SweepSpec", "CurvePoint", "sample_channels", "run_sweep", "RTM_KINDS", "METRICS", "SWEEP_AXES"]
-
 SWEEP_AXES = ("rho0", "rho1", "rho2")
 
 #: Trials per stacked chunk of a sweep: enough (times the sweep points) to

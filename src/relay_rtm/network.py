@@ -66,15 +66,6 @@ import numpy as np
 from .errors import DeadRelayWarning, ValidationError
 from .matalg import _any, _numbers, conj_transpose, hermitian_part
 
-__all__ = [
-    "Dims",
-    "ChannelSet",
-    "PowerBudget",
-    "SnrScenario",
-    "translate_scenario",
-    "validate",
-]
-
 
 def _is_number(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)

@@ -66,17 +66,6 @@ from .errors import DeadRelayError, NumericalError, ValidationError
 from .matalg import DEFAULT_RANK_TOL, HermEig, _any, _eye, _numbers, _solve, conj_transpose, herm_eig, hermitian_part, thin_ud
 from .network import ChannelSet, Dims, PowerBudget, _finite, _g0, _h1_gram, _memoized, _read_only, validate
 
-__all__ = [
-    "SpectraBundle",
-    "WaterfillSolution",
-    "RtmSolution",
-    "build_capacity_spectra",
-    "waterfill_capacity",
-    "assemble_rtm",
-    "optimize_capacity_rtm",
-    "activation_thresholds",
-]
-
 #: Relative budget tolerance and iteration cap of ``waterfill_capacity``.
 _BUDGET_RTOL = 1e-12
 _MAX_ITER = 200

@@ -43,13 +43,6 @@ from .opt_capacity import (
     assemble_rtm,
 )
 
-__all__ = [
-    "build_ostbc_spectra",
-    "waterfill_ostbc",
-    "optimize_ostbc_rtm",
-    "activation_thresholds",
-]
-
 
 def build_ostbc_spectra(ch: ChannelSet, pb: PowerBudget, dims: Dims) -> SpectraBundle:
     """Reduce a network (or a stack of networks) to the OSTBC-criterion

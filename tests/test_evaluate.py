@@ -1,5 +1,6 @@
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -111,6 +112,17 @@ class TestCapacity:
         with pytest.raises(ValidationError, match="relay transform"):
             capacity(ch, PowerBudget(2.0, 2.0), dims, x)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("metric", [capacity, capacity_forms, ostbc_capacity])
+    def test_rejects_non_finite_transform(self, entry, stacked, metric):
+        # rejected before numpy reads it, so no RuntimeWarning comes first
+        x, ch, pb, dims = _transform_with_entry(entry, stacked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^relay transform contains non-finite entries$"):
+                metric(ch, pb, dims, x)
+
 
 class TestOstbcCapacity:
     @pytest.mark.parametrize("rate", [1.0, 0.75, 0.5])
@@ -195,6 +207,20 @@ def _mix_stack(dims, trials):
     return ch, pb, members
 
 
+def _transform_with_entry(entry, stacked):
+    """The naf transform of a sampled network, or of a stack, with one
+    entry replaced; returns it with the network, budget and dims."""
+    dims = Dims(2, 2, 3, 3)
+    ch, pb, members = _mix_stack(dims, 3)
+    x = naf_rtm(ch, pb, dims).x_matrix.copy()
+    if stacked:
+        x[1, 0, 1] = entry
+    else:
+        ch, x = members[0], x[0]
+        x[0, 1] = entry
+    return x, ch, pb, dims
+
+
 class TestFormGate:
     """The two capacity forms must agree to 1e-9 bits; a larger gap raises."""
 
@@ -264,19 +290,20 @@ class TestFormGate:
         with pytest.raises(NumericalError, match="^capacity forms disagree: "):
             capacity(_fresh(ch), pb, dims, x)
 
-    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("stacked", [False, True])
-    @pytest.mark.parametrize("metric", [capacity, ostbc_capacity])
-    def test_non_finite_transform(self, entry, stacked, metric):
-        dims = Dims(2, 2, 3, 3)
-        ch, pb, members = _mix_stack(dims, 3)
-        x = naf_rtm(ch, pb, dims).x_matrix.copy()
-        if stacked:
-            x[1, 0, 1] = entry
-        else:
-            ch, x = members[0], x[0]
-            x[0, 1] = entry
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalError, match="not (positive definite|finite)"):
+    @pytest.mark.parametrize(
+        "metric, match",
+        [
+            (capacity, "^log-det argument is not positive definite "),
+            (capacity_forms, "^log-det argument is not positive definite "),
+            (ostbc_capacity, "^OSTBC capacity is not finite "),
+        ],
+    )
+    def test_overflowing_transform(self, stacked, metric, match):
+        # a finite transform passes the input check; its relay path
+        # overflows, and the figure's own check raises
+        x, ch, pb, dims = _transform_with_entry(1e200, stacked)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalError, match=match):
             metric(ch, pb, dims, x)
 
 
@@ -510,6 +537,14 @@ class TestVerifyKkt:
         wf = waterfill_capacity(np.full(modes, 0.5), np.ones(modes), 1.0)
         with pytest.raises(ValidationError, match=rf"^water-filling solution has {modes} modes, spectra expect 3$"):
             verify_kkt_capacity(np.array([0.5, 0.2, 0.1]), np.ones(3), 1.0, wf)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mode_powers(self, entry):
+        # a NaN power once read as stationary and dual feasible
+        wf = waterfill_capacity(np.array([0.5, 0.2]), np.ones(2), 1.0)
+        tampered = WaterfillSolution(x=np.array([wf.x[0], entry]), xi=wf.xi)
+        with pytest.raises(ValidationError, match="^mode powers x must be finite"):
+            verify_kkt_capacity(np.array([0.5, 0.2]), np.ones(2), 1.0, tampered)
 
     def test_batch_random_problems(self):
         rng = np.random.default_rng(1000)
