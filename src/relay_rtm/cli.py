@@ -15,9 +15,11 @@ Config document (strict: unknown keys are rejected)::
       "symbol_rate": 1.0,                   // optional, OSTBC metric only
       "trials": 1000,
       "seed": 7,
-      "output": "sweep.csv",                // optional; --output overrides
-      "explain": {"seed": 1, "trial": 0}    // optional, for the explain command
+      "output": "sweep.csv"                 // optional; --output overrides
     }
+
+``explain CONFIG [--trial T]`` replays trial T (default 0) of the config's
+sweep, drawn from its ``seed``, at the first sweep point.
 
 Exit codes: 0 success, 1 config error, 2 numerical or I/O error.
 """
@@ -42,7 +44,7 @@ from . import opt_capacity, opt_ostbc
 from .errors import ConfigError, RelayRtmError, ValidationError
 from .evaluate import capacity_forms, ostbc_capacity, verify_kkt_capacity
 from .montecarlo import _BUILDERS, SWEEP_AXES, SweepSpec, _scenario_at, run_sweep, sample_channels
-from .network import Dims, SnrScenario, _check_count, translate_scenario
+from .network import Dims, SnrScenario, translate_scenario
 
 CSV_HEADER = ("sweep_db", "rtm", "metric", "mean_bits", "stderr_bits", "trials")
 DEFAULT_OUTPUT = "sweep.csv"
@@ -54,7 +56,6 @@ _DESCRIPTOR_PATH = re.compile(r"/dev/std(out|err)|/(?:dev|proc/self)/fd/([0-9]+)
 class RunConfig:
     spec: SweepSpec
     output_path: str
-    explain_at: Optional[tuple]  # (seed, trial) for explain mode
 
 
 def _fail(path: str, message: str):
@@ -92,9 +93,7 @@ def parse_config(text: str) -> RunConfig:
 
     This checks the document's structure and JSON types; every value rule
     (ranges, membership, ordering) belongs to the domain type that carries
-    the value, or to the integer-count rule that the domain types share
-    for the explain seed and trial, and its ValidationError is reported as
-    a ConfigError.
+    the value, and its ValidationError is reported as a ConfigError.
     """
     try:
         doc = json.loads(text)
@@ -105,7 +104,7 @@ def parse_config(text: str) -> RunConfig:
 
     allowed = {
         "format_version", "dims", "rho0_db", "rho1_db", "rho2_db",
-        "sweep", "rtms", "metrics", "symbol_rate", "trials", "seed", "output", "explain",
+        "sweep", "rtms", "metrics", "symbol_rate", "trials", "seed", "output",
     }
     _require_keys(doc, "", allowed, {"dims", "sweep", "rtms", "metrics", "trials", "seed"})
 
@@ -134,13 +133,7 @@ def parse_config(text: str) -> RunConfig:
 
     snrs = {key: snr(key) for key in ("rho0_db", "rho1_db", "rho2_db")}
 
-    explain_at = None
     try:
-        if "explain" in doc:
-            exp = _section(doc, "explain", ("seed", "trial"))
-            for key in ("seed", "trial"):
-                _check_count(f"explain.{key}", exp[key], 0)
-            explain_at = (exp["seed"], exp["trial"])
         dims = Dims(*(dims_doc[k] for k in ("t", "r", "s", "u")))
         spec = SweepSpec(
             scenario=SnrScenario(**snrs, dims=dims, direct_link_enabled="rho0_db" in doc or axis == "rho0"),
@@ -155,7 +148,7 @@ def parse_config(text: str) -> RunConfig:
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     output = _typed(doc.get("output", DEFAULT_OUTPUT), "string", "output")
-    return RunConfig(spec=spec, output_path=output, explain_at=explain_at)
+    return RunConfig(spec=spec, output_path=output)
 
 
 def write_csv(points, stream) -> None:
@@ -296,14 +289,12 @@ def _explain_solution(lines, sol, p2: float):
         lines.append(f"  linear segment:          {segment} threshold(s) below the water level")
 
 
-def explain(cfg: RunConfig) -> str:
+def explain(cfg: RunConfig, trial: int = 0) -> str:
     """Single-realization diagnostic report of the solutions the sweep's
-    solvers (``montecarlo._BUILDERS``) return for the config's (seed,
-    trial) realization at the first sweep point, the scenario the sweep
-    solves there."""
-    if cfg.explain_at is None:
-        raise ConfigError("explain: config has no \"explain\" section")
-    seed, trial = cfg.explain_at
+    solvers (``montecarlo._BUILDERS``) return for trial ``trial`` of the
+    config's sweep, drawn from its seed, at the first sweep point, the
+    scenario the sweep solves there."""
+    seed = cfg.spec.seed
     scn = _scenario_at(cfg.spec, cfg.spec.sweep_points_db[0])
     dims = scn.dims
     ch, pb = translate_scenario(scn, sample_channels(dims, seed, trial))
@@ -347,9 +338,9 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="run the configured sweep and write a CSV")
     run_parser.add_argument("config", help=config_help)
     run_parser.add_argument("--output", default=None, help="override the CSV output path")
-    sub.add_parser(
-        "explain", help="print spectra, water levels and KKT residuals for one realization"
-    ).add_argument("config", help=config_help)
+    explain_parser = sub.add_parser("explain", help="print spectra, water levels and KKT residuals for one realization")
+    explain_parser.add_argument("config", help=config_help)
+    explain_parser.add_argument("--trial", type=int, default=0, help="the sweep trial to replay (default 0)")
     args = parser.parse_args(argv)
 
     try:
@@ -361,8 +352,9 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.command == "run":
             return run(cfg, output_override=args.output)
-        report = explain(cfg)
-        print(report, end="")
+        if args.trial < 0:
+            raise ConfigError(f"--trial must be an integer >= 0, got {args.trial}")
+        print(explain(cfg, args.trial), end="")
         return 0
     except ConfigError as exc:
         print(f"relay-rtm: config error: {exc}", file=sys.stderr)

@@ -21,6 +21,8 @@ from relay_rtm.evaluate import naf_rtm
 from relay_rtm.montecarlo import run_sweep
 from relay_rtm.network import ChannelSet, PowerBudget
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 MINIMAL = {
     "dims": {"t": 4, "r": 4, "s": 4, "u": 4},
     "rho1_db": 10.0,
@@ -134,14 +136,18 @@ class TestParseConfig:
     def test_format_version_one_accepted(self):
         assert parse_config(json.dumps(make_config(format_version=1))) == parse_config(json.dumps(make_config()))
 
-    def test_explain_section(self):
-        cfg = parse_config(json.dumps(make_config(explain={"seed": 3, "trial": 9})))
-        assert cfg.explain_at == (3, 9)
-
-    def test_explain_section_strict(self):
-        doc = make_config(explain={"seed": 3, "trial": 9, "mode": "x"})
-        with pytest.raises(ConfigError, match="explain.*'mode'"):
+    @pytest.mark.parametrize("command", ["run", "explain"])
+    def test_explain_key_is_unknown(self, tmp_path, capsys, command):
+        # explain replays the sweep's own seed and takes its trial from
+        # --trial: a document that still names the section is refused
+        doc = make_config(explain={"seed": 3, "trial": 9}, output=str(tmp_path / "out.csv"))
+        with pytest.raises(ConfigError, match="unknown key 'explain'"):
             parse_config(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 1
+        assert "unknown key 'explain'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_bad_symbol_rate(self):
         with pytest.raises(ConfigError, match="symbol_rate"):
@@ -196,8 +202,6 @@ class TestParseConfig:
             (json.dumps(make_config(sweep={"axis": "rho2", "points_db": [0, "5"]})), "sweep.points_db[1]: must be a JSON number, got '5'"),
             (json.dumps(make_config(rho1_db=True)), "rho1_db: must be a JSON number, got True"),
             (json.dumps(make_config(sweep={"axis": "rho9", "points_db": [0]})), "sweep.axis: must be one of ['rho0', 'rho1', 'rho2'], got 'rho9'"),
-            (json.dumps(make_config(explain={"seed": -1, "trial": 0})), "explain.seed must be an integer >= 0, got -1"),
-            (json.dumps(make_config(explain={"seed": 0, "trial": 1.5})), "explain.trial must be an integer >= 0, got 1.5"),
         ],
     )
     def test_structure_error_is_config_error(self, tmp_path, capsys, text, named):
@@ -302,7 +306,6 @@ class TestExplain:
             "metrics": ["capacity"],
             "trials": 1,
             "seed": 0,
-            "explain": {"seed": 0, "trial": 0},
         }
         return parse_config(json.dumps(doc))
 
@@ -346,7 +349,6 @@ class TestExplain:
                     "metrics": ["capacity", "ostbc"],
                     "trials": 1,
                     "seed": 42,
-                    "explain": {"seed": 42, "trial": 0},
                 }
             )
         )
@@ -368,11 +370,11 @@ class TestExplain:
                     "metrics": ["capacity"],
                     "trials": 1,
                     "seed": 5,
-                    "explain": {"seed": 5, "trial": 2},
                 }
             )
         )
-        report = explain(cfg)
+        report = explain(cfg, trial=2)
+        assert report.startswith("realization seed=5 trial=2\n")
         for tag in ("[opt1]", "[opt2]", "[naf-rect]"):
             assert tag in report
         assert "capacity:" in report and "ostbc capacity" in report
@@ -401,7 +403,6 @@ class TestExplain:
             metrics=["capacity", "ostbc"],
             sweep={"axis": "rho2", "points_db": [5, 10]},
             trials=1,
-            explain={"seed": 7, "trial": 0},
             **template,
         )
         cfg = parse_config(json.dumps(doc))
@@ -421,12 +422,9 @@ class TestExplain:
 
     def test_scenario_line_names_rho0_only_with_the_link(self):
         # without the link rho0 is the placeholder parse_config never uses
-        configs = Path(__file__).resolve().parents[1] / "configs"
         lines = {}
         for name in ("pure_relay_m4", "direct_link_gain_m4"):
-            doc = json.loads((configs / f"{name}.json").read_text())
-            doc.update(trials=1, explain={"seed": 7, "trial": 0})
-            lines[name] = explain(parse_config(json.dumps(doc))).splitlines()[1]
+            lines[name] = explain(parse_config((CONFIGS / f"{name}.json").read_text())).splitlines()[1]
         assert lines["pure_relay_m4"] == (
             "scenario: t=4 r=4 s=4 u=4; direct link off, rho1=10 dB, rho2=0 dB; p1=4, p2=4"
         )
@@ -437,10 +435,21 @@ class TestExplain:
     def test_titles_name_every_kind(self):
         assert list(cli._TITLES) == list(montecarlo.RTM_KINDS)
 
-    def test_requires_explain_section(self):
-        cfg = parse_config(json.dumps(make_config()))
-        with pytest.raises(ConfigError, match="explain"):
-            explain(cfg)
+    @pytest.mark.parametrize("trial", [0, 3])
+    def test_replays_the_sweeps_trial(self, trial):
+        # trial T of explain is trial T of the sweep, drawn from the
+        # config's seed: its direct capacity form is the capacity the
+        # sweep computes for that member at the first point
+        doc = make_config(
+            dims={"t": 2, "r": 3, "s": 2, "u": 2}, rho0_db=5.0, rtms=["opt1", "opt2", "naf"], trials=4
+        )
+        cfg = parse_config(json.dumps(doc))
+        report = explain(cfg, trial=trial)
+        assert report.startswith(f"realization seed=7 trial={trial}\n")
+        direct = [float(v) for v in re.findall(r"^    \(direct form (\S+),", report, re.M)]
+        swept = montecarlo._chunk_values(cfg.spec, range(trial, trial + 1))[0, 0, :, 0]
+        np.testing.assert_allclose(direct, swept, rtol=0, atol=1e-11)
+        assert report != explain(cfg, trial=1)
 
 
 class TestMain:
@@ -451,9 +460,20 @@ class TestMain:
         assert "mean_bits" in out
 
     def test_explain_command(self, tmp_path, capsys):
-        path, doc = _small_config(tmp_path, explain={"seed": 1, "trial": 0})
-        assert main(["explain", str(path)]) == 0
-        assert "[opt1]" in capsys.readouterr().out
+        path, doc = _small_config(tmp_path)
+        assert main(["explain", str(path), "--trial", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("realization seed=7 trial=2\n") and "[opt1]" in out
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_explain_runs_on_every_shipped_config(self, capsys, name):
+        assert main(["explain", str(CONFIGS / name)]) == 0
+        assert capsys.readouterr().out.startswith("realization seed=7 trial=0\n")
+
+    def test_negative_trial_is_config_error(self, tmp_path, capsys):
+        path, doc = _small_config(tmp_path)
+        assert main(["explain", str(path), "--trial", "-1"]) == 1
+        assert capsys.readouterr().err == "relay-rtm: config error: --trial must be an integer >= 0, got -1\n"
 
     def test_empty_output_is_config_error(self, tmp_path, capsys, monkeypatch):
         # an empty --output names no file; it does not fall back to the

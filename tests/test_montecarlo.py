@@ -413,6 +413,18 @@ class TestRunSweep:
         with pytest.raises(NumericalError, match=r"^trial \d+ \(seed 0\) at rho2=1000.0 dB: "):
             run_sweep(spec)
 
+    # numpy warns as the stacked eigenvalues overflow, before thin_ud
+    # raises its ValidationError, so under -W error the caller gets the
+    # warning instead (an open fault, recorded in CHANGES.md)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_stacked_eigenvalue_overflow_names_its_member(self):
+        # near 3080 dB the second hop's eigenvalues, scaled to the point,
+        # overflow float64 in the chunk's (trial x point) stack; the replay
+        # names the first member that overflows alone
+        spec = _spec(trials=3, rtm_kinds=("opt1", "opt2"), sweep_points_db=(0.0, 3080.0))
+        with pytest.raises(ValidationError, match=rf"^trial 0 \(seed {spec.seed}\) at rho2=3080.0 dB: matrix eigenvalues overflow float64$"):
+            run_sweep(spec)
+
     def test_naf_alone_survives_a_rank_zero_second_hop(self):
         # at -150 dB H2^H H2 has numerical rank 0: no mode of an eigen-based
         # kind can be served, but NAF needs no factorization of it

@@ -64,6 +64,15 @@ class TestBuildSpectra:
         assert sp.u_b_thin.shape == (4, 4)
 
 
+#: The public calls that read mode gains and costs, with their test ids.
+_MODE_CALLS = {
+    "waterfill_capacity": lambda alpha, beta: waterfill_capacity(alpha, beta, 1.0),
+    "waterfill_ostbc": lambda alpha, beta: waterfill_ostbc(alpha, beta, 1.0),
+    "capacity_thresholds": activation_thresholds,
+    "ostbc_thresholds": opt_ostbc.activation_thresholds,
+}
+
+
 class TestWaterfill:
     def test_single_mode_hand_solution(self):
         wf = waterfill_capacity(np.array([0.5]), np.array([1.0]), 1.0)
@@ -142,13 +151,10 @@ class TestWaterfill:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda alpha, beta: waterfill_capacity(alpha, beta, 1.0),
-            lambda alpha, beta: waterfill_ostbc(alpha, beta, 1.0),
-            activation_thresholds,
-            opt_ostbc.activation_thresholds,
+            *_MODE_CALLS.values(),
             lambda alpha, beta: verify_kkt_capacity(alpha, beta, 1.0, WaterfillSolution(np.array([1.0]), 3.0)),
         ],
-        ids=["waterfill_capacity", "waterfill_ostbc", "capacity_thresholds", "ostbc_thresholds", "verify_kkt_capacity"],
+        ids=[*_MODE_CALLS, "verify_kkt_capacity"],
     )
     @pytest.mark.parametrize("which", ["alpha", "beta"])
     @pytest.mark.parametrize(
@@ -169,6 +175,16 @@ class TestWaterfill:
         modes = {"alpha": [0.5], "beta": [1.0], which: bad}
         with pytest.raises(ValidationError, match=f"^{which} must hold numbers"):
             call(modes["alpha"], modes["beta"])
+
+    @pytest.mark.parametrize("call", list(_MODE_CALLS.values()), ids=list(_MODE_CALLS))
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [([0.5, 0.2], [1.0]), ([[0.5, 0.2]], [1.0, 1.0]), (0.5, 1.0)],
+        ids=["lengths", "stack-vs-vector", "scalars"],
+    )
+    def test_unequal_mode_shapes_are_validation_errors(self, call, alpha, beta):
+        with pytest.raises(ValidationError, match=r"^alpha and beta must be vectors \(or stacks of vectors\) of equal shape$"):
+            call(alpha, beta)
 
     @pytest.mark.parametrize("solver", [waterfill_capacity, waterfill_ostbc])
     @pytest.mark.parametrize("p2", [10**400, -(10**400)], ids=["1e400", "-1e400"])
@@ -201,6 +217,13 @@ class TestAssemble:
         np.testing.assert_allclose(sol.x_matrix, [[1.0]], rtol=1e-10)
         assert sol.relay_power_used == pytest.approx(2.0, rel=1e-10)
         assert sol.kind == "opt1"
+
+    @pytest.mark.parametrize("modes", [0, 2])
+    def test_rejects_a_solution_of_another_mode_count(self, modes):
+        dims, ch = scalar_network()
+        sp = build_capacity_spectra(ch, PowerBudget(1.0, 2.0), dims)
+        with pytest.raises(ValidationError, match=rf"^water-filling solution has {modes} modes, spectra expect 1$"):
+            assemble_rtm(sp, WaterfillSolution(x=np.ones(modes), xi=1.0))
 
     def test_zero_modes_give_zero_matrix(self):
         dims = Dims(2, 2, 2, 2)
