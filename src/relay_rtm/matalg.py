@@ -237,7 +237,9 @@ def thin_ud(m: np.ndarray, *, _gain=1.0) -> ThinUd:
         cut = DEFAULT_RANK_TOL * floor
         rank = sum(v > cut for v in w)
         return ThinUd(eig.eigenvectors[:, :rank], np.array([v if v > cut else 0.0 for v in w[:rank]]), rank)
-    w = w * _gain
+    # an eigenvalue the gain overflows raises the ValidationError below
+    with np.errstate(over="ignore"):
+        w = w * _gain
     floor = np.maximum(w[..., :1], 1.0)
     if _any(floor == np.inf):
         raise ValidationError("matrix eigenvalues overflow float64")

@@ -1,9 +1,13 @@
 """Seeded Monte Carlo sweeps over iid Rayleigh channel ensembles.
 
-Determinism contract: every trial draws its channels from a counter-based
-substream keyed by (seed, trial_index).  Channels are reused across sweep
-points and transform kinds within a trial (common random numbers: the
-curves compare matrices on the same fading).
+Determinism contract: every trial draws its channels from its own stream,
+NumPy's ``PCG64`` seeded by ``SeedSequence(entropy=seed,
+spawn_key=(trial,))``, so a trial's channels depend on (seed, trial) alone.
+A chunk derives the seeds of all its trials' streams in one vectorized
+pass of the ``SeedSequence`` hash, bit for bit the seeds NumPy derives
+one trial at a time.  Channels are reused across sweep points and
+transform kinds within a trial (common random numbers: the curves compare
+matrices on the same fading).
 
 Sweeps run on stacks: the trials are cut into chunks of ``_CHUNK_TRIALS``
 (a bound on memory, not a tuning knob), and the (trial x point) problems
@@ -44,10 +48,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import evaluate
 from .errors import RelayRtmError, ValidationError
@@ -122,18 +127,76 @@ class CurvePoint:
     trials: int
 
 
+@lru_cache(maxsize=32)
+def _hash_constants(init: int, mult: int, first: int, count: int) -> tuple:
+    """The XOR and multiplier arrays of ``count`` steps of a ``SeedSequence``
+    hash from step ``first`` on: init * mult**k modulo 2**32 for k = first,
+    ..., first + count - 1, and for each k + 1."""
+    c = np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(first, first + count + 1)], dtype=np.uint32)
+    c.flags.writeable = False
+    return c[:-1], c[1:]
+
+
+def _words(n: int) -> int:
+    """How many 32-bit words ``SeedSequence`` cuts the integer n >= 0 into."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _pcg64_states(seed: int, trials) -> np.ndarray:
+    """(trials, 4) uint64: row i is ``SeedSequence(entropy=seed,
+    spawn_key=(trials[i],)).generate_state(4, np.uint64)``, derived for all
+    trials at once with the constants and steps of NumPy's ``SeedSequence``
+    (O'Neill's seed_seq hash), which NumPy's stream-compatibility policy
+    keeps fixed.  The seed's pool is mixed once; each trial's spawn words,
+    low word first, are mixed into it and the result is hashed to the state.
+    """
+    t = np.array(trials, dtype=object)[:, None]
+    pool = np.random.SeedSequence(seed).pool
+    # mixing the seed took 16 hashes (4 words in, 12 cross-mixes), and 4
+    # more for each seed word past the pool's 4
+    first = 16 + 4 * max(0, _words(seed) - 4)
+    for j in range(_words(max(trials, default=0))):
+        # NumPy's INIT_A and MULT_A, then MIX_MULT_L and MIX_MULT_R
+        xor, mult = _hash_constants(0x43B0D7E5, 0x931E8875, first + 4 * j, 4)
+        h = ((t >> 32 * j & 0xFFFFFFFF).astype(np.uint32) ^ xor) * mult
+        mixed = pool * np.uint32(0xCA01F9DD) - (h ^ h >> 16) * np.uint32(0x4973F715)
+        mixed ^= mixed >> 16
+        # a trial below 2**(32 j) has no word j
+        pool = mixed if j == 0 else np.where(t >> 32 * j > 0, mixed, pool)
+    # INIT_B and MULT_B: generate_state hashes eight words, two passes over the pool
+    xor, mult = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 8)
+    s = (pool[:, None] ^ xor.reshape(2, 4)) * mult.reshape(2, 4)
+    s ^= s >> 16
+    # the words' little-endian pairs, as generate_state takes them
+    return s.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _Seeded(ISeedSequence):
+    """A stand-in for a ``SeedSequence`` that returns a state derived
+    beforehand, a row of ``_pcg64_states``: ``PCG64`` seeds itself from it
+    as from the ``SeedSequence`` it stands for."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
 def sample_channels(dims: Dims, seed: int, trial_index: int | range) -> ChannelSet:
     """Draw iid Rayleigh realizations (unit-variance complex entries).
 
     An int ``trial_index`` gives one realization; a ``range`` of trials
     gives a stack with a leading trial axis, whose member i is exactly
     what trial ``trial_index[i]`` gives alone.  Each trial is a
-    deterministic function of (seed, trial): its substream is spawned from
-    the seed with the trial index as spawn key, so the same pair always
-    yields the same matrices under any scheduling or chunking.  A trial
-    takes all its normals in one draw, the real then the imaginary parts
-    of h0, h1 and h2 in turn; the draws of a stack are then made complex
-    in one pass.  ``seed`` and every trial must be integers >= 0.
+    deterministic function of (seed, trial): its stream is NumPy's
+    ``PCG64`` seeded by ``SeedSequence(entropy=seed, spawn_key=(trial,))``,
+    so the same pair always yields the same matrices under any scheduling
+    or chunking.  The streams' seeds are derived for all trials of a call
+    at once (``_pcg64_states``), bit for bit.  A trial takes all its
+    normals in one draw, the real then the imaginary parts of h0, h1 and
+    h2 in turn; the draws of a stack are then made complex in one pass.
+    ``seed`` and every trial must be integers >= 0.
     """
     shapes = _channel_shapes(dims)
     stacked = isinstance(trial_index, range)
@@ -144,16 +207,15 @@ def sample_channels(dims: Dims, seed: int, trial_index: int | range) -> ChannelS
     edges = list(accumulate((rows * cols for rows, cols in shapes), initial=0))
     spans = list(zip(edges, edges[1:]))
     z = np.empty((len(trials), 2 * edges[-1]))
-    for row, trial in zip(z, trials):
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial),))
-        np.random.default_rng(ss).standard_normal(out=row)
+    for row, state in zip(z, _pcg64_states(int(seed), trial_index if stacked else [int(trial_index)])):
+        np.random.Generator(np.random.PCG64(_Seeded(state))).standard_normal(out=row)
     # the matrix at [a, b) of a complex row drew its real parts at
     # [2a, a + b) and its imaginary parts at [a + b, 2b)
     re = np.concatenate([z[:, 2 * a:a + b] for a, b in spans], axis=1)
     im = np.concatenate([z[:, a + b:2 * b] for a, b in spans], axis=1)
     c = (re + 1j * im) / np.sqrt(2.0)
     batch = (len(trials),) if stacked else ()
-    return ChannelSet(*(c[:, a:b].reshape(batch + shape) for (a, b), shape in zip(spans, shapes)))
+    return _owned(*(c[:, a:b].reshape(batch + shape) for (a, b), shape in zip(spans, shapes)))
 
 
 _BUILDERS = {
@@ -298,16 +360,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CurvePoint]:
     stderr = arr.std(axis=0, ddof=min(1, spec.trials - 1)) / math.sqrt(spec.trials)
 
     points = []
-    for ip, point in enumerate(spec.sweep_points_db):
-        for ik, kind in enumerate(spec.rtm_kinds):
-            for im, metric in enumerate(spec.metrics):
+    for point, means, stderrs in zip(spec.sweep_points_db, mean.tolist(), stderr.tolist()):
+        for kind, kind_means, kind_stderrs in zip(spec.rtm_kinds, means, stderrs):
+            for metric, mean_bits, stderr_bits in zip(spec.metrics, kind_means, kind_stderrs):
                 points.append(
                     CurvePoint(
                         sweep_value_db=float(point),
                         rtm_kind=kind,
                         metric=metric,
-                        mean_bits=float(mean[ip, ik, im]),
-                        stderr_bits=float(stderr[ip, ik, im]),
+                        mean_bits=mean_bits,
+                        stderr_bits=stderr_bits,
                         trials=spec.trials,
                     )
                 )

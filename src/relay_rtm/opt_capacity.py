@@ -569,10 +569,14 @@ def assemble_rtm(spectra: SpectraBundle, wf: WaterfillSolution) -> RtmSolution:
             f"water-filling solution has {wf.x.shape[-1]} modes, spectra expect {width}"
         )
     scale = np.sqrt(wf.x) * spectra.lam_b_thin[..., :width] ** -0.5
-    # a sum of rank-one terms in mode order rather than a product over the
-    # modes, so that zero modes padded onto a stack member change nothing
-    u_b = spectra.u_b_thin[..., :width] * scale[..., None, :]
-    x_matrix = _mode_sum(u_b[..., :, None, :] * spectra.u_a_thin.conj()[..., None, :, :])
+    # a sum of rank-one terms added in mode order, one (..., u, s) term at
+    # a time, rather than a product over the modes: zero modes padded onto
+    # a stack member then change nothing
+    u_b = (spectra.u_b_thin[..., :width] * scale[..., None, :])[..., :, None, :]
+    u_a = spectra.u_a_thin.conj()[..., None, :, :]
+    x_matrix = u_b[..., 0] * u_a[..., 0] if width else np.zeros(np.broadcast_shapes(u_b.shape, u_a.shape)[:-1], complex)
+    for m in range(1, width):
+        x_matrix += u_b[..., m] * u_a[..., m]
     kind = "opt1" if spectra.variant == "capacity" else "opt2"
     return RtmSolution(x_matrix=x_matrix, wf=wf, spectra=spectra, c_matrix=spectra.c_matrix, kind=kind)
 

@@ -15,7 +15,7 @@ from helpers import edited_sampler
 from relay_rtm.errors import DeadRelayError, DeadRelayWarning, NumericalError, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm
 from relay_rtm.matalg import hermitian_part
-from relay_rtm.montecarlo import _CHUNK_TRIALS, CurvePoint, SweepSpec, _chunk_values, run_sweep, sample_channels
+from relay_rtm.montecarlo import _CHUNK_TRIALS, CurvePoint, SweepSpec, _chunk_values, _pcg64_states, run_sweep, sample_channels
 from relay_rtm.network import ChannelSet, Dims, SnrScenario, translate_scenario
 from relay_rtm.opt_capacity import RtmSolution, optimize_capacity_rtm
 from relay_rtm.opt_ostbc import optimize_ostbc_rtm
@@ -41,6 +41,16 @@ def _spec(**kw):
     )
     base.update(kw)
     return SweepSpec(**base)
+
+
+def _assert_numpy_stream(ch, index, dims, seed, trial):
+    """Member ``index`` of ``ch`` is trial ``trial`` of ``seed``: each
+    matrix drawn in turn from NumPy's generator of SeedSequence(entropy=seed,
+    spawn_key=(trial,)), real parts then imaginary parts."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    for name, shape in (("h0", (dims.r, dims.t)), ("h1", (dims.s, dims.t)), ("h2", (dims.r, dims.u))):
+        z = rng.standard_normal((2, *shape))
+        assert getattr(ch, name)[index].tobytes() == ((z[0] + 1j * z[1]) / np.sqrt(2.0)).tobytes()
 
 
 class TestSampleChannels:
@@ -133,13 +143,44 @@ class TestSampleChannels:
 
     @pytest.mark.parametrize("dims", [Dims(1, 1, 1, 1), Dims(2, 3, 4, 5), Dims(8, 8, 8, 8)])
     def test_one_draw_per_trial_matches_one_draw_per_matrix(self, dims):
-        # reference: each matrix drawn on its own from the trial's generator
         stack = sample_channels(dims, 11, range(3))
         for trial in range(3):
-            rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(trial,)))
-            for name, shape in (("h0", (dims.r, dims.t)), ("h1", (dims.s, dims.t)), ("h2", (dims.r, dims.u))):
-                z = rng.standard_normal((2, *shape))
-                assert getattr(stack, name)[trial].tobytes() == ((z[0] + 1j * z[1]) / np.sqrt(2.0)).tobytes()
+            _assert_numpy_stream(stack, trial, dims, 11, trial)
+
+    # 1, 2, 5 and 7 words of seed
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 3, 2**200 + 12345])
+    @pytest.mark.parametrize(
+        "trials",
+        [
+            0, 1, 63, 64, 2**32 - 1, 2**32, 2**64,
+            range(65),
+            range(70, 0, -7),
+            # one spawn word to two, and two to three
+            range(2**32 - 2, 2**32 + 2),
+            range(2**64 - 1, 2**64 + 1),
+        ],
+    )
+    def test_each_trial_draws_numpys_spawned_stream(self, seed, trials):
+        # the chunk's streams are seeded at once; each must stay the stream
+        # of SeedSequence(entropy=seed, spawn_key=(trial,))
+        dims = Dims(2, 3, 4, 5)
+        drawn = sample_channels(dims, seed, trials)
+        if isinstance(trials, range):
+            for i, trial in enumerate(trials):
+                _assert_numpy_stream(drawn, i, dims, seed, trial)
+        else:
+            _assert_numpy_stream(drawn, (), dims, seed, trials)
+
+    @pytest.mark.parametrize("words", range(1, 14))
+    def test_states_are_seed_sequence_states(self, words):
+        # a seed of exactly `words` 32-bit words; trials of one to four words
+        seed = int.from_bytes(bytes(range(1, 4 * words + 1)), "little")
+        trials = [0, 1, 2**32 - 1, 2**32, 5, 2**64, 2**96 + 5, 3]
+        states = _pcg64_states(seed, trials)
+        assert states.dtype == np.uint64 and states.shape == (len(trials), 4)
+        for state, trial in zip(states, trials):
+            assert state.tolist() == np.random.SeedSequence(seed, spawn_key=(trial,)).generate_state(4, np.uint64).tolist()
+        assert _pcg64_states(seed, []).shape == (0, 4)
 
 
 class TestSweepSpecValidation:
@@ -413,10 +454,6 @@ class TestRunSweep:
         with pytest.raises(NumericalError, match=r"^trial \d+ \(seed 0\) at rho2=1000.0 dB: "):
             run_sweep(spec)
 
-    # numpy warns as the stacked eigenvalues overflow, before thin_ud
-    # raises its ValidationError, so under -W error the caller gets the
-    # warning instead (an open fault, recorded in CHANGES.md)
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_stacked_eigenvalue_overflow_names_its_member(self):
         # near 3080 dB the second hop's eigenvalues, scaled to the point,
         # overflow float64 in the chunk's (trial x point) stack; the replay

@@ -8,6 +8,7 @@ from relay_rtm.errors import DeadRelayError, ValidationError
 from relay_rtm.evaluate import capacity, naf_rtm, verify_kkt_capacity
 from relay_rtm.network import ChannelSet, Dims, PowerBudget
 from relay_rtm.opt_capacity import (
+    SpectraBundle,
     WaterfillSolution,
     _shaping_matrix,
     activation_thresholds,
@@ -232,6 +233,22 @@ class TestAssemble:
             sol = optimize_capacity_rtm(ch, PowerBudget(2.0, 2.0), dims)
         assert not np.any(sol.x_matrix)
         assert sol.relay_power_used == 0.0
+
+    @pytest.mark.parametrize("trials", [(), (3,)])
+    def test_no_modes_assemble_the_zero_matrix(self, trials):
+        # s = 3, u = 2; on a stack the second hop's factor broadcasts
+        sp = SpectraBundle(
+            variant="capacity",
+            alpha=np.zeros(trials + (0,)),
+            beta=np.ones(trials + (0,)),
+            u_a_thin=np.zeros(trials + (3, 0), complex),
+            u_b_thin=np.zeros((1,) * len(trials) + (2, 0), complex),
+            lam_b_thin=np.ones((1,) * len(trials) + (0,)),
+            rho=0, rho_a=0, rho_b=0,
+            c_matrix=np.eye(3),
+        )
+        x = assemble_rtm(sp, WaterfillSolution(x=np.zeros(trials + (0,)), xi=None)).x_matrix
+        assert x.dtype == complex and x.shape == trials + (2, 3) and not np.any(x)
 
     def test_seeded_diagonalization_and_power(self):
         rng = np.random.default_rng(2024)
